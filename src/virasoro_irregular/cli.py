@@ -205,6 +205,32 @@ def _meta(cfg: RunConfig, central: LaurentPoly | None = None) -> dict:
     }
 
 
+def _error_meta(cfg: RunConfig) -> dict:
+    """Meta block of an error record.
+
+    It carries ``--central`` as given, over the variables ``Q`` and ``c0``.
+    For ``verify --input`` the rank, order and convention are those the input
+    declares, each ``None`` where the input's meta block does not supply it.
+    """
+    meta = _meta(cfg, _central_override(cfg))
+    if cfg.input is None:
+        return meta
+    declared: object = None
+    try:
+        with open(cfg.input, "r", encoding="utf-8") as handle:
+            declared = json.load(handle)
+    except (OSError, ValueError):
+        pass
+    if isinstance(declared, dict):
+        declared = declared.get("meta")
+    if not isinstance(declared, dict):
+        declared = {}
+    for key, kind in (("rank", str), ("K", int), ("convention", str)):
+        value = declared.get(key)
+        meta[key] = value if type(value) is kind else None
+    return meta
+
+
 def _header(table: VarTable) -> dict:
     return {"names": list(table.names), "weights": list(table.weights)}
 
@@ -485,8 +511,8 @@ def main(argv: list[str] | None = None) -> int:
     except (RingError, SolverError, gauge.GaugeError, SerializeError,
             json.JSONDecodeError, OSError) as exc:
         code = 1
-        doc = {"meta": _meta(cfg), "error": {"type": type(exc).__name__,
-                                             "message": str(exc)}}
+        doc = {"meta": _error_meta(cfg),
+               "error": {"type": type(exc).__name__, "message": str(exc)}}
     _emit(cfg, doc)
     return code
 

@@ -31,6 +31,10 @@ class GaugeError(Exception):
     """Base class for failures of the lower-mode analysis."""
 
 
+class OrderTooSmall(GaugeError, ValueError):
+    """The series is truncated too early for the lower-mode analysis."""
+
+
 class ProportionalityFailure(GaugeError):
     """A lower-mode residual is not a scalar multiple of the series."""
 
@@ -240,8 +244,8 @@ def _engine_state(series: IrregularSeries,
     if series.kind not in (INTEGER, HALF):
         raise ValueError(f"no lower-mode analysis for kind {series.kind!r}")
     if any(not name.startswith("ce") for name in series.pending):
-        raise ValueError("series order too small: exponent or singularity "
-                         "data still symbolic")
+        raise OrderTooSmall("series order too small: exponent or singularity "
+                            "data still symbolic")
     table, var, cnames, r = series.table, series.var, series.cnames, series.r
     if series.kind == INTEGER:
         if completion is not None:
@@ -262,7 +266,7 @@ def _engine_state(series: IrregularSeries,
         scalars.update(quadratic_scalars(table, r, cnames, var))
     order = _clean_order(series)
     if order < 1:
-        raise ValueError("series order too small for a lower-mode window")
+        raise OrderTooSmall("series order too small for a lower-mode window")
     tail = VectorSeries(series.ctx, var,
                         {k: series.vectors[k] for k in range(order + 1)}, order)
     prefactor = LaurentPoly.zero(table)

@@ -1,12 +1,20 @@
 """Pairing between shifted-word functionals and the partition basis.
 
 The scalar ``{X}`` denotes the coefficient of the cyclic vector in ``X``.
-Pairing the shifted word of ``mu`` against the basis vector of ``lam`` gives
-a matrix with two structural properties this module relies on and also
-verifies in tests:
+The pairing matrix ``G(mu, lam) = {L~_mu b_lam}`` pairs the shifted word of
+``mu`` against the basis vector of ``lam``.  Every pairing in the package is
+read from this one matrix, cached per module context and filled lazily by
+peeling the innermost (largest) word factor off ``mu``:
 
-* the entry vanishes whenever ``|mu| > |lam|``;
-* equal-weight blocks are diagonal, with closed-form diagonal entries
+* ``G((), lam) = [lam == ()]``;
+* ``G(mu, lam) = 0`` whenever ``|lam| < |mu|``: a shifted mode
+  ``L~_{a + rho}`` lowers the partition weight by at least ``a``;
+* otherwise ``G(mu, lam) = sum_nu [L~_{mu_1 + rho} b_lam]_nu G(mu[1:], nu)``,
+  where the one-mode action comes from the context's straightening cache.
+
+The pairing of a word with any vector is then ``sum_lam v_lam G(mu, lam)``
+over ``|lam| >= |mu|``.  Equal-weight blocks are diagonal, with closed-form
+diagonal entries
 
       2^len * prod(parts) * prod(multiplicity!) * top_eigenvalue^len
 
@@ -14,12 +22,13 @@ where ``top_eigenvalue`` is the eigenvalue of the highest annihilating mode
 ``2 * rho``.  Determinants of weight ranges are therefore pure powers of the
 top eigenvalue up to a rational factor; ``gram_det_report`` computes the
 determinant honestly (fraction-free elimination, no use of the closed form)
-and factors it, so any deviation surfaces as an error.
+and factors it, so any deviation surfaces as an error.  Tests check the
+cached entries against whole-word application.
 
 ``solve_descendants`` inverts the pairing: given the values ``{L~_mu v}``
 for every word up to a weight bound, it reconstructs the descendant part of
-``v`` one weight at a time from the top, dividing by the honest diagonal
-entries.
+``v`` one weight at a time from the top, dividing by the diagonal entries,
+and then recomputes every prescribed pairing on the result.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from .virasoro import (
     ModuleContext,
     ModuleVector,
     Partition,
-    apply_tilde_word,
+    is_partition,
     partition_sort_key,
     partitions_of,
 )
@@ -63,7 +72,29 @@ class ProportionalityFailure(GramError):
 
 def gram_entry(ctx: ModuleContext, mu: Partition, lam: Partition) -> LaurentPoly:
     """Pairing of the shifted word of ``mu`` against the basis vector of ``lam``."""
-    return apply_tilde_word(ctx.basis(lam) if lam else ctx.cyclic(), mu).constant_term()
+    if sum(lam) < sum(mu):
+        return ctx._zero
+    row = ctx._pairing_cache.get(mu)
+    entry = None if row is None else row.get(lam)
+    if entry is not None:
+        return entry
+    if not (is_partition(mu) and is_partition(lam)):
+        raise ValueError(f"not a pair of partitions: {mu}, {lam}")
+    if not mu:
+        entry = ctx._zero if lam else ctx._one
+    else:
+        n, rest = mu[0] + ctx.rho, mu[1:]
+        entry = ctx._zero
+        for nu, d in ctx._apply_basis(n, lam).items():
+            g = gram_entry(ctx, rest, nu)
+            if not g.is_zero():
+                entry = entry + d * g
+        ev = ctx.eigenvalue(n)
+        g = gram_entry(ctx, rest, lam)
+        if not (ev.is_zero() or g.is_zero()):
+            entry = entry - ev * g
+    ctx._pairing_cache.setdefault(mu, {})[lam] = entry
+    return entry
 
 
 def weight_range_partitions(lo: int, hi: int) -> list[Partition]:
@@ -151,14 +182,13 @@ def gram_det_report(ctx: ModuleContext, lo: int, hi: int) -> GramDetReport:
 
 
 def solve_descendants(ctx: ModuleContext, targets: Mapping[Partition, LaurentPoly],
-                      top_weight: int, constant: LaurentPoly | None = None,
-                      verify: bool = True) -> ModuleVector:
+                      top_weight: int, constant: LaurentPoly | None = None) -> ModuleVector:
     """Reconstruct a vector from its pairings against all words up to a weight.
 
     ``targets[mu]`` is the required value of ``{L~_mu v}``; missing words
     default to zero.  The constant term of the result is ``constant`` (the
-    pairing never constrains it).  With ``verify`` set, every prescribed
-    pairing is recomputed on the result and must match exactly.
+    pairing never constrains it).  Every prescribed pairing is recomputed on
+    the result and must match exactly.
     """
     for mu in targets:
         w = sum(mu)
@@ -170,7 +200,7 @@ def solve_descendants(ctx: ModuleContext, targets: Mapping[Partition, LaurentPol
         layer: dict[Partition, LaurentPoly] = {}
         for mu in partitions_of(w):
             t_mu = targets.get(mu, zero) - gram_entry_on(ctx, mu, solved)
-            diag = apply_tilde_word(ctx.basis(mu), mu).constant_term()
+            diag = gram_entry(ctx, mu, mu)
             if diag.is_zero():
                 raise SingularGram(f"diagonal pairing entry vanished at {mu}")
             if t_mu.is_zero():
@@ -181,16 +211,22 @@ def solve_descendants(ctx: ModuleContext, targets: Mapping[Partition, LaurentPol
                 raise NotDivisible(
                     f"pairing solve at {mu} leaves the ring: {exc}") from exc
         solved = solved + ModuleVector(ctx, layer)
-    if verify:
-        for w in range(1, top_weight + 1):
-            for mu in partitions_of(w):
-                got = gram_entry_on(ctx, mu, solved)
-                want = targets.get(mu, zero)
-                if got != want:
-                    raise GramError(f"pairing mismatch at {mu}: {got} != {want}")
+    for w in range(1, top_weight + 1):
+        for mu in partitions_of(w):
+            got = gram_entry_on(ctx, mu, solved)
+            want = targets.get(mu, zero)
+            if got != want:
+                raise GramError(f"pairing mismatch at {mu}: {got} != {want}")
     return solved
 
 
 def gram_entry_on(ctx: ModuleContext, mu: Partition, vec: ModuleVector) -> LaurentPoly:
     """Value of ``{L~_mu vec}`` for an arbitrary vector."""
-    return apply_tilde_word(vec, mu).constant_term()
+    w = sum(mu)
+    total = ctx._zero
+    for lam, c in vec.parts.items():
+        if sum(lam) >= w:
+            g = gram_entry(ctx, mu, lam)
+            if not g.is_zero():
+                total = total + c * g
+    return total

@@ -16,8 +16,7 @@ from fractions import Fraction
 from .frames import CONVENTIONS, conformal_weight, default_central_charge
 from .ring import LaurentPoly, RationalFunction, TruncatedSeries, VarTable
 from .solver import (HALF, INTEGER, RANK_ONE, IrregularSeries,
-                     VerificationReport, _half_recipe, _integer_recipe,
-                     _x_vectors)
+                     VerificationReport, _half_recipe, _integer_recipe)
 from .virasoro import ModuleVector, partition_sort_key, verma_context
 
 
@@ -248,12 +247,11 @@ def series_from_doc(doc: object) -> IrregularSeries:
     if sorted(staged) != list(range(order + 1)):
         raise SerializeError(f"tail must cover orders 0..{order} exactly once")
     vectors = [staged[k] for k in range(order + 1)]
-    x_vectors = [] if kind == RANK_ONE else _x_vectors(vectors)
     return IrregularSeries(
         kind=kind, r=r, order=order, table=table, ctx=ctx,
         var="c1" if kind == RANK_ONE else ("Lam" if kind == HALF else f"c{r}"),
         cnames=() if kind == RANK_ONE else tuple(f"c{j}" for j in range(1, r)),
-        vectors=vectors, x_vectors=x_vectors, nu=nu, g=g, constants=constants,
+        vectors=vectors, nu=nu, g=g, constants=constants,
         pending=tuple(pending_doc), ledger=None, convention=convention)
 
 

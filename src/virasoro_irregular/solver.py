@@ -137,13 +137,28 @@ class IrregularSeries:
     var: str
     cnames: tuple[str, ...]
     vectors: list[ModuleVector]
-    x_vectors: list[ModuleVector]
     nu: LaurentPoly | None
     g: dict[int, LaurentPoly]
     constants: dict[int, LaurentPoly]
     pending: tuple[str, ...]
     ledger: UnknownLedger | None
     convention: str = GENERAL
+
+    @property
+    def x_vectors(self) -> list[ModuleVector]:
+        """Constant-term-free combinations X_k = v_k - sum {v_i} X_{k-i}.
+
+        Computed on each access; rank one has none.
+        """
+        if self.kind == RANK_ONE:
+            return []
+        vectors = self.vectors
+        xs: list[ModuleVector] = []
+        for k, x in enumerate(vectors):
+            for i in range(1, k + 1):
+                x = x - xs[k - i].scale(vectors[i].constant_term())
+            xs.append(x)
+        return xs
 
 
 # ----- shared elimination machinery -----------------------------------------
@@ -334,19 +349,6 @@ def _pin_unknown(recipe: _KindRecipe, ledger: UnknownLedger,
     return value
 
 
-def _x_vectors(vectors: list[ModuleVector]) -> list[ModuleVector]:
-    """Constant-term-free combinations: X_k = v_k - sum {v_i} X_{k-i}."""
-    if not vectors:
-        return []
-    xs = [vectors[0]]
-    for k in range(1, len(vectors)):
-        x = vectors[k]
-        for i in range(1, k + 1):
-            x = x - xs[k - i].scale(vectors[i].constant_term())
-        xs.append(x)
-    return xs
-
-
 def _run_recursion(recipe: _KindRecipe, order: int) -> IrregularSeries:
     table = recipe.table
     ledger = UnknownLedger.plan(recipe.r, order)
@@ -375,9 +377,8 @@ def _run_recursion(recipe: _KindRecipe, order: int) -> IrregularSeries:
     return IrregularSeries(
         kind=recipe.kind, r=recipe.r, order=order, table=table,
         ctx=recipe.ctx, var=recipe.var, cnames=recipe.cnames,
-        vectors=vectors, x_vectors=_x_vectors(vectors),
-        nu=nu_poly, g=g_polys, constants=constants, pending=pending,
-        ledger=ledger)
+        vectors=vectors, nu=nu_poly, g=g_polys, constants=constants,
+        pending=pending, ledger=ledger)
 
 
 def solve_integer(r: int, order: int, central=None) -> IrregularSeries:
@@ -491,7 +492,7 @@ def solve_rank1(vctx: ModuleContext, lam1: LaurentPoly, lam2: LaurentPoly,
     ]
     return IrregularSeries(
         kind=RANK_ONE, r=1, order=order, table=table, ctx=vctx, var="c1",
-        cnames=(), vectors=vectors, x_vectors=[], nu=None, g={},
+        cnames=(), vectors=vectors, nu=None, g={},
         constants={}, pending=(), ledger=None, convention=convention)
 
 

@@ -55,7 +55,7 @@ def partition_sort_key(lam: Partition) -> tuple:
     return (sum(lam), tuple(-p for p in lam))
 
 
-def _is_partition(lam: Iterable[int]) -> bool:
+def is_partition(lam: Iterable[int]) -> bool:
     lam = tuple(lam)
     return all(isinstance(p, int) and p >= 1 for p in lam) and all(
         lam[i] >= lam[i + 1] for i in range(len(lam) - 1)
@@ -79,11 +79,12 @@ class ModuleContext:
     """Fixed rank, eigenvalue table and central charge for one module.
 
     ``eigen`` must assign a scalar to every mode index from ``rho`` to
-    ``2*rho`` inclusive.  The straightening cache lives on the context, so
-    contexts are cheap to query repeatedly and should be shared.
+    ``2*rho`` inclusive.  The straightening and pairing caches live on the
+    context, so contexts are cheap to query repeatedly and should be shared.
     """
 
-    __slots__ = ("table", "rho", "eigen", "c_vir", "_zero", "_one", "_mode_cache")
+    __slots__ = ("table", "rho", "eigen", "c_vir", "_zero", "_one", "_mode_cache",
+                 "_pairing_cache")
 
     def __init__(self, table: VarTable, rho: int,
                  eigen: Mapping[int, LaurentPoly | Fraction | int],
@@ -100,6 +101,8 @@ class ModuleContext:
         self._zero = LaurentPoly.zero(table)
         self._one = LaurentPoly.const(table, 1)
         self._mode_cache: dict[tuple[int, Partition], dict[Partition, LaurentPoly]] = {}
+        # pairing entries {L~_mu b_lam} as [mu][lam], filled by gram.gram_entry
+        self._pairing_cache: dict[Partition, dict[Partition, LaurentPoly]] = {}
 
     @staticmethod
     def _scalar(table: VarTable, v) -> LaurentPoly:
@@ -124,7 +127,7 @@ class ModuleContext:
 
     def basis(self, lam: Iterable[int], coeff=None) -> "ModuleVector":
         lam = tuple(lam)
-        if not _is_partition(lam):
+        if not is_partition(lam):
             raise ValueError(f"not a partition: {lam}")
         return ModuleVector(self, {lam: self._one if coeff is None else coeff})
 
@@ -300,7 +303,7 @@ def apply_tilde_word(vec: ModuleVector, lam: Iterable[int]) -> ModuleVector:
     largest part sits innermost, so it is applied first.
     """
     lam = tuple(lam)
-    if not _is_partition(lam):
+    if not is_partition(lam):
         raise ValueError(f"not a partition: {lam}")
     rho = vec.ctx.rho
     out = vec

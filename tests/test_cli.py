@@ -13,6 +13,7 @@ from functools import lru_cache
 import pytest
 
 from virasoro_irregular.cli import main
+from virasoro_irregular.frames import GENERAL
 from virasoro_irregular.ring import LaurentPoly, RationalFunction, VarTable
 from virasoro_irregular.serialize import (
     SerializeError,
@@ -349,6 +350,43 @@ def test_gauge_narrow_window_reports_a_structured_error(capsys):
     assert code == 1
     assert doc["error"]["type"] == "GaugeError"
     assert "window" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("rank, order", [("2", 1), ("3/2", 0)])
+def test_gauge_below_the_lower_mode_window_reports_a_structured_error(
+        rank, order, capsys):
+    code, doc = _run_json(capsys, ["gauge", "--rank", rank, "--order", str(order)])
+    assert code == 1
+    assert doc["error"]["type"] == "OrderTooSmall"
+    assert "order too small" in doc["error"]["message"]
+    assert doc["meta"]["rank"] == rank
+    assert doc["meta"]["K"] == order
+
+
+def test_error_record_of_an_unreadable_input_declares_nothing(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, doc = _run_json(capsys, ["verify", "--input", str(path)])
+    assert code == 1
+    assert doc["error"]["type"] == "SerializeError"
+    assert doc["meta"] == {"rank": None, "K": None, "convention": None,
+                           "central": None}
+
+
+def test_error_record_carries_the_input_meta_and_central(tmp_path, capsys):
+    path = tmp_path / "series.json"
+    doc = series_to_doc(_series(INTEGER))
+    terms = doc["series"]["tail"][1]["terms"]
+    terms[sorted(terms)[0]]["num"][0]["d"] = 0
+    path.write_text(json.dumps(doc))
+    code, out = _run_json(capsys, ["verify", "--input", str(path),
+                                   "--central", "Q+1"])
+    assert code == 1
+    assert out["error"]["type"] == "SerializeError"
+    q_table = VarTable(("Q", "c0"), (0, 0))
+    central = LaurentPoly.var(q_table, "Q") + 1
+    assert out["meta"] == {"rank": "2", "K": 2, "convention": GENERAL,
+                           "central": poly_terms(central)}
 
 
 # ----- module entry ---------------------------------------------------------------

@@ -21,7 +21,12 @@ from virasoro_irregular.gram import (
     weight_range_partitions,
 )
 from virasoro_irregular.ring import LaurentPoly, VarTable
-from virasoro_irregular.virasoro import ModuleContext, ModuleVector, partitions_of
+from virasoro_irregular.virasoro import (
+    ModuleContext,
+    ModuleVector,
+    apply_tilde_word,
+    partitions_of,
+)
 
 T1 = VarTable(["E1", "E2", "cv"], [1, 2, 0])
 T2 = VarTable(["E2", "E3", "E4", "cv"], [2, 3, 4, 0])
@@ -43,14 +48,31 @@ def test_weight_range_partitions_order():
     assert weight_range_partitions(2, 3) == [(2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
 
 
+def word_entry(ctx: ModuleContext, mu, lam) -> LaurentPoly:
+    """Pairing by whole-word application, independent of the cached matrix."""
+    return apply_tilde_word(ctx.basis(lam), mu).constant_term()
+
+
 @pytest.mark.parametrize("ctx_builder", [ctx_rank1, ctx_rank2])
 def test_entries_vanish_above_the_diagonal_weight(ctx_builder):
+    # gram_entry returns zero here by construction, so check by whole words
     ctx = ctx_builder()
     for wmu in range(1, 5):
         for wlam in range(0, wmu):
             for mu in partitions_of(wmu):
                 for lam in partitions_of(wlam):
-                    assert gram_entry(ctx, mu, lam).is_zero(), (mu, lam)
+                    assert word_entry(ctx, mu, lam).is_zero(), (mu, lam)
+
+
+@pytest.mark.parametrize("ctx_builder", [ctx_rank1, ctx_rank2])
+def test_cached_entries_match_whole_word_application(ctx_builder):
+    ctx = ctx_builder()
+    parts = weight_range_partitions(0, 4)
+    for mu in parts:
+        for lam in parts:
+            assert gram_entry(ctx, mu, lam) == word_entry(ctx, mu, lam), (mu, lam)
+    with pytest.raises(ValueError):
+        gram_entry(ctx, (1, 2), (3,))
 
 
 @pytest.mark.parametrize("ctx_builder", [ctx_rank1, ctx_rank2])
@@ -137,6 +159,17 @@ def random_vector(rng: random.Random, ctx: ModuleContext, top: int) -> ModuleVec
                     val = val * LaurentPoly.var(ctx.table, "E1" if ctx.rho == 1 else "E2")
                 terms[lam] = val
     return ModuleVector(ctx, terms)
+
+
+@pytest.mark.parametrize("ctx_builder,top", [(ctx_rank1, 4), (ctx_rank2, 3)])
+def test_entry_on_matches_whole_word_application(ctx_builder, top):
+    ctx = ctx_builder()
+    rng = random.Random(16180339)
+    for _ in range(4):
+        vec = random_vector(rng, ctx, top)
+        for mu in weight_range_partitions(0, top + 1):
+            want = apply_tilde_word(vec, mu).constant_term()
+            assert gram_entry_on(ctx, mu, vec) == want, mu
 
 
 @pytest.mark.parametrize("ctx_builder,top", [(ctx_rank1, 4), (ctx_rank2, 3)])

@@ -16,12 +16,16 @@ from virasoro_irregular.frames import (
     default_central_charge,
     eigenvalue,
 )
-from virasoro_irregular.ring import LaurentPoly, RationalFunction, VarTable
+from virasoro_irregular.gram import GramError, gram_entry
+from virasoro_irregular.ring import LaurentPoly, RationalFunction, RingError, VarTable
 from virasoro_irregular.solver import (
     HALF,
     INTEGER,
     IrregularSeries,
     SingularShapovalov,
+    SolverError,
+    _integer_recipe,
+    _run_recursion,
     UnknownLedger,
     rank1_series,
     scheduled_unknown,
@@ -274,6 +278,23 @@ def test_last_cyclic_coefficient_is_genuine_freedom(series):
     bumped = series.vectors[series.order] + series.ctx.cyclic()
     probe = _with_vector(series, series.order, bumped)
     assert verify_canonical(probe).all_ok
+
+
+@pytest.mark.parametrize("mu, lam, fault", [
+    ((1,), (1,), lambda g: g * 2),
+    ((1,), (2,), lambda g: g + 1),
+])
+def test_corrupted_pairing_cache_never_yields_a_clean_series(mu, lam, fault):
+    # exactness must not rest on the pairing cache: a wrong entry, diagonal
+    # or off-diagonal, ends in an error or in a failing re-check
+    recipe = _integer_recipe(2, 3, None)
+    ctx = recipe.ctx
+    ctx._pairing_cache[mu][lam] = fault(gram_entry(ctx, mu, lam))
+    try:
+        series = _run_recursion(recipe, 3)
+    except (SolverError, GramError, RingError):
+        return
+    assert not verify_canonical(series).all_ok
 
 
 # ----- rank one ----------------------------------------------------------------
