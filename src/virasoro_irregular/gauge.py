@@ -514,11 +514,17 @@ def integrate_potential(obs: ObstructionSet,
             acc = acc + TruncatedSeries.from_poly(inv[k][i], obs.var) * obs.a[seq[i]]
         comps.append(acc)
     top = comps[obs.r - 1]
-    if top.hi is not None and top.hi < -1:
-        raise GaugeError("window too narrow to read the expansion direction")
-    if any(c.hi is not None and c.hi < 0 for c in comps[:-1]):
-        raise GaugeError("window too narrow to isolate the parameter "
-                         "components")
+    # The expansion direction is read at order -1 and the parameter
+    # components at order 0.  One more series order widens every window by
+    # one, so the largest shortfall is the number of orders missing.
+    short_top = -1 - top.hi if top.hi is not None else 0
+    short_rest = max((-c.hi for c in comps[:-1] if c.hi is not None), default=0)
+    shortfall = max(short_top, short_rest)
+    if shortfall > 0:
+        what = ("read the expansion direction" if short_top == shortfall
+                else "isolate the parameter components")
+        raise OrderTooSmall(f"window too narrow to {what}: the smallest order "
+                            f"that works is --order {obs.series.order + shortfall}")
     bad = [m for m in range(top.lo, top.known_hi + 1)
            if m != -1 and not top.coeff(m).is_zero()]
     if bad:
@@ -704,9 +710,9 @@ def scalar_completion_half(r: int, bound: int = 1) -> ScalarCompletion:
             return seen[expo]
 
         for u, poly in enumerate(cols):
-            for expo, coeff in poly.terms.items():
+            for expo, coeff in poly.iter_terms():
                 rows[row_for(expo)][u] += coeff
-        for expo, coeff in rhs.terms.items():
+        for expo, coeff in rhs.iter_terms():
             rhs_col[row_for(expo)] += coeff
 
     try:

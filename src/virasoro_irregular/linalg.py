@@ -117,32 +117,6 @@ def mat_vec(a: Sequence[Sequence[LaurentPoly]], v: Sequence[LaurentPoly]) -> lis
     return out
 
 
-def solve_cramer_poly(
-    a_rows: Sequence[Sequence[LaurentPoly]],
-    b: Sequence[LaurentPoly],
-) -> tuple[list[LaurentPoly], LaurentPoly]:
-    """Solve ``A x = b`` over the ring without leaving it.
-
-    Returns ``(numerators, det)`` with ``x_i = numerators[i] / det``; the
-    caller keeps the common denominator explicit, which avoids rational
-    arithmetic whose unreduced intermediates grow without bound.
-    """
-    n = len(a_rows)
-    if any(len(row) != n for row in a_rows) or len(b) != n:
-        raise ValueError("system must be square with a matching right side")
-    d = det_bareiss(a_rows)
-    if d.is_zero():
-        raise SingularSystem("matrix determinant is zero")
-    nums = []
-    for col in range(n):
-        replaced = [
-            [b[i] if j == col else entry for j, entry in enumerate(row)]
-            for i, row in enumerate(a_rows)
-        ]
-        nums.append(det_bareiss(replaced))
-    return nums, d
-
-
 def solve_unique_rational(
     a_rows: Sequence[Sequence[RationalFunction]],
     b: Sequence[RationalFunction],

@@ -2,17 +2,29 @@
 
 Everything downstream (module vectors, Gram solves, frames, gauge data)
 stores its scalars as :class:`LaurentPoly` over a fixed :class:`VarTable`.
-Coefficients are ``fractions.Fraction`` so all arithmetic is exact and
-canonical.  Rational functions are quarantined in :class:`RationalFunction`
-and only appear where a solve genuinely needs denominators (ordinary Verma
-module solves and generic linear systems); every other operation either
-stays in the Laurent ring or raises :class:`NotDivisible`.
+A polynomial is a dict from packed exponent keys to integer numerators over
+one common denominator, the packed-monomial layout of Monagan and Pearce
+("Sparse polynomial division using a heap", J. Symb. Comp. 2011).  The
+table packs an exponent vector into one integer, a biased field per
+variable under a field for the total degree, so integer order of keys is
+graded-lex order and a monomial product is a key sum; a field overflow
+raises :class:`RingError` rather than wrapping.  The denominator is kept
+reduced against the numerators, so all arithmetic is exact and canonical,
+and the public interface still speaks exponent tuples and
+``fractions.Fraction``.  Rational functions are quarantined in
+:class:`RationalFunction` and only appear where a solve genuinely needs
+denominators (ordinary Verma module solves and generic linear systems);
+every other operation either stays in the Laurent ring or raises
+:class:`NotDivisible`.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from functools import reduce
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
@@ -32,6 +44,15 @@ class VariableMismatch(RingError):
     """Raised when two operands live over different variable tables."""
 
 
+# Exponent fields of a packed monomial key (see VarTable.pack): FIELD_BITS
+# value bits, biased by 2**(FIELD_BITS - 1), plus one guard bit above.
+FIELD_BITS = 16
+EXP_MIN, EXP_MAX = -(1 << FIELD_BITS - 1), (1 << FIELD_BITS - 1) - 1
+_STRIDE = FIELD_BITS + 1
+_BIAS = 1 << FIELD_BITS - 1
+_MASK = (1 << FIELD_BITS) - 1
+
+
 class VarTable:
     """Ordered roster of named variables with integer grading weights.
 
@@ -40,9 +61,16 @@ class VarTable:
     feed the quasi-homogeneity checks (weight of a monomial = sum of
     exponent * weight over the active variables); they may be negative,
     which unknown expansion constants use for bookkeeping.
+
+    The table also owns the packed form of a monomial (see :meth:`pack`):
+    one integer holding a biased ``FIELD_BITS``-bit field per variable, the
+    first variable highest, under a top field for the total degree.  A guard
+    bit sits above every field, so a key sum that leaves a field's range
+    sets a guard bit instead of spilling silently into its neighbour.
     """
 
-    __slots__ = ("names", "weights", "_index")
+    __slots__ = ("names", "weights", "_index", "_shifts", "_units",
+                 "_zero", "_guard", "_nonneg", "_limit")
 
     def __init__(self, names: Sequence[str], weights: Sequence[int]):
         names = tuple(names)
@@ -54,6 +82,16 @@ class VarTable:
         self.names = names
         self.weights = weights
         self._index = {name: i for i, name in enumerate(names)}
+        n = len(names)
+        fields = range(n + 1)   # field n is the total degree
+        self._shifts = tuple((n - 1 - i) * _STRIDE for i in range(n))
+        # key step of x_i: one in its own field and one in the degree field
+        self._units = tuple((1 << s) + (1 << n * _STRIDE) for s in self._shifts)
+        self._zero = sum(_BIAS << i * _STRIDE for i in fields)
+        self._guard = sum(1 << i * _STRIDE + FIELD_BITS for i in fields)
+        # the top value bit of a field is set exactly for exponents >= 0
+        self._nonneg = sum(1 << i * _STRIDE + FIELD_BITS - 1 for i in fields)
+        self._limit = 1 << (n + 1) * _STRIDE
 
     def index(self, name: str) -> int:
         try:
@@ -63,6 +101,48 @@ class VarTable:
 
     def weight(self, name: str) -> int:
         return self.weights[self.index(name)]
+
+    def pack(self, exps: Sequence[int]) -> int:
+        """Packed key of an exponent vector.
+
+        Integer order of keys is graded-lex order ``(sum(exps), exps)``, and
+        the key of a product of monomials is ``k1 + k2 - pack(0, ..., 0)``.
+        Raises RingError when an exponent or the total degree leaves the
+        field range ``EXP_MIN..EXP_MAX``.
+        """
+        if len(exps) != len(self.names):
+            raise ValueError("exponent vector length mismatch")
+        key = total = 0
+        for e in exps:
+            if not EXP_MIN <= e <= EXP_MAX:
+                raise RingError(f"exponent {e} outside the packed range "
+                                f"{EXP_MIN}..{EXP_MAX}")
+            key = key << _STRIDE | e + _BIAS
+            total += e
+        if not EXP_MIN <= total <= EXP_MAX:
+            raise RingError(f"total degree {total} outside the packed range "
+                            f"{EXP_MIN}..{EXP_MAX}")
+        return (total + _BIAS) << len(exps) * _STRIDE | key
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        """Exponent vector of a packed key."""
+        return tuple((key >> s & _MASK) - _BIAS for s in self._shifts)
+
+    def _in_range(self, keys_or: int) -> bool:
+        """Whether keys, given as the bitwise or of them all, are all valid.
+
+        The keys made here are sums and differences of valid keys in which
+        every field but the total degree combines at most three values, so
+        a field that leaves its range sets its guard bit (the lowest such
+        field does, whatever borrows it passes up).  The degree field can
+        move further; being on top, it then shows as a negative key or one
+        past the top field.
+        """
+        return 0 <= keys_or < self._limit and not keys_or & self._guard
+
+    def _checked(self, keys: Iterable[int]) -> None:
+        if not self._in_range(reduce(or_, keys, 0)):
+            raise RingError(f"exponent outside the packed range {EXP_MIN}..{EXP_MAX}")
 
     def __len__(self) -> int:
         return len(self.names)
@@ -90,47 +170,75 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected exact rational, got {type(value).__name__}")
 
 
-def _grlex_key(exps: tuple[int, ...]) -> tuple:
-    # Graded lexicographic: compare total degree first, then the exponent
-    # vector itself.  Works for negative exponents too (total order).
-    return (sum(exps), exps)
+def _new(table: VarTable, terms: dict[int, int], den: int = 1) -> "LaurentPoly":
+    p = _alloc(LaurentPoly)
+    p.table = table
+    p.terms = terms
+    p.den = den
+    return p
+
+
+def _reduced(table: VarTable, terms: dict[int, int], den: int) -> "LaurentPoly":
+    """Polynomial ``terms / den`` with the denominator made canonical."""
+    if den != 1:
+        if not terms:
+            den = 1
+        else:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                terms = {k: c // g for k, c in terms.items()}
+                den //= g
+    return _new(table, terms, den)
+
+
+_alloc = object.__new__
 
 
 class LaurentPoly:
-    """Sparse multivariate Laurent polynomial with Fraction coefficients.
+    """Sparse multivariate Laurent polynomial with rational coefficients.
 
-    Terms are stored as ``{exponent tuple: Fraction}`` with zero
-    coefficients dropped, so equality of dicts is equality of polynomials.
-    Instances are treated as immutable; all operations return new objects.
+    ``terms`` maps packed exponent keys (:meth:`VarTable.pack`) to nonzero
+    integer numerators over the common denominator ``den``.  ``den`` is
+    positive and shares no factor with all numerators together (it is 1 for
+    the zero polynomial), so equal polynomials have equal storage.  The
+    public interface speaks exponent tuples and ``Fraction``; only this
+    module reads the storage.  Instances are treated as immutable; all
+    operations return new objects.
     """
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "terms", "den")
 
     def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...], Fraction] | None = None):
         self.table = table
-        self.terms: dict[tuple[int, ...], Fraction] = {}
+        self.terms: dict[int, int] = {}
+        self.den = 1
         if terms:
-            n = len(table)
+            fracs = {}
             for exps, coeff in terms.items():
-                if len(exps) != n:
-                    raise ValueError("exponent vector length mismatch")
+                key = table.pack(exps)
                 c = _as_fraction(coeff)
                 if c:
-                    self.terms[tuple(exps)] = c
+                    fracs[key] = c
+            if fracs:
+                # numerators over the least common denominator are coprime
+                # to it as a whole, so the result is already canonical
+                den = lcm(*(c.denominator for c in fracs.values()))
+                self.terms = {k: c.numerator * (den // c.denominator)
+                              for k, c in fracs.items()}
+                self.den = den
 
     # ----- constructors -------------------------------------------------
 
     @staticmethod
     def zero(table: VarTable) -> "LaurentPoly":
-        return LaurentPoly(table)
+        return _new(table, {})
 
     @staticmethod
     def const(table: VarTable, value) -> "LaurentPoly":
         c = _as_fraction(value)
-        p = LaurentPoly(table)
-        if c:
-            p.terms[(0,) * len(table)] = c
-        return p
+        if not c:
+            return _new(table, {})
+        return _new(table, {table._zero: c.numerator}, c.denominator)
 
     @staticmethod
     def var(table: VarTable, name: str, power: int = 1, coeff=1) -> "LaurentPoly":
@@ -148,18 +256,15 @@ class LaurentPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        if not self.terms:
-            return True
-        zero = (0,) * len(self.table)
-        return len(self.terms) == 1 and zero in self.terms
+        terms = self.terms
+        return not terms or (len(terms) == 1 and self.table._zero in terms)
 
     def as_rational(self) -> Fraction:
         """Return the constant value; raises if the polynomial is not constant."""
         if not self.terms:
             return Fraction(0)
-        zero = (0,) * len(self.table)
-        if len(self.terms) == 1 and zero in self.terms:
-            return self.terms[zero]
+        if self.is_constant():
+            return Fraction(self.terms[self.table._zero], self.den)
         raise RingError(f"not a constant: {self}")
 
     def is_unit_monomial(self) -> bool:
@@ -170,32 +275,37 @@ class LaurentPoly:
         """Largest term in graded-lex order."""
         if not self.terms:
             raise RingError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
+        key = max(self.terms)
+        return self.table.unpack(key), Fraction(self.terms[key], self.den)
+
+    def iter_terms(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+        """All ``(exponent vector, coefficient)`` pairs, in no fixed order."""
+        unpack, den = self.table.unpack, self.den
+        for key, c in self.terms.items():
+            yield unpack(key), Fraction(c, den)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in descending graded-lex order (canonical output order)."""
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        unpack, terms, den = self.table.unpack, self.terms, self.den
+        return [(unpack(key), Fraction(terms[key], den))
+                for key in sorted(terms, reverse=True)]
+
+    def _exponents_of(self, name: str) -> list[int]:
+        s = self.table._shifts[self.table.index(name)]
+        return [(key >> s & _MASK) - _BIAS for key in self.terms]
 
     def degree_in(self, name: str) -> tuple[int, int]:
         """(min, max) exponent of ``name`` over the support; (0, 0) if absent."""
-        i = self.table.index(name)
-        if not self.terms:
+        es = self._exponents_of(name)
+        if not es:
             return (0, 0)
-        es = [exps[i] for exps in self.terms]
         return (min(es), max(es))
 
     def uses_var(self, name: str) -> bool:
-        i = self.table.index(name)
-        return any(exps[i] for exps in self.terms)
+        return any(self._exponents_of(name))
 
     def support_vars(self) -> set[str]:
-        used: set[str] = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(self.table.names[i])
-        return used
+        return {name for name in self.table.names if self.uses_var(name)}
 
     # ----- arithmetic ---------------------------------------------------
 
@@ -204,32 +314,37 @@ class LaurentPoly:
             raise VariableMismatch("operands over different variable tables")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.table, other)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentPoly.const(self.table, other)
         self._check(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps)
-            if s is None:
-                out[exps] = c
-            else:
-                s = s + c
-                if s:
-                    out[exps] = s
-                else:
-                    del out[exps]
-        p = LaurentPoly(self.table)
-        p.terms = out
-        return p
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        da, db = self.den, other.den
+        if da == db:
+            out = dict(self.terms)
+            get = out.get
+            for k, c in other.terms.items():
+                out[k] = get(k, 0) + c
+        else:
+            g = gcd(da, db)
+            ma, mb = db // g, da // g
+            da *= ma
+            out = {k: c * ma for k, c in self.terms.items()}
+            get = out.get
+            for k, c in other.terms.items():
+                out[k] = get(k, 0) + c * mb
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+        return _reduced(self.table, out, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = LaurentPoly(self.table)
-        p.terms = {exps: -c for exps, c in self.terms.items()}
-        return p
+        return _new(self.table, {k: -c for k, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -242,37 +357,39 @@ class LaurentPoly:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
-                return LaurentPoly(self.table)
-            p = LaurentPoly(self.table)
-            p.terms = {exps: coeff * c for exps, coeff in self.terms.items()}
-            return p
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            if isinstance(other, int):
+                num, den = other, 1
+            elif isinstance(other, Fraction):
+                num, den = other.numerator, other.denominator
+            else:
+                return NotImplemented
+            if not num:
+                return _new(self.table, {})
+            return _reduced(self.table, {k: c * num for k, c in self.terms.items()},
+                            self.den * den)
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        table = self.table
+        if not self.terms or not other.terms:
+            return _new(table, {})
         if len(self.terms) > len(other.terms):
             a, b = other.terms, self.terms
         else:
             a, b = self.terms, other.terms
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                exps = tuple(x + y for x, y in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(exps)
-                if s is None:
-                    out[exps] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[exps] = s
-                    else:
-                        del out[exps]
-        p = LaurentPoly(self.table)
-        p.terms = out
-        return p
+        pairs = iter(a.items())
+        k1, c1 = next(pairs)
+        k1 -= table._zero
+        out = {k1 + k2: c1 * c2 for k2, c2 in b.items()}
+        get = out.get
+        for k1, c1 in pairs:
+            k1 -= table._zero
+            for k2, c2 in b.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        table._checked(out)
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+        return _reduced(table, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -281,8 +398,11 @@ class LaurentPoly:
             return NotImplemented
         if n < 0:
             if self.is_unit_monomial():
-                (exps, c), = self.terms.items()
-                inv = LaurentPoly.monomial(self.table, tuple(-e for e in exps), Fraction(1) / c)
+                (key, c), = self.terms.items()
+                table = self.table
+                inv_key = 2 * table._zero - key
+                table._checked((inv_key,))
+                inv = _new(table, {inv_key: self.den if c > 0 else -self.den}, abs(c))
                 return inv ** (-n)
             raise NotDivisible("negative power of a non-monomial")
         result = LaurentPoly.const(self.table, 1)
@@ -299,81 +419,79 @@ class LaurentPoly:
             other = LaurentPoly.const(self.table, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+        return (self.table == other.table and self.den == other.den
+                and self.terms == other.terms)
 
     __hash__ = None  # type: ignore[assignment]
 
     # ----- calculus and structure ----------------------------------------
 
     def derivative(self, name: str) -> "LaurentPoly":
-        i = self.table.index(name)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[i] = e - 1
-            key = tuple(new)
-            s = out.get(key, Fraction(0)) + c * e
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        p = LaurentPoly(self.table)
-        p.terms = out
-        return p
+        table = self.table
+        i = table.index(name)
+        s, unit = table._shifts[i], table._units[i]
+        out = {}
+        for key, c in self.terms.items():
+            e = (key >> s & _MASK) - _BIAS
+            if e:
+                out[key - unit] = c * e
+        table._checked(out)
+        return _reduced(table, out, self.den)
 
     def coeff_of_power(self, name: str, k: int) -> "LaurentPoly":
         """Coefficient of ``name**k`` (the variable is removed from the result)."""
-        i = self.table.index(name)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            if exps[i] != k:
-                continue
-            new = list(exps)
-            new[i] = 0
-            out[tuple(new)] = c
-        p = LaurentPoly(self.table)
-        p.terms = out
-        return p
+        table = self.table
+        i = table.index(name)
+        s, drop, field = table._shifts[i], k * table._units[i], k + _BIAS
+        out = {key - drop: c for key, c in self.terms.items()
+               if key >> s & _MASK == field}
+        table._checked(out)
+        return _reduced(table, out, self.den)
 
     def split_by_var(self, name: str) -> dict[int, "LaurentPoly"]:
         """Decompose as a finite Laurent polynomial in ``name``."""
-        i = self.table.index(name)
-        buckets: dict[int, dict[tuple[int, ...], Fraction]] = {}
-        for exps, c in self.terms.items():
-            new = list(exps)
-            k = new[i]
-            new[i] = 0
-            buckets.setdefault(k, {})[tuple(new)] = c
+        table = self.table
+        i = table.index(name)
+        s, unit = table._shifts[i], table._units[i]
+        buckets: dict[int, dict[int, int]] = {}
+        for key, c in self.terms.items():
+            e = (key >> s & _MASK) - _BIAS
+            buckets.setdefault(e, {})[key - e * unit] = c
         out = {}
-        for k, terms in buckets.items():
-            p = LaurentPoly(self.table)
-            p.terms = terms
-            out[k] = p
+        for e, terms in buckets.items():
+            table._checked(terms)
+            out[e] = _reduced(table, terms, self.den)
         return out
 
     def subs(self, assignments: Mapping[str, "LaurentPoly"]) -> "LaurentPoly":
         """Substitute variables by polynomials (exact; negative powers need units)."""
-        idx = {self.table.index(name): poly for name, poly in assignments.items()}
-        result = LaurentPoly(self.table)
-        for exps, c in self.terms.items():
-            factor = LaurentPoly.const(self.table, c)
-            rest = list(exps)
-            for i, poly in idx.items():
-                e = rest[i]
+        table = self.table
+        slots = [(table._shifts[i], table._units[i], poly) for i, poly in
+                 ((table.index(name), poly) for name, poly in assignments.items())]
+        # group the terms by their powers of the substituted variables
+        groups: dict[tuple[int, ...], dict[int, int]] = {}
+        for key, c in self.terms.items():
+            powers = tuple((key >> s & _MASK) - _BIAS for s, _, _ in slots)
+            rest = key - sum(e * unit for e, (_, unit, _) in zip(powers, slots))
+            groups.setdefault(powers, {})[rest] = c
+        result = _new(table, {})
+        cache: dict[tuple[int, int], LaurentPoly] = {}
+        for powers, terms in groups.items():
+            table._checked(terms)
+            factor = _reduced(table, terms, self.den)
+            for slot, (e, (_, _, poly)) in enumerate(zip(powers, slots)):
                 if e:
-                    rest[i] = 0
-                    factor = factor * (poly ** e)
-            term = LaurentPoly.monomial(self.table, tuple(rest), 1)
-            result = result + factor * term
+                    power = cache.get((slot, e))
+                    if power is None:
+                        power = cache[(slot, e)] = poly ** e
+                    factor = factor * power
+            result = result + factor
         return result
 
     def weighted_degrees(self) -> set[int]:
         """Set of quasi-homogeneous weights present in the support."""
-        ws = self.table.weights
-        return {sum(e * w for e, w in zip(exps, ws)) for exps in self.terms}
+        ws, unpack = self.table.weights, self.table.unpack
+        return {sum(e * w for e, w in zip(unpack(key), ws)) for key in self.terms}
 
     def homogeneous_weight(self) -> int | None:
         """The single weight if quasi-homogeneous (0 for the zero poly), else None."""
@@ -390,11 +508,11 @@ class LaurentPoly:
             return self
         mapping = [table.index(name) if name in table._index else -1
                    for name in self.table.names]
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[int, int] = {}
         n = len(table)
-        for exps, c in self.terms.items():
+        for key, c in self.terms.items():
             new = [0] * n
-            for i, e in enumerate(exps):
+            for i, e in enumerate(self.table.unpack(key)):
                 if not e:
                     continue
                 j = mapping[i]
@@ -402,12 +520,16 @@ class LaurentPoly:
                     raise VariableMismatch(
                         f"variable {self.table.names[i]!r} missing from target table")
                 new[j] = e
-            out[tuple(new)] = c
-        p = LaurentPoly(table)
-        p.terms = out
-        return p
+            out[table.pack(new)] = c
+        return _new(table, out, self.den)
 
     # ----- exact division -------------------------------------------------
+
+    def _lowest_shift(self) -> int:
+        """Key offset that moves every variable's lowest exponent to zero."""
+        table = self.table
+        return sum((min(key >> s & _MASK for key in self.terms) - _BIAS) * unit
+                   for s, unit in zip(table._shifts, table._units))
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient in the Laurent ring; raises NotDivisible otherwise."""
@@ -416,31 +538,37 @@ class LaurentPoly:
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
+        table = self.table
         if self.is_zero():
-            return LaurentPoly(self.table)
+            return _new(table, {})
         if divisor.is_unit_monomial():
-            (dexps, dc), = divisor.terms.items()
-            p = LaurentPoly(self.table)
-            p.terms = {
-                tuple(e - d for e, d in zip(exps, dexps)): c / dc
-                for exps, c in self.terms.items()
-            }
-            return p
+            (dkey, dc), = divisor.terms.items()
+            shift = dkey - table._zero
+            scale = divisor.den if dc > 0 else -divisor.den
+            out = {key - shift: c * scale for key, c in self.terms.items()}
+            table._checked(out)
+            return _reduced(table, out, self.den * abs(dc))
         # Shift both operands into the polynomial subring so that, for each
         # variable, the minimal exponent is zero; a Laurent quotient of the
-        # shifted operands is then forced to be an honest polynomial.
-        n = len(self.table)
-        shift_a = [min(exps[i] for exps in self.terms) for i in range(n)]
-        shift_b = [min(exps[i] for exps in divisor.terms) for i in range(n)]
-        a = {tuple(e - s for e, s in zip(exps, shift_a)): c for exps, c in self.terms.items()}
-        b = {tuple(e - s for e, s in zip(exps, shift_b)): c for exps, c in divisor.terms.items()}
-        quot = _poly_exact_div(a, b)
+        # shifted operands is then forced to be an honest polynomial.  With
+        # the contents divided out, Gauss's lemma makes that quotient a
+        # primitive integer polynomial.
+        shift_a, shift_b = self._lowest_shift(), divisor._lowest_shift()
+        content_a, content_b = gcd(*self.terms.values()), gcd(*divisor.terms.values())
+        a = {key - shift_a: c // content_a for key, c in self.terms.items()}
+        b = {key - shift_b: c // content_b for key, c in divisor.terms.items()}
+        table._checked(a)
+        table._checked(b)
+        quot = _poly_exact_div(table, a, b)
         if quot is None:
             raise NotDivisible("quotient does not lie in the Laurent ring")
-        back = tuple(sa - sb for sa, sb in zip(shift_a, shift_b))
-        p = LaurentPoly(self.table)
-        p.terms = {tuple(e + s for e, s in zip(exps, back)): c for exps, c in quot.items()}
-        return p
+        # self / divisor = (content_a * den_b) / (content_b * den_a) * quot
+        num, den = content_a * divisor.den, content_b * self.den
+        g = gcd(num, den)
+        num, den, back = num // g, den // g, shift_a - shift_b
+        out = {key + back: c * num for key, c in quot.items()}
+        table._checked(out)
+        return _new(table, out, den)
 
     # ----- rendering -------------------------------------------------------
 
@@ -474,26 +602,55 @@ class LaurentPoly:
         return text
 
 
-def _poly_exact_div(a: dict, b: dict) -> dict | None:
-    """Exact division of polynomial term-dicts (non-negative exponents)."""
+def _poly_exact_div(table: VarTable, a: dict[int, int],
+                    b: dict[int, int]) -> dict[int, int] | None:
+    """Exact quotient of primitive integer polynomials ``a / b``.
+
+    Both operands have nonnegative exponents.  Returns None when the
+    quotient is not a polynomial with integer coefficients, which for
+    primitive operands means it is not a polynomial at all.
+    """
     rem = dict(a)
-    lead_b = max(b, key=_grlex_key)
+    # max-heap of remainder keys (negated); entries of cancelled keys are
+    # skipped when popped, and new keys always lie below the current lead
+    heap = [-k for k in rem]
+    heapify(heap)
+    lead_b = max(b)
     cb = b[lead_b]
-    quot: dict[tuple[int, ...], Fraction] = {}
+    tail = [(k - lead_b, c) for k, c in b.items() if k != lead_b]
+    zero, nonneg = table._zero, table._nonneg
+    fields = nonneg | table._guard
+    quot: dict[int, int] = {}
+    seen = 0
     while rem:
-        lead_r = max(rem, key=_grlex_key)
-        qexp = tuple(er - eb for er, eb in zip(lead_r, lead_b))
-        if any(e < 0 for e in qexp):
+        lead_r = -heappop(heap)
+        lead_c = rem.pop(lead_r, 0)
+        if not lead_c:
+            continue
+        qkey = lead_r - lead_b + zero
+        # every exponent of the quotient term must be >= 0
+        if lead_r < lead_b or qkey & fields != nonneg:
             return None
-        qc = rem[lead_r] / cb
-        quot[qexp] = qc
-        for exps, c in b.items():
-            key = tuple(e + q for e, q in zip(exps, qexp))
-            s = rem.get(key, Fraction(0)) - qc * c
-            if s:
-                rem[key] = s
-            elif key in rem:
-                del rem[key]
+        qc, r = divmod(lead_c, cb)
+        if r:
+            return None
+        quot[qkey] = qc
+        for offset, c in tail:
+            key = lead_r + offset
+            seen |= key
+            s = rem.get(key)
+            if s is None:
+                rem[key] = -qc * c
+                heappush(heap, -key)
+            else:
+                s -= qc * c
+                if s:
+                    rem[key] = s
+                else:
+                    del rem[key]
+    # a quotient whose products left the packed range cannot be exact
+    if not table._in_range(seen):
+        return None
     return quot
 
 

@@ -70,9 +70,11 @@ def poly_terms(poly: LaurentPoly) -> list[dict]:
 
 
 def poly_from_terms(table: VarTable, terms: object) -> LaurentPoly:
+    """Rebuild a polynomial from its term records in one pass; records
+    that repeat an exponent vector are summed."""
     if not isinstance(terms, list):
         raise SerializeError("polynomial must be a list of term records")
-    total = LaurentPoly.zero(table)
+    coeffs: dict[tuple[int, ...], Fraction] = {}
     for record in terms:
         if not isinstance(record, dict) or set(record) != {"e", "n", "d"}:
             raise SerializeError(f"malformed polynomial term {record!r}")
@@ -83,8 +85,9 @@ def poly_from_terms(table: VarTable, terms: object) -> LaurentPoly:
         num, den = record["n"], record["d"]
         if not isinstance(num, int) or not isinstance(den, int) or den == 0:
             raise SerializeError(f"malformed coefficient in term {record!r}")
-        total = total + LaurentPoly.monomial(table, exps, Fraction(num, den))
-    return total
+        key = tuple(exps)
+        coeffs[key] = coeffs.get(key, 0) + Fraction(num, den)
+    return LaurentPoly(table, coeffs)
 
 
 def coeff_doc(coeff) -> dict:

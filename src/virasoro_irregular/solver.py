@@ -251,23 +251,36 @@ def _half_recipe(r: int, order: int, central) -> _HalfRecipe:
         lower=None, delta=None, subtract_scalars=False)
 
 
-def _dual_term(recipe: _KindRecipe, i: int, vec: ModuleVector) -> ModuleVector:
+def _restrict(vec: ModuleVector, cyclic: bool) -> ModuleVector:
+    """The vector itself, or with ``cyclic`` only its cyclic component."""
+    if not cyclic:
+        return vec
+    return ModuleVector(vec.ctx, {(): vec.constant_term()})
+
+
+def _dual_term(recipe: _KindRecipe, i: int, vec: ModuleVector,
+               cyclic: bool = False) -> ModuleVector:
     """Apply the order-``i`` slice of the canonical operator to a vector."""
     out = ModuleVector(recipe.ctx)
+    part = _restrict(vec, cyclic)
     for n in sorted(recipe.dual.orders[i]):
         weight = recipe.dual.orders[i][n]
-        acted = apply_mode(vec, n)
+        acted = apply_mode(vec, n, cyclic_only=cyclic)
         if recipe.subtract_scalars:
             scalar = recipe.delta if n == 0 else recipe.lower[n]
-            acted = acted - vec.scale(scalar)
+            acted = acted - part.scale(scalar)
         out = out + acted.scale(weight)
     return out
 
 
 def _flow_residual(recipe: _KindRecipe, vectors: list[ModuleVector],
                    g_polys: dict[int, LaurentPoly], nu_poly: LaurentPoly,
-                   k: int) -> ModuleVector:
-    """Left side of the order-``k`` flow recurrence (must vanish)."""
+                   k: int, cyclic: bool = False) -> ModuleVector:
+    """Left side of the order-``k`` flow recurrence (must vanish).
+
+    With ``cyclic`` only its cyclic-vector component is formed, which is
+    all that pinning the order's unknown reads.
+    """
     r = recipe.r
     acc = ModuleVector(recipe.ctx)
     for i in range(r - 1):
@@ -275,13 +288,14 @@ def _flow_residual(recipe: _KindRecipe, vectors: list[ModuleVector],
         if j < 0 or j >= len(vectors):
             continue
         v = vectors[j]
-        acc = acc + _dual_term(recipe, i, v)
-        acc = acc + v.scale(g_polys[r - 1 - i] * Fraction(r - 1 - i))
+        acc = acc + _dual_term(recipe, i, v, cyclic)
+        acc = acc + _restrict(v, cyclic).scale(g_polys[r - 1 - i] * Fraction(r - 1 - i))
     j = k - r + 1
     if 0 <= j < len(vectors):
         v = vectors[j]
-        acc = acc + _dual_term(recipe, r - 1, v)
-        acc = acc - v.scale(nu_poly + LaurentPoly.const(recipe.table, k - r + 1))
+        acc = acc + _dual_term(recipe, r - 1, v, cyclic)
+        acc = acc - _restrict(v, cyclic).scale(
+            nu_poly + LaurentPoly.const(recipe.table, k - r + 1))
     return acc
 
 
@@ -325,7 +339,8 @@ def _pin_unknown(recipe: _KindRecipe, ledger: UnknownLedger,
     """Solve the scheduled unknown from the order-``k`` constant term."""
     entry = ledger.entry_for_order(k)
     name = entry.name
-    equation = _flow_residual(recipe, vectors, g_polys, nu_poly, k).constant_term()
+    equation = _flow_residual(recipe, vectors, g_polys, nu_poly, k,
+                              cyclic=True).constant_term()
     lo, hi = equation.degree_in(name)
     if lo < 0 or hi > 1:
         raise NonAffineElimination(

@@ -275,12 +275,22 @@ class ModuleVector:
 # ----- mode application -----------------------------------------------------
 
 
-def apply_mode(vec: ModuleVector, n: int) -> ModuleVector:
-    """Act with L_n, straightening back onto the partition basis."""
+def apply_mode(vec: ModuleVector, n: int, cyclic_only: bool = False) -> ModuleVector:
+    """Act with L_n, straightening back onto the partition basis.
+
+    With ``cyclic_only`` only the cyclic-vector component of the result is
+    formed; the other components are never straightened.
+    """
     ctx = vec.ctx
     out: dict[Partition, object] = {}
     for lam, c in vec.parts.items():
-        for mu, d in ctx._apply_basis(n, lam).items():
+        images = ctx._apply_basis(n, lam)
+        if cyclic_only:
+            d = images.get(())
+            if d is not None:
+                _accumulate(out, (), c * d)
+            continue
+        for mu, d in images.items():
             _accumulate(out, mu, c * d)
     v = ModuleVector(ctx)
     v.parts = out

@@ -113,6 +113,20 @@ def test_poly_from_terms_rejects_malformed_records():
         poly_from_terms(table, {"e": [1, 0], "n": 1, "d": 1})
 
 
+def test_poly_from_terms_sums_repeated_exponent_vectors():
+    table = VarTable(("Q", "c1"), (0, 1))
+    q = LaurentPoly.var(table, "Q")
+    records = [{"e": [1, 0], "n": 1, "d": 2}, {"e": [0, -1], "n": 3, "d": 1},
+               {"e": [1, 0], "n": 1, "d": -3}, {"e": [0, -1], "n": -6, "d": 2}]
+    assert poly_from_terms(table, records) == q * Fraction(1, 6)
+    assert poly_from_terms(table, records[1::2]).is_zero()
+    for bad in (0, 2.0, "2", None):
+        record = {"e": [1, 0], "n": 1, "d": bad}
+        with pytest.raises(SerializeError,
+                           match=r"^malformed coefficient in term \{"):
+            poly_from_terms(table, records + [record])
+
+
 def test_coefficient_docs_cover_quotients():
     table = VarTable(("Q", "c1"), (0, 1))
     q = LaurentPoly.var(table, "Q")
@@ -348,8 +362,23 @@ def test_gauge_half_pipeline_over_the_cli(capsys):
 def test_gauge_narrow_window_reports_a_structured_error(capsys):
     code, doc = _run_json(capsys, ["gauge", "--rank", "5/2", "--order", "4"])
     assert code == 1
-    assert doc["error"]["type"] == "GaugeError"
+    assert doc["error"]["type"] == "OrderTooSmall"
     assert "window" in doc["error"]["message"]
+
+
+# smallest working orders, probed one order at a time
+@pytest.mark.parametrize("rank, order, works_at", [
+    ("5/2", 4, 5), ("5/2", 3, 5), ("3", 3, 4)])
+def test_gauge_narrow_window_names_the_order_that_works(rank, order, works_at, capsys):
+    code, doc = _run_json(capsys, ["gauge", "--rank", rank, "--order", str(order)])
+    assert code == 1
+    assert doc["error"]["type"] == "OrderTooSmall"
+    assert doc["error"]["message"].endswith(
+        f"the smallest order that works is --order {works_at}")
+    assert doc["meta"]["K"] == order
+    code, doc = _run_json(capsys, ["gauge", "--rank", rank, "--order", str(works_at)])
+    assert code == 0
+    assert all(entry["status"] == "ok" for entry in doc["residuals"])
 
 
 @pytest.mark.parametrize("rank, order", [("2", 1), ("3/2", 0)])
