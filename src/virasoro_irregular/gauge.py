@@ -23,7 +23,7 @@ from .frames import (apply_field, conformal_weight, deformation_fields,
 from .linalg import InconsistentSystem, inverse_exact, rref_solve_fraction
 from .ring import LaurentPoly, TruncatedSeries, VarTable
 from .solver import (HALF, INTEGER, IrregularSeries, ResidualNonZero,
-                     VerificationReport)
+                     VerificationReport, scheduled_unknown)
 from .virasoro import ModuleContext, ModuleVector, apply_mode
 
 
@@ -244,8 +244,11 @@ def _engine_state(series: IrregularSeries,
     if series.kind not in (INTEGER, HALF):
         raise ValueError(f"no lower-mode analysis for kind {series.kind!r}")
     if any(not name.startswith("ce") for name in series.pending):
+        # nu is the last of the exponent and singularity unknowns pinned
+        needed = next(k for k in range(series.r)
+                      if scheduled_unknown(series.r, k) == "nu")
         raise OrderTooSmall("series order too small: exponent or singularity "
-                            "data still symbolic")
+                            f"data still symbolic; --order {needed} pins it")
     table, var, cnames, r = series.table, series.var, series.cnames, series.r
     if series.kind == INTEGER:
         if completion is not None:
@@ -266,7 +269,10 @@ def _engine_state(series: IrregularSeries,
         scalars.update(quadratic_scalars(table, r, cnames, var))
     order = _clean_order(series)
     if order < 1:
-        raise OrderTooSmall("series order too small for a lower-mode window")
+        # each further series order pins one more tail constant, so it
+        # makes one more order clean
+        raise OrderTooSmall("series order too small for a lower-mode window: "
+                            f"--order {series.order + 1 - order} makes order 1 clean")
     tail = VectorSeries(series.ctx, var,
                         {k: series.vectors[k] for k in range(order + 1)}, order)
     prefactor = LaurentPoly.zero(table)

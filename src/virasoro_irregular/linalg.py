@@ -2,8 +2,11 @@
 
 Determinants use the Bareiss fraction-free scheme so intermediate entries
 stay in the ring and every division is exact.  Adjugates come from cofactor
-expansion, which is cheap at the matrix sizes that appear here (frame
-matrices have size equal to the rank, at most six or so).
+determinants, one Bareiss elimination per entry.  Frame inverses take every
+column; the rank-one level solve multiplies the adjugate into a right-hand
+side that vanishes at most partitions, so it asks only for the columns
+where that side is nonzero: at level ``k`` (a ``p(k)``-row matrix, 11 rows
+at level 6) at most ``1 + k // 2`` of them.
 """
 
 from __future__ import annotations
@@ -67,16 +70,21 @@ def _minor(rows: Sequence[Sequence[LaurentPoly]], drop_row: int, drop_col: int) 
     ]
 
 
-def adjugate(rows: Sequence[Sequence[LaurentPoly]]) -> Matrix:
-    """Adjugate matrix: ``A @ adjugate(A) == det(A) * I``."""
+def adjugate(rows: Sequence[Sequence[LaurentPoly]],
+             cols: Sequence[int] | None = None) -> Matrix:
+    """Adjugate matrix: ``A @ adjugate(A) == det(A) * I``.
+
+    With ``cols`` only those columns are computed; every other entry is
+    zero, so ``mat_vec(adjugate(A, cols), v)`` is ``adjugate(A) @ v``
+    whenever ``v`` vanishes outside ``cols``.
+    """
     n = len(rows)
     table = rows[0][0].table
-    if n == 1:
-        return [[LaurentPoly.const(table, 1)]]
+    one = LaurentPoly.const(table, 1)
     out = [[LaurentPoly.zero(table) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            cof = det_bareiss(_minor(rows, j, i))
+    for j in range(n) if cols is None else cols:
+        for i in range(n):
+            cof = det_bareiss(_minor(rows, j, i)) if n > 1 else one
             out[i][j] = cof if (i + j) % 2 == 0 else -cof
     return out
 

@@ -447,6 +447,16 @@ def _reduced(p: LaurentPoly, factors: list[LaurentPoly]) -> RationalFunction:
     return RationalFunction(p, den)
 
 
+def _from_invariants(p: LaurentPoly, delta_powers: list[LaurentPoly],
+                     c_powers: list[LaurentPoly], zero: LaurentPoly) -> LaurentPoly:
+    """Map a polynomial in (Delta, c) to the module table, given the powers
+    of the images of Delta and c."""
+    groups: dict[int, LaurentPoly] = {}
+    for (a, b), coeff in p.iter_terms():
+        groups[a] = groups.get(a, zero) + c_powers[b] * coeff
+    return sum((inner * delta_powers[a] for a, inner in groups.items()), start=zero)
+
+
 def solve_rank1(vctx: ModuleContext, lam1: LaurentPoly, lam2: LaurentPoly,
                 order: int, convention: str = GENERAL) -> IrregularSeries:
     """Rank-one series inside the Verma module.
@@ -471,24 +481,44 @@ def solve_rank1(vctx: ModuleContext, lam1: LaurentPoly, lam2: LaurentPoly,
         raise ValueError(f"eigenvalues do not match a rank-one expansion: {exc}")
     if s1.uses_var("c1") or s2.uses_var("c1"):
         raise ValueError("eigenvalues do not match a rank-one expansion")
-    # each level carries one explicit factored denominator, so the solve
-    # stays in the ring and never builds unreduced rational intermediates;
-    # the two relation sources are solved separately against the adjugate
-    # and only then recombined, keeping the pairing solve small
+    # The level pairing matrix depends on the module only through its weight
+    # Delta and central charge c, so it is built over a two-variable
+    # (Delta, c) table, where its determinant and cofactors have far fewer
+    # terms.  Only the adjugate columns where a right-hand side is nonzero
+    # are computed; the others would meet exact zeros in mat_vec.  The
+    # determinant and those columns then return to the module table by
+    # Delta -> eigenvalue(0) and c -> c_vir.  Each level carries one explicit
+    # factored denominator, so the solve stays in the ring and never builds
+    # unreduced rational intermediates; the two relation sources are solved
+    # separately against the adjugate and only then recombined.
+    inv_table = VarTable(("Delta", "c"), (0, 0))
+    inv_ctx = verma_context(inv_table, LaurentPoly.var(inv_table, "Delta"),
+                            LaurentPoly.var(inv_table, "c"))
+    bases = (vctx.eigenvalue(0), vctx.c_vir)
+    powers = ([one], [one])   # powers of the bases, extended once per level
     numerators = [vctx.cyclic()]
     denominators: list[list[LaurentPoly]] = [[]]
     zero = LaurentPoly.zero(table)
     for k in range(1, order + 1):
         lams = partitions_of(k)
-        rows = [[gram_entry(vctx, mu, lam) for lam in lams] for mu in lams]
-        det = det_bareiss(rows)
-        if det.is_zero():
-            raise SingularShapovalov(f"level {k}: pairing determinant vanishes")
-        adj = adjugate(rows)
         drop = [gram_entry_on(vctx, mu[1:], numerators[k - 1]) * s1
                 if mu[0] == 1 else zero for mu in lams]
         drop2 = [gram_entry_on(vctx, mu[1:], numerators[k - 2]) * s2
                  if mu[0] == 2 and k >= 2 else zero for mu in lams]
+        cols = [j for j, (a, b) in enumerate(zip(drop, drop2))
+                if not (a.is_zero() and b.is_zero())]
+        rows = [[gram_entry(inv_ctx, mu, lam) for lam in lams] for mu in lams]
+        det = det_bareiss(rows)
+        adj = adjugate(rows, cols)
+        entries = [det, *(a for row in adj for a in row)]
+        for name, pows, base in zip(inv_table.names, powers, bases):
+            top = max(p.degree_in(name)[1] for p in entries)
+            while len(pows) <= top:
+                pows.append(pows[-1] * base)
+        det = _from_invariants(det, *powers, zero)
+        if det.is_zero():
+            raise SingularShapovalov(f"level {k}: pairing determinant vanishes")
+        adj = [[_from_invariants(a, *powers, zero) for a in row] for row in adj]
         y1 = mat_vec(adj, drop)
         y2 = mat_vec(adj, drop2) if any(not t.is_zero() for t in drop2) else None
         before1 = _product(table, denominators[k - 1])

@@ -320,7 +320,3 @@ def apply_tilde_word(vec: ModuleVector, lam: Iterable[int]) -> ModuleVector:
     for a in lam:
         out = apply_tilde(out, a + rho)
     return out
-
-
-def constant_term(vec: ModuleVector):
-    return vec.constant_term()

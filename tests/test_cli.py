@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -196,6 +197,16 @@ def test_construct_rank_one_text_report(capsys):
     assert "0.5" not in out
 
 
+def test_construct_rank_one_with_a_central_override(capsys):
+    # the level solve works in (Delta, c) and substitutes c back, so a
+    # central charge other than 1 + 6 Q^2 must reach every level
+    code, doc = _run_json(capsys, ["construct", "--rank", "1", "--order", "3",
+                                   "--central", "2*Q + c0"])
+    assert code == 0
+    assert doc["residuals"]
+    assert all(entry["status"] == "ok" for entry in doc["residuals"])
+
+
 def test_construct_integer_emits_the_singular_data(capsys):
     code, doc = _run_json(capsys, ["construct", "--rank", "2", "--order", "3"])
     assert code == 0
@@ -381,7 +392,7 @@ def test_gauge_narrow_window_names_the_order_that_works(rank, order, works_at, c
     assert all(entry["status"] == "ok" for entry in doc["residuals"])
 
 
-@pytest.mark.parametrize("rank, order", [("2", 1), ("3/2", 0)])
+@pytest.mark.parametrize("rank, order", [("2", 1), ("3/2", 0), ("3", 1)])
 def test_gauge_below_the_lower_mode_window_reports_a_structured_error(
         rank, order, capsys):
     code, doc = _run_json(capsys, ["gauge", "--rank", rank, "--order", str(order)])
@@ -390,6 +401,22 @@ def test_gauge_below_the_lower_mode_window_reports_a_structured_error(
     assert "order too small" in doc["error"]["message"]
     assert doc["meta"]["rank"] == rank
     assert doc["meta"]["K"] == order
+    # each error names a larger order that gets past its check; following
+    # them ends in a clean run
+    seen = []
+    while code == 1:
+        message = doc["error"]["message"]
+        check = message.split(":")[0]
+        assert check not in seen
+        seen.append(check)
+        named = int(re.search(r"--order (\d+)", message).group(1))
+        assert named > order
+        order = named
+        code, doc = _run_json(capsys, ["gauge", "--rank", rank, "--order", str(order)])
+        assert code in (0, 1)
+        if code == 1:
+            assert doc["error"]["type"] == "OrderTooSmall"
+    assert all(entry["status"] == "ok" for entry in doc["residuals"])
 
 
 def test_error_record_of_an_unreadable_input_declares_nothing(tmp_path, capsys):

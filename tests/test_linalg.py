@@ -71,10 +71,17 @@ def test_adjugate_identity():
         for _ in range(8):
             rows = [[rand_poly(rng, dense=True) for _ in range(n)] for _ in range(n)]
             d = det_bareiss(rows)
-            prod = mat_mul(rows, adjugate(rows))
+            adj = adjugate(rows)
+            prod = mat_mul(rows, adj)
             for i in range(n):
                 for j in range(n):
                     assert prod[i][j] == (d if i == j else LaurentPoly.zero(T))
+            for cols in ([], [n - 1], list(range(0, n, 2))):
+                part = adjugate(rows, cols)
+                for i in range(n):
+                    for j in range(n):
+                        assert part[i][j] == (adj[i][j] if j in cols
+                                              else LaurentPoly.zero(T))
 
 
 def test_inverse_exact_on_unit_determinant():

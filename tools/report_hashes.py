@@ -42,6 +42,7 @@ COMMANDS = [
     "construct --rank 2 --order 6",
     "construct --rank 5/2 --order 4",
     "gauge --rank 5/2 --order 5",
+    "construct --rank 1 --order 5",
 ]
 
 
