@@ -22,9 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gauge, serialize
-from .frames import (CONVENTIONS, GENERAL, deformation_fields, dual_operator,
-                     expected_frame_det, expected_odd_frame_det, frame_matrix,
-                     odd_dual_operator, odd_fields, odd_frame_matrix)
+from .frames import CONVENTIONS, GENERAL, Family
 from .linalg import det_bareiss, inverse_exact
 from .gram import GramError, gram_matrix, pure_power_factor
 from .ring import LaurentPoly, RingError, VarTable
@@ -129,9 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
     gauge_cmd = add("gauge", "obstruction scalars and their potential",
                     order_default=4)
     gauge_cmd.add_argument("--bound", type=int,
-                           help="denominator bound for the scalar completion")
+                           help="denominator bound for the scalar completion "
+                                "(half ranks only)")
     for cmd in (construct, verify, gauge_cmd):
         cmd.add_argument("--central", help="central charge expression in Q and c0")
+    for cmd in (construct, verify):
         cmd.add_argument("--convention", choices=CONVENTIONS, default=GENERAL,
                          help="eigenvalue convention (rank one only)")
     return parser
@@ -156,6 +156,8 @@ def _config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunCon
     bound = getattr(args, "bound", None)
     if bound is not None and bound < 1:
         parser.error("bound must be at least 1")
+    if bound is not None and kind != HALF:
+        parser.error("--bound applies to half ranks only")
     convention = getattr(args, "convention", GENERAL)
     if convention != GENERAL and kind in (INTEGER, HALF):
         parser.error("the section2-display convention applies to rank one only")
@@ -240,13 +242,10 @@ def _matrix_terms(rows: list[list[LaurentPoly]]) -> list[list[list[dict]]]:
 
 
 def _fields_doc(fields) -> list[dict]:
-    out = []
-    for mode in sorted(fields) if isinstance(fields, dict) else range(len(fields)):
-        comps = fields[mode]
-        out.append({"mode": mode,
-                    "components": {name: poly_terms(poly)
-                                   for name, poly in sorted(comps.items())}})
-    return out
+    return [{"mode": mode,
+             "components": {name: poly_terms(poly)
+                            for name, poly in sorted(comps.items())}}
+            for mode, comps in enumerate(fields)]
 
 
 def _dual_doc(op) -> dict:
@@ -281,26 +280,14 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def _cmd_frames(cfg: RunConfig) -> tuple[int, dict]:
-    r = cfg.r
-    if cfg.kind == HALF:
-        cnames = tuple(f"c{j}" for j in range(1, r))
-        table = VarTable(("Q", "c0") + cnames + ("Lam",),
-                         (0, 0) + tuple(range(1, r)) + (2 * r - 1,))
-        matrix = odd_frame_matrix(table, r, cnames, "Lam")
-        expected = expected_odd_frame_det(table, r, cnames, "Lam")
-        fields = odd_fields(table, r, cnames, "Lam")
-        op = odd_dual_operator(table, r, cnames, "Lam")
-    else:
-        cnames = tuple(f"c{j}" for j in range(1, r + 1))
-        table = VarTable(("Q", "c0") + cnames, (0, 0) + tuple(range(1, r + 1)))
-        matrix = frame_matrix(table, r, cnames)
-        expected = expected_frame_det(table, r, cnames)
-        fields = deformation_fields(table, r, cnames)
-        op = dual_operator(table, r, cnames)
+    family = Family(cfg.kind, cfg.r)
+    table = family.frame_table()
+    matrix = family.frame_matrix(table)
+    expected = family.expected_det(table)
     det = det_bareiss(matrix)
     ok = det == expected
     doc = {
-        "meta": {"rank": format_rank(cfg.kind, r), "K": None,
+        "meta": {"rank": format_rank(cfg.kind, cfg.r), "K": None,
                  "convention": cfg.convention, "central": None},
         "variables": _header(table),
         "frames": {
@@ -309,11 +296,11 @@ def _cmd_frames(cfg: RunConfig) -> tuple[int, dict]:
             "expected_det": poly_terms(expected),
             "det_matches": ok,
             "inverse": _matrix_terms(inverse_exact(matrix)),
-            "fields": _fields_doc(fields),
-            "dual": _dual_doc(op),
+            "fields": _fields_doc(family.fields(table)),
+            "dual": _dual_doc(family.dual_operator(table)),
         },
         "residuals": [{"relation": "frame determinant closed form",
-                       "window": f"rank {format_rank(cfg.kind, r)}",
+                       "window": f"rank {format_rank(cfg.kind, cfg.r)}",
                        "status": "ok" if ok else "fail"}],
     }
     return (0 if ok else 1), doc
@@ -357,11 +344,10 @@ def _cmd_gram(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def _cmd_gauge(cfg: RunConfig) -> tuple[int, dict]:
-    central = _central_override(cfg)
+    series = _build_series(cfg)
     completion = None
     residuals: list[dict] = []
     if cfg.kind == HALF:
-        series = solve_half(cfg.r, cfg.order, central)
         top = cfg.bound if cfg.bound is not None else cfg.r
         for bound in range(1, top + 1):
             try:
@@ -372,8 +358,6 @@ def _cmd_gauge(cfg: RunConfig) -> tuple[int, dict]:
         if completion is None:
             raise gauge.Infeasible(f"no scalar completion within bound {top}")
         residuals.extend(serialize.report_doc(gauge.completion_residuals(completion)))
-    else:
-        series = solve_integer(cfg.r, cfg.order, central)
     obs = gauge.obstructions(series, completion)
     frob = gauge.frobenius_verify(obs)
     certificate = gauge.lstar_certificate(obs)

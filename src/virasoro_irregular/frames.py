@@ -14,16 +14,20 @@ Two families appear:
   parameter ``c_r``;
 * the odd family, coordinates ``c_1..c_{r-1}`` plus a top eigenvalue ``Lam``
   of weight ``2r-1``, expansion in ``Lam``.
+
+:class:`Family` makes the choice between them once, from a rank's (kind, r);
+every other module reads its fields, frame and dual operator from there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Sequence
 
 from .linalg import inverse_exact
-from .ring import LaurentPoly, NotDivisible, RingError, VarTable
+from .ring import LaurentPoly, RingError, VarTable
 
 GENERAL = "general"
 DISPLAY = "section2-display"
@@ -146,20 +150,21 @@ def apply_field(field: dict[str, LaurentPoly], poly: LaurentPoly) -> LaurentPoly
     return out
 
 
+def _field_matrix(table: VarTable, fields: list[dict[str, LaurentPoly]],
+                  cols: Sequence[str]) -> list[list[LaurentPoly]]:
+    zero = LaurentPoly.zero(table)
+    return [[field.get(col, zero) for col in cols] for field in fields]
+
+
 def frame_matrix(table: VarTable, r: int, cnames: Sequence[str]) -> list[list[LaurentPoly]]:
     """Matrix of the deformation fields against the parameter derivatives."""
-    fields = deformation_fields(table, r, cnames)
-    zero = LaurentPoly.zero(table)
-    return [[fields[i].get(cnames[k], zero) for k in range(r)] for i in range(r)]
+    return _field_matrix(table, deformation_fields(table, r, cnames), cnames)
 
 
 def expected_frame_det(table: VarTable, r: int, cnames: Sequence[str]) -> LaurentPoly:
     sign = -1 if (r * (r - 1) // 2) % 2 else 1
-    fact = 1
-    for k in range(2, r + 1):
-        fact *= k
     top = LaurentPoly.var(table, cnames[r - 1], r)
-    return top * Fraction(sign * fact)
+    return top * Fraction(sign * factorial(r))
 
 
 def series_inverse_coeffs(table: VarTable, r: int, cnames: Sequence[str],
@@ -191,31 +196,28 @@ class DualOperator:
     var: str
     orders: list[dict[int, LaurentPoly]]
 
-    def order_count(self) -> int:
-        return len(self.orders)
 
-
-def dual_operator(table: VarTable, r: int, cnames: Sequence[str]) -> DualOperator:
-    """Operator combination dual to deforming the top polynomial parameter.
-
-    Row ``r`` of the inverted frame matrix, cleared by ``c_r ** r`` and split
-    into powers of ``c_r``: the result is ``sum_i var^i sum_n w[i][n] D_n``
-    with every ``w[i][n]`` free of the top parameter.
-    """
-    matrix = frame_matrix(table, r, cnames)
-    inv = inverse_exact(matrix)
-    top = cnames[r - 1]
-    clear = LaurentPoly.var(table, top, r)
+def _dual_from_frame(table: VarTable, r: int, matrix: list[list[LaurentPoly]],
+                     var: str) -> DualOperator:
+    """Top row of the inverted frame, cleared by ``var ** r`` and split into
+    powers of ``var``: ``sum_i var^i sum_n w[i][n] D_n`` with every
+    ``w[i][n]`` free of ``var`` and every power inside ``0..r-1``."""
+    row = inverse_exact(matrix)[r - 1]
+    clear = LaurentPoly.var(table, var, r)
     orders: list[dict[int, LaurentPoly]] = [{} for _ in range(r)]
     for n in range(r):
-        coeff = clear * inv[r - 1][n]
-        for power, part in coeff.split_by_var(top).items():
+        for power, part in (clear * row[n]).split_by_var(var).items():
             if power < 0 or power > r - 1:
                 raise DegreeOverflow(
                     f"dual coefficient power {power} outside 0..{r - 1}")
             if not part.is_zero():
                 orders[power][n] = part
-    return DualOperator(r=r, var=top, orders=orders)
+    return DualOperator(r=r, var=var, orders=orders)
+
+
+def dual_operator(table: VarTable, r: int, cnames: Sequence[str]) -> DualOperator:
+    """Operator combination dual to deforming the top polynomial parameter."""
+    return _dual_from_frame(table, r, frame_matrix(table, r, cnames), cnames[r - 1])
 
 
 # ----- odd-family frame ---------------------------------------------------------
@@ -263,10 +265,8 @@ def odd_fields(table: VarTable, r: int, cnames: Sequence[str],
 def odd_frame_matrix(table: VarTable, r: int, cnames: Sequence[str],
                      lam_name: str) -> list[list[LaurentPoly]]:
     """Odd-family fields against the derivatives of ``c_1..c_{r-1}, Lam``."""
-    fields = odd_fields(table, r, cnames, lam_name)
-    cols = list(cnames) + [lam_name]
-    zero = LaurentPoly.zero(table)
-    return [[fields[n].get(col, zero) for col in cols] for n in range(r)]
+    return _field_matrix(table, odd_fields(table, r, cnames, lam_name),
+                         (*cnames, lam_name))
 
 
 def expected_odd_frame_det(table: VarTable, r: int, cnames: Sequence[str],
@@ -284,27 +284,70 @@ def expected_odd_frame_det(table: VarTable, r: int, cnames: Sequence[str],
 
 def odd_dual_operator(table: VarTable, r: int, cnames: Sequence[str],
                       lam_name: str) -> DualOperator:
-    """Operator combination dual to deforming the top odd eigenvalue.
-
-    The top-eigenvalue row of the inverted odd frame, cleared by ``Lam**r``
-    and split into powers of ``Lam``; coefficients must stay free of
-    negative powers of ``Lam``.
-    """
-    matrix = odd_frame_matrix(table, r, cnames, lam_name)
-    inv = inverse_exact(matrix)
-    clear = LaurentPoly.var(table, lam_name, r)
-    orders: list[dict[int, LaurentPoly]] = [{} for _ in range(r)]
-    for n in range(r):
-        coeff = clear * inv[r - 1][n]
-        for power, part in coeff.split_by_var(lam_name).items():
-            if power < 0 or power > r - 1:
-                raise DegreeOverflow(
-                    f"odd dual coefficient power {power} outside 0..{r - 1}")
-            if not part.is_zero():
-                orders[power][n] = part
-    return DualOperator(r=r, var=lam_name, orders=orders)
+    """Operator combination dual to deforming the top odd eigenvalue."""
+    return _dual_from_frame(table, r, odd_frame_matrix(table, r, cnames, lam_name),
+                            lam_name)
 
 
 def lowest_order_profile(op: DualOperator) -> dict[int, LaurentPoly]:
     """Order-zero part of a dual operator (the seed of its recursion)."""
     return dict(op.orders[0])
+
+
+# ----- rank families ------------------------------------------------------------
+
+INTEGER = "integer"
+HALF = "half"
+RANK_ONE = "rank-one"
+
+
+@dataclass(frozen=True)
+class Family:
+    """Frame data of one rank, keyed by (kind, r): integer rank ``r`` (rank
+    one included) has the polynomial fields and expands in ``c_r``, half rank
+    ``r - 1/2`` has the odd fields and expands in ``Lam``.  Both have the
+    lower parameters ``c_1..c_{r-1}``."""
+
+    kind: str
+    r: int
+
+    @property
+    def cnames(self) -> tuple[str, ...]:
+        return tuple(f"c{j}" for j in range(1, self.r))
+
+    @property
+    def var(self) -> str:
+        return "Lam" if self.kind == HALF else f"c{self.r}"
+
+    @property
+    def step(self) -> int:
+        """Weight of the expansion variable."""
+        return 2 * self.r - 1 if self.kind == HALF else self.r
+
+    @property
+    def base_c0(self) -> str:
+        """Zero-mode parameter of the rank ``r-1`` module under the series."""
+        return "c0p" if self.kind == INTEGER else "c0"
+
+    def frame_table(self) -> VarTable:
+        """``Q``, ``c0``, the lower parameters and the expansion variable."""
+        return VarTable(("Q", "c0") + self.cnames + (self.var,),
+                        (0, 0) + tuple(range(1, self.r)) + (self.step,))
+
+    def fields(self, table: VarTable) -> list[dict[str, LaurentPoly]]:
+        if self.kind == HALF:
+            return odd_fields(table, self.r, self.cnames, self.var)
+        return deformation_fields(table, self.r, self.cnames + (self.var,))
+
+    def frame_matrix(self, table: VarTable) -> list[list[LaurentPoly]]:
+        return _field_matrix(table, self.fields(table), self.cnames + (self.var,))
+
+    def expected_det(self, table: VarTable) -> LaurentPoly:
+        if self.kind == HALF:
+            return expected_odd_frame_det(table, self.r, self.cnames, self.var)
+        return expected_frame_det(table, self.r, self.cnames + (self.var,))
+
+    def dual_operator(self, table: VarTable) -> DualOperator:
+        if self.kind == HALF:
+            return odd_dual_operator(table, self.r, self.cnames, self.var)
+        return dual_operator(table, self.r, self.cnames + (self.var,))

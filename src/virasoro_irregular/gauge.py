@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .frames import (apply_field, conformal_weight, deformation_fields,
-                     eigen_window, frame_matrix, lower_scalars, odd_fields,
-                     odd_frame_matrix, quadratic_scalars)
+from .frames import (Family, apply_field, conformal_weight, eigen_window,
+                     frame_matrix, lower_scalars, quadratic_scalars)
 from .linalg import InconsistentSystem, inverse_exact, rref_solve_fraction
 from .ring import LaurentPoly, TruncatedSeries, VarTable
 from .solver import (HALF, INTEGER, IrregularSeries, ResidualNonZero,
@@ -250,21 +249,19 @@ def _engine_state(series: IrregularSeries,
         raise OrderTooSmall("series order too small: exponent or singularity "
                             f"data still symbolic; --order {needed} pins it")
     table, var, cnames, r = series.table, series.var, series.cnames, series.r
+    family = Family(series.kind, r)
+    fields = family.fields(table)
     if series.kind == INTEGER:
         if completion is not None:
             raise ValueError("scalar completion applies to the odd family only")
-        fields = deformation_fields(table, r, cnames + (var,))
         scalars = {0: conformal_weight(table, "c0")}
-        scalars.update(lower_scalars(table, r, cnames,
-                                     convention=series.convention))
-        scalars.update(eigen_window(table, r, cnames + (var,),
-                                    convention=series.convention))
+        scalars.update(lower_scalars(table, r, cnames))
+        scalars.update(eigen_window(table, r, cnames + (var,)))
     else:
         if completion is None:
             raise ValueError("the odd family needs a scalar completion")
         if completion.r != r:
             raise ValueError("scalar completion rank does not match the series")
-        fields = odd_fields(table, r, cnames, var)
         scalars = {i: completion.sigma[i].migrate(table) for i in range(r)}
         scalars.update(quadratic_scalars(table, r, cnames, var))
     order = _clean_order(series)
@@ -291,10 +288,8 @@ def _engine_state(series: IrregularSeries,
         h = [field.get(name, zero) for name in cnames]
         beta.append([sum((h[k] * inv_base[k][j] for k in range(rho)),
                          start=zero) for j in range(rho)])
-    base_c0 = "c0p" if series.kind == INTEGER else "c0"
-    base_scalars = [conformal_weight(table, base_c0)]
-    lower = lower_scalars(table, rho, cnames, c0name=base_c0,
-                          convention=series.convention)
+    base_scalars = [conformal_weight(table, family.base_c0)]
+    lower = lower_scalars(table, rho, cnames, c0name=family.base_c0)
     base_scalars.extend(lower[j] for j in range(1, rho))
     return _EngineState(series=series, fields=fields, scalars=scalars,
                         tail=tail, theta=tail.cyclic(), prefactor=prefactor,
@@ -399,18 +394,6 @@ def obstructions(series: IrregularSeries,
 # ----- integrability and the potential ----------------------------------------
 
 
-def _fields_for(obs: ObstructionSet) -> list[dict[str, LaurentPoly]]:
-    if obs.kind == INTEGER:
-        return deformation_fields(obs.table, obs.r, obs.cnames + (obs.var,))
-    return odd_fields(obs.table, obs.r, obs.cnames, obs.var)
-
-
-def _frame_for(obs: ObstructionSet) -> list[list[LaurentPoly]]:
-    if obs.kind == INTEGER:
-        return frame_matrix(obs.table, obs.r, obs.cnames + (obs.var,))
-    return odd_frame_matrix(obs.table, obs.r, obs.cnames, obs.var)
-
-
 def window_str(s: TruncatedSeries) -> str:
     """Human-readable span of the orders a check actually covered."""
     if s.hi is None:
@@ -458,7 +441,7 @@ def frobenius_verify(obs: ObstructionSet) -> VerificationReport:
     scalars must reproduce the scalar of the summed mode, which vanishes at
     or above the window; failures land in the report rather than raising.
     """
-    fields = _fields_for(obs)
+    fields = Family(obs.kind, obs.r).fields(obs.table)
     report = VerificationReport()
     exact_zero = TruncatedSeries.zero(obs.table, obs.var)
     for i in range(obs.r):
@@ -477,7 +460,7 @@ def frobenius_verify(obs: ObstructionSet) -> VerificationReport:
 def lstar_certificate(obs: ObstructionSet) -> TruncatedSeries:
     """Top-frame-row combination of the obstructions; zero when the
     potential is free of the expansion variable."""
-    inv = inverse_exact(_frame_for(obs))
+    inv = inverse_exact(Family(obs.kind, obs.r).frame_matrix(obs.table))
     acc = TruncatedSeries.zero(obs.table, obs.var)
     for i in range(obs.r):
         acc = acc + TruncatedSeries.from_poly(inv[obs.r - 1][i], obs.var) * obs.a[i]
@@ -508,7 +491,7 @@ def integrate_potential(obs: ObstructionSet,
     on the remaining coordinates.  Processing the frame rows in a different
     ``order`` permutes the linear system without changing the result.
     """
-    rows = list(frame) if frame is not None else _frame_for(obs)
+    rows = frame if frame is not None else Family(obs.kind, obs.r).frame_matrix(obs.table)
     seq = list(order) if order is not None else list(range(obs.r))
     if sorted(seq) != list(range(obs.r)):
         raise ValueError("order must permute the frame rows")
@@ -595,7 +578,7 @@ def apply_gauge_and_verify(series: IrregularSeries,
     """
     if obs is None:
         obs = obstructions(series, completion)
-    fields = _fields_for(obs)
+    fields = Family(obs.kind, obs.r).fields(obs.table)
     table, var = obs.table, obs.var
     g0 = decomp.g0.migrate(table)
     nu = {j: nu_j.migrate(table) for j, nu_j in decomp.nu.items()}
@@ -671,11 +654,9 @@ def scalar_completion_half(r: int, bound: int = 1) -> ScalarCompletion:
         raise ValueError("the odd family starts at rank descriptor 2")
     if bound < 1:
         raise ValueError("the denominator bound must be positive")
-    cnames = tuple(f"c{j}" for j in range(1, r))
-    var = "Lam"
-    table = VarTable(("Q", "c0") + cnames + (var,),
-                     (0, 0) + tuple(range(1, r)) + (2 * r - 1,))
-    fields = odd_fields(table, r, cnames, var)
+    family = Family(HALF, r)
+    cnames, var, table = family.cnames, family.var, family.frame_table()
+    fields = family.fields(table)
     fixed = quadratic_scalars(table, r, cnames, var)
     slots = [LaurentPoly.const(table, 1), LaurentPoly.var(table, "Q"),
              LaurentPoly.var(table, "c0")]
@@ -700,7 +681,7 @@ def scalar_completion_half(r: int, bound: int = 1) -> ScalarCompletion:
                 cols.append(term)
             rhs = (j - i) * fixed.get(i + j, zero) if i + j >= r else zero
             equations.append((cols, rhs))
-    inv_row = inverse_exact(odd_frame_matrix(table, r, cnames, var))[r - 1]
+    inv_row = inverse_exact(family.frame_matrix(table))[r - 1]
     equations.append(([inv_row[n] * b for n, b in basis], zero))
 
     rows: list[list[Fraction]] = []
@@ -747,7 +728,8 @@ def completion_residuals(completion: ScalarCompletion) -> VerificationReport:
     """
     r, table, cnames, var = (completion.r, completion.table,
                              completion.cnames, completion.var)
-    fields = odd_fields(table, r, cnames, var)
+    family = Family(HALF, r)
+    fields = family.fields(table)
     fixed = quadratic_scalars(table, r, cnames, var)
     zero = LaurentPoly.zero(table)
 
@@ -764,7 +746,7 @@ def completion_residuals(completion: ScalarCompletion) -> VerificationReport:
             report.add(f"bracket({i},{j}) closes on scalar {i + j}",
                        "exact", lhs.is_zero(),
                        "" if lhs.is_zero() else "nonzero bracket defect")
-    inv_row = inverse_exact(odd_frame_matrix(table, r, cnames, var))[r - 1]
+    inv_row = inverse_exact(family.frame_matrix(table))[r - 1]
     gauge = zero
     for n in range(r):
         gauge = gauge + inv_row[n] * completion.sigma[n]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .ring import LaurentPoly, NotDivisible, RationalFunction
+from .ring import LaurentPoly, NotDivisible
 
 
 class LinalgError(Exception):
@@ -123,41 +123,6 @@ def mat_vec(a: Sequence[Sequence[LaurentPoly]], v: Sequence[LaurentPoly]) -> lis
             acc = acc + entry * x
         out.append(acc)
     return out
-
-
-def solve_unique_rational(
-    a_rows: Sequence[Sequence[RationalFunction]],
-    b: Sequence[RationalFunction],
-) -> list[RationalFunction]:
-    """Solve an (possibly overdetermined) full-column-rank system exactly.
-
-    Extra equations beyond the rank must be consistent; otherwise
-    InconsistentSystem is raised.  Rank deficiency raises SingularSystem.
-    """
-    m = len(a_rows)
-    if m != len(b):
-        raise ValueError("matrix and right-hand side disagree")
-    n = len(a_rows[0]) if m else 0
-    aug = [list(row) + [rhs] for row, rhs in zip(a_rows, b)]
-    row = 0
-    pivots: list[int] = []
-    for col in range(n):
-        piv = next((i for i in range(row, m) if not aug[i][col].is_zero()), None)
-        if piv is None:
-            raise SingularSystem(f"no pivot in column {col}")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [entry * inv for entry in aug[row]]
-        for i in range(m):
-            if i != row and not aug[i][col].is_zero():
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-    for i in range(row, m):
-        if not aug[i][n].is_zero():
-            raise InconsistentSystem("overdetermined system has no solution")
-    return [aug[pivots.index(col)][n] for col in range(n)]
 
 
 def rref_solve_fraction(

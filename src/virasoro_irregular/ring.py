@@ -829,9 +829,6 @@ class TruncatedSeries:
             return self.hi
         return self.lo + len(self.coeffs) - 1 if self.coeffs else self.lo - 1
 
-    def is_exact(self) -> bool:
-        return self.hi is None
-
     def coeff(self, k: int) -> LaurentPoly:
         if self.hi is not None and k > self.hi:
             raise RingError(f"order {k} outside valid window (hi={self.hi})")

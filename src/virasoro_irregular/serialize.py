@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .frames import CONVENTIONS, conformal_weight, default_central_charge
+from .frames import CONVENTIONS, GENERAL, HALF, INTEGER, RANK_ONE, Family
 from .ring import LaurentPoly, RationalFunction, TruncatedSeries, VarTable
-from .solver import (HALF, INTEGER, RANK_ONE, IrregularSeries,
-                     VerificationReport, _half_recipe, _integer_recipe)
-from .virasoro import ModuleVector, partition_sort_key, verma_context
+from .solver import (IrregularSeries, VerificationReport, series_context,
+                     series_table)
+from .virasoro import ModuleVector, partition_sort_key
 
 
 class SerializeError(ValueError):
@@ -205,25 +205,17 @@ def series_from_doc(doc: object) -> IrregularSeries:
     convention = _require(meta, "convention", "meta block")
     if convention not in CONVENTIONS:
         raise SerializeError(f"unknown convention {convention!r}")
+    if convention != GENERAL and kind != RANK_ONE:
+        raise SerializeError(f"the {convention} convention applies to rank one only")
 
-    if kind == RANK_ONE:
-        table = VarTable(("Q", "c0", "c1"), (0, 0, 1))
-    elif kind == INTEGER:
-        table = _integer_recipe(r, order, None).table
-    else:
-        table = _half_recipe(r, order, None).table
+    table = series_table(kind, r, order)
     header = _require(doc, "variables", "document")
     if (_require(header, "names", "variables header") != list(table.names)
             or _require(header, "weights", "variables header") != list(table.weights)):
         raise SerializeError("variables header does not match the declared rank and order")
 
     central = poly_from_terms(table, _require(meta, "central", "meta block"))
-    if kind == RANK_ONE:
-        ctx = verma_context(table, conformal_weight(table, "c0"), central)
-    elif kind == INTEGER:
-        ctx = _integer_recipe(r, order, central).ctx
-    else:
-        ctx = _half_recipe(r, order, central).ctx
+    ctx = series_context(kind, r, table, central)
 
     body = _require(doc, "series", "document")
     nu_doc = _require(body, "nu", "series block")
@@ -250,11 +242,10 @@ def series_from_doc(doc: object) -> IrregularSeries:
     if sorted(staged) != list(range(order + 1)):
         raise SerializeError(f"tail must cover orders 0..{order} exactly once")
     vectors = [staged[k] for k in range(order + 1)]
+    family = Family(kind, r)
     return IrregularSeries(
-        kind=kind, r=r, order=order, table=table, ctx=ctx,
-        var="c1" if kind == RANK_ONE else ("Lam" if kind == HALF else f"c{r}"),
-        cnames=() if kind == RANK_ONE else tuple(f"c{j}" for j in range(1, r)),
-        vectors=vectors, nu=nu, g=g, constants=constants,
+        kind=kind, r=r, order=order, table=table, ctx=ctx, var=family.var,
+        cnames=family.cnames, vectors=vectors, nu=nu, g=g, constants=constants,
         pending=tuple(pending_doc), ledger=None, convention=convention)
 
 

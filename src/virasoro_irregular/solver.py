@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .frames import (GENERAL, CONVENTIONS, DualOperator, conformal_weight,
-                     default_central_charge, dual_operator, eigen_window,
-                     eigenvalue, lower_scalars, odd_dual_operator)
+from .frames import (CONVENTIONS, GENERAL, HALF, INTEGER, RANK_ONE, DualOperator,
+                     Family, conformal_weight, default_central_charge,
+                     eigen_window, eigenvalue, lower_scalars)
 from .gram import gram_entry, gram_entry_on, solve_descendants
 from .linalg import adjugate, det_bareiss, mat_vec
 from .ring import LaurentPoly, NotDivisible, RationalFunction, VarTable
@@ -30,16 +30,12 @@ __all__ = [
     "INTEGER", "HALF", "RANK_ONE",
     "SolverError", "NonAffineElimination", "NonUnitPivot", "ResidualNonZero",
     "SingularShapovalov",
-    "LedgerEntry", "UnknownLedger", "IrregularSeries",
+    "LedgerEntry", "UnknownLedger", "IrregularSeries", "Recipe",
     "RelationCheck", "VerificationReport",
+    "series_table", "series_context", "series_recipe",
     "solve_integer", "solve_half", "solve_rank1", "rank1_series",
     "verify_canonical", "scheduled_unknown",
 ]
-
-INTEGER = "integer"
-HALF = "half"
-RANK_ONE = "rank-one"
-
 
 class SolverError(Exception):
     """The construction left the proven path; never recovered silently."""
@@ -164,27 +160,59 @@ class IrregularSeries:
 # ----- shared elimination machinery -----------------------------------------
 
 
+def series_table(kind: str, r: int, order: int) -> VarTable:
+    """Variables of a series: the family's frame table (with the primed zero
+    mode ``c0p`` at integer rank), then ``nu``, ``g1..g{r-1}`` and the tail
+    constants ``ce1..ce{order}``.  Rank one keeps the frame table."""
+    family = Family(kind, r)
+    frame = family.frame_table()
+    if kind == RANK_ONE:
+        return frame
+    names, weights = list(frame.names), list(frame.weights)
+    if kind == INTEGER:
+        names.insert(2, "c0p")
+        weights.insert(2, 0)
+    step = family.step
+    names += ["nu"] + [f"g{j}" for j in range(1, r)]
+    weights += [0] + [step * j for j in range(1, r)]
+    names += [f"ce{k}" for k in range(1, order + 1)]
+    weights += [-step * k for k in range(1, order + 1)]
+    return VarTable(tuple(names), tuple(weights))
+
+
+def series_context(kind: str, r: int, table: VarTable, central) -> ModuleContext:
+    """Module a series lives over: the Verma module at rank one, else the
+    rank ``r-1`` module on the family's zero-mode parameter.  ``central``
+    defaults to ``1 + 6 Q^2``."""
+    if central is None:
+        central = default_central_charge(table)
+    c_vir = central.migrate(table) if isinstance(central, LaurentPoly) \
+        else LaurentPoly.const(table, central)
+    if kind == RANK_ONE:
+        return verma_context(table, conformal_weight(table, "c0"), c_vir)
+    family = Family(kind, r)
+    eigen = eigen_window(table, r - 1, family.cnames, c0name=family.base_c0)
+    return ModuleContext(table, r - 1, eigen, c_vir)
+
+
 @dataclass
-class _KindRecipe:
+class Recipe:
+    """What the recursion and its re-check read of one family.  ``scalars``
+    maps each mode of the dual operator to the scalar it subtracts (at
+    integer rank only: the conformal weight, then the lower eigenvalues)."""
+
     kind: str
     r: int
-    step: int
-    table: VarTable
     ctx: ModuleContext
-    var: str
-    cnames: tuple[str, ...]
     dual: DualOperator
-    lower: dict[int, LaurentPoly] | None
-    delta: LaurentPoly | None
-    subtract_scalars: bool
+    scalars: dict[int, LaurentPoly] | None
 
     def relation(self, part: int) -> tuple[LaurentPoly | None, int]:
-        raise NotImplementedError
-
-
-class _IntegerRecipe(_KindRecipe):
-    def relation(self, part: int) -> tuple[LaurentPoly | None, int]:
-        table, r = self.table, self.r
+        """Scalar and order shift of the relation that trades the word
+        factor ``part`` for a lower-order vector; ``None`` if there is none."""
+        table, r = self.ctx.table, self.r
+        if self.kind == HALF:
+            return (LaurentPoly.const(table, 1), 1) if part == r else (None, 0)
         if part == 1:
             qc = LaurentPoly.var(table, "Q", 1, r + 1) - LaurentPoly.var(table, "c0")
             return qc, 1
@@ -195,60 +223,14 @@ class _IntegerRecipe(_KindRecipe):
         return None, 0
 
 
-class _HalfRecipe(_KindRecipe):
-    def relation(self, part: int) -> tuple[LaurentPoly | None, int]:
-        if part == self.r:
-            return LaurentPoly.const(self.table, 1), 1
-        return None, 0
-
-
-def _scalar_of(table: VarTable, value) -> LaurentPoly:
-    if isinstance(value, LaurentPoly):
-        return value if value.table == table else value.migrate(table)
-    return LaurentPoly.const(table, value)
-
-
-def _integer_recipe(r: int, order: int, central) -> _IntegerRecipe:
-    names = ["Q", "c0", "c0p"] + [f"c{j}" for j in range(1, r + 1)] + ["nu"]
-    weights = [0, 0, 0] + list(range(1, r + 1)) + [0]
-    for j in range(1, r):
-        names.append(f"g{j}")
-        weights.append(r * j)
-    for k in range(1, order + 1):
-        names.append(f"ce{k}")
-        weights.append(-r * k)
-    table = VarTable(tuple(names), tuple(weights))
-    cnames = tuple(f"c{j}" for j in range(1, r))
-    var = f"c{r}"
-    c_vir = default_central_charge(table) if central is None else _scalar_of(table, central)
-    base_eigen = eigen_window(table, r - 1, cnames, c0name="c0p")
-    ctx = ModuleContext(table, r - 1, base_eigen, c_vir)
-    return _IntegerRecipe(
-        kind=INTEGER, r=r, step=r, table=table, ctx=ctx, var=var,
-        cnames=cnames, dual=dual_operator(table, r, cnames + (var,)),
-        lower=lower_scalars(table, r, cnames),
-        delta=conformal_weight(table, "c0"), subtract_scalars=True)
-
-
-def _half_recipe(r: int, order: int, central) -> _HalfRecipe:
-    step = 2 * r - 1
-    names = ["Q", "c0"] + [f"c{j}" for j in range(1, r)] + ["Lam", "nu"]
-    weights = [0, 0] + list(range(1, r)) + [step, 0]
-    for j in range(1, r):
-        names.append(f"g{j}")
-        weights.append(step * j)
-    for k in range(1, order + 1):
-        names.append(f"ce{k}")
-        weights.append(-step * k)
-    table = VarTable(tuple(names), tuple(weights))
-    cnames = tuple(f"c{j}" for j in range(1, r))
-    c_vir = default_central_charge(table) if central is None else _scalar_of(table, central)
-    base_eigen = eigen_window(table, r - 1, cnames, c0name="c0")
-    ctx = ModuleContext(table, r - 1, base_eigen, c_vir)
-    return _HalfRecipe(
-        kind=HALF, r=r, step=step, table=table, ctx=ctx, var="Lam",
-        cnames=cnames, dual=odd_dual_operator(table, r, cnames, "Lam"),
-        lower=None, delta=None, subtract_scalars=False)
+def series_recipe(kind: str, r: int, ctx: ModuleContext) -> Recipe:
+    """Recipe of an integer or half series over its module context."""
+    family = Family(kind, r)
+    scalars = None
+    if kind == INTEGER:
+        scalars = {0: conformal_weight(ctx.table, "c0"),
+                   **lower_scalars(ctx.table, r, family.cnames)}
+    return Recipe(kind, r, ctx, family.dual_operator(ctx.table), scalars)
 
 
 def _restrict(vec: ModuleVector, cyclic: bool) -> ModuleVector:
@@ -258,7 +240,7 @@ def _restrict(vec: ModuleVector, cyclic: bool) -> ModuleVector:
     return ModuleVector(vec.ctx, {(): vec.constant_term()})
 
 
-def _dual_term(recipe: _KindRecipe, i: int, vec: ModuleVector,
+def _dual_term(recipe: Recipe, i: int, vec: ModuleVector,
                cyclic: bool = False) -> ModuleVector:
     """Apply the order-``i`` slice of the canonical operator to a vector."""
     out = ModuleVector(recipe.ctx)
@@ -266,14 +248,13 @@ def _dual_term(recipe: _KindRecipe, i: int, vec: ModuleVector,
     for n in sorted(recipe.dual.orders[i]):
         weight = recipe.dual.orders[i][n]
         acted = apply_mode(vec, n, cyclic_only=cyclic)
-        if recipe.subtract_scalars:
-            scalar = recipe.delta if n == 0 else recipe.lower[n]
-            acted = acted - part.scale(scalar)
+        if recipe.scalars is not None:
+            acted = acted - part.scale(recipe.scalars[n])
         out = out + acted.scale(weight)
     return out
 
 
-def _flow_residual(recipe: _KindRecipe, vectors: list[ModuleVector],
+def _flow_residual(recipe: Recipe, vectors: list[ModuleVector],
                    g_polys: dict[int, LaurentPoly], nu_poly: LaurentPoly,
                    k: int, cyclic: bool = False) -> ModuleVector:
     """Left side of the order-``k`` flow recurrence (must vanish).
@@ -295,11 +276,11 @@ def _flow_residual(recipe: _KindRecipe, vectors: list[ModuleVector],
         v = vectors[j]
         acc = acc + _dual_term(recipe, r - 1, v, cyclic)
         acc = acc - _restrict(v, cyclic).scale(
-            nu_poly + LaurentPoly.const(recipe.table, k - r + 1))
+            nu_poly + LaurentPoly.const(recipe.ctx.table, k - r + 1))
     return acc
 
 
-def _order_targets(recipe: _KindRecipe, vectors: list[ModuleVector],
+def _order_targets(recipe: Recipe, vectors: list[ModuleVector],
                    k: int) -> dict[tuple[int, ...], LaurentPoly]:
     """Pairings {L~_mu v_k} implied by the defining relations.
 
@@ -333,7 +314,7 @@ def _substitute_state(vectors: list[ModuleVector], g_polys: dict[int, LaurentPol
     return nu_poly.subs(mapping)
 
 
-def _pin_unknown(recipe: _KindRecipe, ledger: UnknownLedger,
+def _pin_unknown(recipe: Recipe, ledger: UnknownLedger,
                  vectors: list[ModuleVector], g_polys: dict[int, LaurentPoly],
                  nu_poly: LaurentPoly, k: int) -> LaurentPoly:
     """Solve the scheduled unknown from the order-``k`` constant term."""
@@ -364,8 +345,8 @@ def _pin_unknown(recipe: _KindRecipe, ledger: UnknownLedger,
     return value
 
 
-def _run_recursion(recipe: _KindRecipe, order: int) -> IrregularSeries:
-    table = recipe.table
+def _run_recursion(recipe: Recipe, order: int) -> IrregularSeries:
+    table = recipe.ctx.table
     ledger = UnknownLedger.plan(recipe.r, order)
     g_polys = {j: LaurentPoly.var(table, f"g{j}") for j in range(1, recipe.r)}
     nu_poly = LaurentPoly.var(table, "nu")
@@ -389,29 +370,31 @@ def _run_recursion(recipe: _KindRecipe, order: int) -> IrregularSeries:
             constants[int(entry.name[2:])] = entry.value
     pending = tuple(sorted(ledger.pending_names(),
                            key=lambda s: (s[:2] != "ce", s)))
+    family = Family(recipe.kind, recipe.r)
     return IrregularSeries(
         kind=recipe.kind, r=recipe.r, order=order, table=table,
-        ctx=recipe.ctx, var=recipe.var, cnames=recipe.cnames,
+        ctx=recipe.ctx, var=family.var, cnames=family.cnames,
         vectors=vectors, nu=nu_poly, g=g_polys, constants=constants,
         pending=pending, ledger=ledger)
 
 
-def solve_integer(r: int, order: int, central=None) -> IrregularSeries:
-    """Canonical integer-rank series over the rank ``r-1`` module."""
+def _solve(kind: str, r: int, order: int, central) -> IrregularSeries:
     if r < 2:
-        raise ValueError("integer construction starts at rank 2")
+        raise ValueError(f"{kind} construction starts at r = 2")
     if order < 0:
         raise ValueError("truncation order must be non-negative")
-    return _run_recursion(_integer_recipe(r, order, central), order)
+    ctx = series_context(kind, r, series_table(kind, r, order), central)
+    return _run_recursion(series_recipe(kind, r, ctx), order)
+
+
+def solve_integer(r: int, order: int, central=None) -> IrregularSeries:
+    """Canonical integer-rank series over the rank ``r-1`` module."""
+    return _solve(INTEGER, r, order, central)
 
 
 def solve_half(r: int, order: int, central=None) -> IrregularSeries:
     """Canonical half-integer series (rank ``r - 1/2``)."""
-    if r < 2:
-        raise ValueError("half-integer construction starts at r = 2")
-    if order < 0:
-        raise ValueError("truncation order must be non-negative")
-    return _run_recursion(_half_recipe(r, order, central), order)
+    return _solve(HALF, r, order, central)
 
 
 # ----- rank one --------------------------------------------------------------
@@ -546,10 +529,8 @@ def rank1_series(order: int, convention: str = GENERAL,
     """Rank-one series on the standard three-variable table."""
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    table = VarTable(("Q", "c0", "c1"), (0, 0, 1))
-    delta = conformal_weight(table, "c0")
-    c_vir = default_central_charge(table) if central is None else _scalar_of(table, central)
-    vctx = verma_context(table, delta, c_vir)
+    table = series_table(RANK_ONE, 1, order)
+    vctx = series_context(RANK_ONE, 1, table, central)
     lam1 = eigenvalue(table, 1, ("c1",), convention=convention)
     lam2 = eigenvalue(table, 2, ("c1",), convention=convention)
     return solve_rank1(vctx, lam1, lam2, order, convention=convention)
@@ -581,23 +562,7 @@ class VerificationReport:
         self.checks.append(RelationCheck(relation, window, ok, detail))
 
 
-def _rebuild_recipe(series: IrregularSeries) -> _KindRecipe:
-    r, table, ctx = series.r, series.table, series.ctx
-    if series.kind == INTEGER:
-        return _IntegerRecipe(
-            kind=INTEGER, r=r, step=r, table=table, ctx=ctx, var=series.var,
-            cnames=series.cnames,
-            dual=dual_operator(table, r, series.cnames + (series.var,)),
-            lower=lower_scalars(table, r, series.cnames),
-            delta=conformal_weight(table, "c0"), subtract_scalars=True)
-    return _HalfRecipe(
-        kind=HALF, r=r, step=2 * r - 1, table=table, ctx=ctx, var=series.var,
-        cnames=series.cnames,
-        dual=odd_dual_operator(table, r, series.cnames, series.var),
-        lower=None, delta=None, subtract_scalars=False)
-
-
-def _check_mode_relations(series: IrregularSeries, recipe: _KindRecipe,
+def _check_mode_relations(series: IrregularSeries, recipe: Recipe,
                           report: VerificationReport) -> None:
     r, rho = recipe.r, recipe.ctx.rho
     top_mode = max(2 * r, 2 * rho + recipe.r * series.order)
@@ -614,7 +579,7 @@ def _check_mode_relations(series: IrregularSeries, recipe: _KindRecipe,
         report.add(f"mode {n} relation", f"k = 0..{series.order}", not bad, bad)
 
 
-def _check_flow(series: IrregularSeries, recipe: _KindRecipe,
+def _check_flow(series: IrregularSeries, recipe: Recipe,
                 report: VerificationReport) -> None:
     for k in range(series.order + 1):
         res = _flow_residual(recipe, series.vectors, series.g, series.nu, k)
@@ -662,7 +627,7 @@ def verify_canonical(series: IrregularSeries) -> VerificationReport:
     if series.kind == RANK_ONE:
         _check_rank_one(series, report)
         return report
-    recipe = _rebuild_recipe(series)
+    recipe = series_recipe(series.kind, series.r, series.ctx)
     one = LaurentPoly.const(series.table, 1)
     report.add("normalization", "k = 0",
                series.vectors[0].constant_term() == one)

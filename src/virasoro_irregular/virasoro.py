@@ -46,10 +46,6 @@ def partitions_of(n: int, max_part: int | None = None) -> list[Partition]:
     return out
 
 
-def partitions_up_to(n: int, max_part: int | None = None) -> dict[int, list[Partition]]:
-    return {k: partitions_of(k, max_part) for k in range(n + 1)}
-
-
 def partition_sort_key(lam: Partition) -> tuple:
     """Sort key: ascending weight, then descending lexicographic within a weight."""
     return (sum(lam), tuple(-p for p in lam))
@@ -118,10 +114,6 @@ class ModuleContext:
             raise ValueError(f"mode {n} acts freely, it has no eigenvalue")
         return self.eigen.get(n, self._zero)
 
-    def basis_mode(self, part: int) -> int:
-        """Mode index attached to a partition part in a basis label."""
-        return self.rho - part
-
     def cyclic(self, coeff=None) -> "ModuleVector":
         return ModuleVector(self, {(): self._one if coeff is None else coeff})
 
@@ -130,9 +122,6 @@ class ModuleContext:
         if not is_partition(lam):
             raise ValueError(f"not a partition: {lam}")
         return ModuleVector(self, {lam: self._one if coeff is None else coeff})
-
-    def zero_vector(self) -> "ModuleVector":
-        return ModuleVector(self, {})
 
     # cached straightening on basis elements --------------------------------
 
@@ -225,10 +214,6 @@ class ModuleVector:
 
     def max_weight(self) -> int:
         return max((sum(lam) for lam in self.parts), default=0)
-
-    def weight_component(self, w: int) -> "ModuleVector":
-        return ModuleVector(self.ctx, {lam: c for lam, c in self.parts.items()
-                                       if sum(lam) == w})
 
     def map_coeffs(self, fn) -> "ModuleVector":
         return ModuleVector(self.ctx, {lam: fn(c) for lam, c in self.parts.items()})

@@ -45,7 +45,6 @@ from virasoro_irregular.solver import (
     verify_canonical,
 )
 from virasoro_irregular.virasoro import ModuleContext, partitions_of
-from virasoro_irregular.virasoro import partitions_up_to
 
 
 def _line(number: int, ok: bool, label: str, started: float) -> None:
@@ -264,7 +263,7 @@ def test_08_single_coefficient_perturbations_break_the_relations():
     started = time.monotonic()
     series = solve_integer(2, 3)
     rng = random.Random(20240615)
-    by_weight = partitions_up_to(2 * series.order)
+    by_weight = {w: partitions_of(w) for w in range(2 * series.order + 1)}
     ok = True
     for _ in range(10):
         k = rng.randrange(1, series.order + 1)

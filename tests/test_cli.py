@@ -184,6 +184,11 @@ def test_series_from_doc_rejects_tampered_documents():
     broken["meta"]["convention"] = "sideways"
     with pytest.raises(SerializeError):
         series_from_doc(broken)
+    # the display convention exists at rank one only
+    broken = copy.deepcopy(doc)
+    broken["meta"]["convention"] = "section2-display"
+    with pytest.raises(SerializeError):
+        series_from_doc(broken)
 
 
 # ----- construct and verify ------------------------------------------------------
@@ -268,16 +273,20 @@ def test_verify_spot_checks_the_half_rank(capsys):
     assert all(entry["status"] == "ok" for entry in doc["residuals"])
 
 
-def test_central_override_threads_through_the_documents(tmp_path, capsys):
+@pytest.mark.parametrize("rank", ["1", "2", "5/2"])
+def test_central_override_threads_through_the_documents(rank, tmp_path, capsys):
     report = tmp_path / "series.json"
-    code, _ = _run(capsys, ["construct", "--rank", "1", "--order", "2",
+    code, _ = _run(capsys, ["construct", "--rank", rank, "--order", "2",
                             "--central", "26", "--format", "json",
                             "--output", str(report)])
     assert code == 0
     doc = json.loads(report.read_text())
-    assert doc["meta"]["central"] == [{"d": 1, "e": [0, 0, 0], "n": 26}]
-    code, _ = _run(capsys, ["verify", "--input", str(report)])
+    zeros = [0] * len(doc["variables"]["names"])
+    assert doc["meta"]["central"] == [{"d": 1, "e": zeros, "n": 26}]
+    code, checked = _run_json(capsys, ["verify", "--input", str(report)])
     assert code == 0
+    assert checked["meta"] == doc["meta"]
+    assert checked["residuals"] == doc["residuals"]
 
 
 # ----- usage errors --------------------------------------------------------------
@@ -295,6 +304,7 @@ def test_central_override_threads_through_the_documents(tmp_path, capsys):
     ["gauge", "--rank", "2", "--bound", "0"],
     ["verify", "--order", "2"],
     ["verify", "--input", "/nonexistent/report.json"],
+    ["gauge", "--rank", "2", "--bound", "3"],
 ])
 def test_usage_errors_exit_with_code_two(argv, capsys):
     with pytest.raises(SystemExit) as err:

@@ -17,9 +17,8 @@ from virasoro_irregular.linalg import (
     mat_mul,
     mat_vec,
     rref_solve_fraction,
-    solve_unique_rational,
 )
-from virasoro_irregular.ring import LaurentPoly, NotDivisible, RationalFunction, VarTable
+from virasoro_irregular.ring import LaurentPoly, NotDivisible, VarTable
 
 T = VarTable(["x", "y", "z"], [1, 1, 1])
 
@@ -98,37 +97,6 @@ def test_inverse_exact_on_unit_determinant():
         inverse_exact([[x, x], [x, x]])
     with pytest.raises(NotDivisible):
         inverse_exact([[x + one, zero], [zero, x]])
-
-
-def test_solve_unique_rational_round_trip():
-    rng = random.Random(2718)
-    for n in (1, 2, 3):
-        for _ in range(6):
-            rows = [[RationalFunction(rand_poly(rng, dense=True)) for _ in range(n)]
-                    for _ in range(n)]
-            det = det_bareiss([[rf.num for rf in row] for row in rows])
-            if det.is_zero():
-                continue
-            xs = [RationalFunction(rand_poly(rng)) for _ in range(n)]
-            b = []
-            for row in rows:
-                acc = row[0] * xs[0]
-                for entry, x in zip(row[1:], xs[1:]):
-                    acc = acc + entry * x
-                b.append(acc)
-            got = solve_unique_rational(rows, b)
-            assert all(g == x for g, x in zip(got, xs))
-
-
-def test_solve_unique_rational_overdetermined():
-    one = RationalFunction(LaurentPoly.const(T, 1))
-    two = one + one
-    # x = 2 with a consistent duplicate equation, then an inconsistent one
-    assert solve_unique_rational([[one], [one]], [two, two]) == [two]
-    with pytest.raises(InconsistentSystem):
-        solve_unique_rational([[one], [one]], [two, one])
-    with pytest.raises(SingularSystem):
-        solve_unique_rational([[one - one]], [one])
 
 
 def test_rref_solve_fraction_zeroes_free_variables():

@@ -24,11 +24,13 @@ from virasoro_irregular.solver import (
     IrregularSeries,
     SingularShapovalov,
     SolverError,
-    _integer_recipe,
     _run_recursion,
     UnknownLedger,
     rank1_series,
     scheduled_unknown,
+    series_context,
+    series_recipe,
+    series_table,
     solve_half,
     solve_integer,
     solve_rank1,
@@ -287,11 +289,10 @@ def test_last_cyclic_coefficient_is_genuine_freedom(series):
 def test_corrupted_pairing_cache_never_yields_a_clean_series(mu, lam, fault):
     # exactness must not rest on the pairing cache: a wrong entry, diagonal
     # or off-diagonal, ends in an error or in a failing re-check
-    recipe = _integer_recipe(2, 3, None)
-    ctx = recipe.ctx
+    ctx = series_context(INTEGER, 2, series_table(INTEGER, 2, 3), None)
     ctx._pairing_cache[mu][lam] = fault(gram_entry(ctx, mu, lam))
     try:
-        series = _run_recursion(recipe, 3)
+        series = _run_recursion(series_recipe(INTEGER, 2, ctx), 3)
     except (SolverError, GramError, RingError):
         return
     assert not verify_canonical(series).all_ok

@@ -37,6 +37,10 @@ COMMANDS = [
     "gram --rank 2 --order 4",
     "construct --rank 3 --order 3",
     "gauge --rank 3 --order 4",
+    # the frame tables and the re-check's own rebuild of the canonical operator
+    "frames --rank 4",
+    "frames --rank 7/2",
+    "verify --rank 3 --order 3",
     # the reachable frontier
     "construct --rank 2 --order 5",
     "construct --rank 2 --order 6",
