@@ -50,6 +50,9 @@ class RunConfig:
 
 # ----- argument handling --------------------------------------------------------
 
+# truncation order of the subcommands that take ``--order``, when it is not given
+ORDER_DEFAULTS = {"construct": 3, "verify": 3, "gram": 3, "gauge": 4}
+
 
 def _scalar_expression(text: str) -> LaurentPoly:
     """Parse a central-charge expression in ``Q`` and ``c0`` exactly.
@@ -105,35 +108,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct and check irregular Virasoro series.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name: str, help_text: str, rank_required: bool = True,
-            order_default: int | None = None) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str,
+            rank_required: bool = True) -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--rank", required=rank_required,
                          help="integer rank like 3 or a half rank like 5/2")
-        if order_default is not None:
-            cmd.add_argument("--order", type=int, default=order_default,
-                             help=f"truncation order (default {order_default})")
+        if name in ORDER_DEFAULTS:
+            cmd.add_argument("--order", type=int,
+                             help=f"truncation order (default {ORDER_DEFAULTS[name]})")
         cmd.add_argument("--format", choices=("json", "text"), default="text",
                          dest="fmt", help="report rendering (default text)")
         cmd.add_argument("--output", help="write the report to this path")
         return cmd
 
-    construct = add("construct", "solve a series and write it out", order_default=3)
-    verify = add("verify", "re-check a series from scratch",
-                 rank_required=False, order_default=3)
-    verify.add_argument("--input", help="re-ingest a JSON report written by construct")
+    construct = add("construct", "solve a series and write it out")
+    verify = add("verify", "re-check a series from scratch", rank_required=False)
+    verify.add_argument("--input", help="re-ingest a JSON report written by construct "
+                                        "(excludes --rank, --order, --central and "
+                                        "--convention)")
     add("frames", "frame matrix, determinants, and dual operator")
-    add("gram", "pairing blocks and determinant ratios", order_default=3)
-    gauge_cmd = add("gauge", "obstruction scalars and their potential",
-                    order_default=4)
+    add("gram", "pairing blocks and determinant ratios")
+    gauge_cmd = add("gauge", "obstruction scalars and their potential")
     gauge_cmd.add_argument("--bound", type=int,
                            help="denominator bound for the scalar completion "
                                 "(half ranks only)")
     for cmd in (construct, verify, gauge_cmd):
         cmd.add_argument("--central", help="central charge expression in Q and c0")
     for cmd in (construct, verify):
-        cmd.add_argument("--convention", choices=CONVENTIONS, default=GENERAL,
-                         help="eigenvalue convention (rank one only)")
+        cmd.add_argument("--convention", choices=CONVENTIONS,
+                         help=f"eigenvalue convention, rank one only (default {GENERAL})")
     return parser
 
 
@@ -145,12 +148,20 @@ def _config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunCon
         parser.error(f"input file {input_path!r} does not exist")
     if args.rank is None and input_path is None:
         parser.error("either --rank or --input is required")
+    if input_path is not None:
+        given = [f"--{name}" for name in ("rank", "order", "central", "convention")
+                 if getattr(args, name) is not None]
+        if given:
+            parser.error(f"{', '.join(given)} cannot be given with --input, "
+                         "whose report declares the series")
     if args.rank is not None:
         try:
             kind, r = parse_rank(args.rank)
         except SerializeError as exc:
             parser.error(str(exc))
-    order = getattr(args, "order", 0)
+    order = getattr(args, "order", None)
+    if order is None:
+        order = ORDER_DEFAULTS.get(args.command, 0)
     if order < 0:
         parser.error("order must be non-negative")
     bound = getattr(args, "bound", None)
@@ -158,7 +169,7 @@ def _config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunCon
         parser.error("bound must be at least 1")
     if bound is not None and kind != HALF:
         parser.error("--bound applies to half ranks only")
-    convention = getattr(args, "convention", GENERAL)
+    convention = getattr(args, "convention", None) or GENERAL
     if convention != GENERAL and kind in (INTEGER, HALF):
         parser.error("the section2-display convention applies to rank one only")
     central = getattr(args, "central", None)
@@ -211,8 +222,9 @@ def _error_meta(cfg: RunConfig) -> dict:
     """Meta block of an error record.
 
     It carries ``--central`` as given, over the variables ``Q`` and ``c0``.
-    For ``verify --input`` the rank, order and convention are those the input
-    declares, each ``None`` where the input's meta block does not supply it.
+    For ``verify --input``, which takes no ``--central``, the rank, order and
+    convention are those the input declares, each ``None`` where the input's
+    meta block does not supply it.
     """
     meta = _meta(cfg, _central_override(cfg))
     if cfg.input is None:
@@ -231,10 +243,6 @@ def _error_meta(cfg: RunConfig) -> dict:
         value = declared.get(key)
         meta[key] = value if type(value) is kind else None
     return meta
-
-
-def _header(table: VarTable) -> dict:
-    return {"names": list(table.names), "weights": list(table.weights)}
 
 
 def _matrix_terms(rows: list[list[LaurentPoly]]) -> list[list[list[dict]]]:
@@ -273,9 +281,8 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     else:
         series = _build_series(cfg)
     report = verify_canonical(series)
-    doc = serialize.series_to_doc(series)
-    doc = {"meta": doc["meta"], "variables": doc["variables"],
-           "residuals": serialize.report_doc(report)}
+    doc = serialize.series_header(series)
+    doc["residuals"] = serialize.report_doc(report)
     return (0 if report.all_ok else 1), doc
 
 
@@ -289,7 +296,7 @@ def _cmd_frames(cfg: RunConfig) -> tuple[int, dict]:
     doc = {
         "meta": {"rank": format_rank(cfg.kind, cfg.r), "K": None,
                  "convention": cfg.convention, "central": None},
-        "variables": _header(table),
+        "variables": serialize.variables_doc(table),
         "frames": {
             "matrix": _matrix_terms(matrix),
             "det": poly_terms(det),
@@ -337,7 +344,7 @@ def _cmd_gram(cfg: RunConfig) -> tuple[int, dict]:
     doc = {
         "meta": {"rank": str(rho), "K": cfg.order,
                  "convention": cfg.convention, "central": None},
-        "variables": _header(table),
+        "variables": serialize.variables_doc(table),
         "gram": {"base": poly_terms(base), "blocks": blocks},
     }
     return 0, doc
@@ -386,7 +393,7 @@ def _cmd_gauge(cfg: RunConfig) -> tuple[int, dict]:
     ok = frob.all_ok and cert_ok and applied.all_ok
     doc = {
         "meta": _meta(cfg, series.ctx.c_vir),
-        "variables": _header(table),
+        "variables": serialize.variables_doc(table),
         "gauge": gauge_doc,
         "residuals": residuals,
     }

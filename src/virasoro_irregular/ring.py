@@ -241,6 +241,26 @@ class LaurentPoly:
         return _new(table, {table._zero: c.numerator}, c.denominator)
 
     @staticmethod
+    def from_triples(table: VarTable,
+                     triples: Sequence[tuple[Sequence[int], int, int]]) -> "LaurentPoly":
+        """Sum of ``num/den * x**exps`` over ``(exps, num, den)`` triples.
+
+        Denominators may be negative or unreduced and exponent vectors may
+        repeat; the integer numerators are put over the lcm of the
+        denominators and the sum is reduced once at the end.
+        """
+        den = lcm(*(d for _, _, d in triples))
+        pack = table.pack
+        terms: dict[int, int] = {}
+        get = terms.get
+        for exps, n, d in triples:
+            key = pack(exps)
+            terms[key] = get(key, 0) + n * (den // d)
+        if 0 in terms.values():
+            terms = {k: c for k, c in terms.items() if c}
+        return _reduced(table, terms, den)
+
+    @staticmethod
     def var(table: VarTable, name: str, power: int = 1, coeff=1) -> "LaurentPoly":
         exps = [0] * len(table)
         exps[table.index(name)] = power

@@ -11,7 +11,6 @@ re-verified from scratch.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .frames import CONVENTIONS, GENERAL, HALF, INTEGER, RANK_ONE, Family
 from .ring import LaurentPoly, RationalFunction, TruncatedSeries, VarTable
@@ -70,11 +69,11 @@ def poly_terms(poly: LaurentPoly) -> list[dict]:
 
 
 def poly_from_terms(table: VarTable, terms: object) -> LaurentPoly:
-    """Rebuild a polynomial from its term records in one pass; records
-    that repeat an exponent vector are summed."""
+    """Rebuild a polynomial from its term records in one integer pass;
+    records that repeat an exponent vector are summed."""
     if not isinstance(terms, list):
         raise SerializeError("polynomial must be a list of term records")
-    coeffs: dict[tuple[int, ...], Fraction] = {}
+    triples = []
     for record in terms:
         if not isinstance(record, dict) or set(record) != {"e", "n", "d"}:
             raise SerializeError(f"malformed polynomial term {record!r}")
@@ -85,9 +84,8 @@ def poly_from_terms(table: VarTable, terms: object) -> LaurentPoly:
         num, den = record["n"], record["d"]
         if not isinstance(num, int) or not isinstance(den, int) or den == 0:
             raise SerializeError(f"malformed coefficient in term {record!r}")
-        key = tuple(exps)
-        coeffs[key] = coeffs.get(key, 0) + Fraction(num, den)
-    return LaurentPoly(table, coeffs)
+        triples.append((exps, num, den))
+    return LaurentPoly.from_triples(table, triples)
 
 
 def coeff_doc(coeff) -> dict:
@@ -164,9 +162,13 @@ def _polys_indexed(table: VarTable, docs: object, label: str) -> dict[int, Laure
     return out
 
 
-def series_to_doc(series: IrregularSeries) -> dict:
-    """Full document for a constructed series, ready for :func:`dumps`."""
-    table = series.table
+def variables_doc(table: VarTable) -> dict:
+    """The ``variables`` header block: names and weights of a table."""
+    return {"names": list(table.names), "weights": list(table.weights)}
+
+
+def series_header(series: IrregularSeries) -> dict:
+    """The ``meta`` and ``variables`` blocks of a series document."""
     return {
         "meta": {
             "rank": format_rank(series.kind, series.r),
@@ -174,7 +176,14 @@ def series_to_doc(series: IrregularSeries) -> dict:
             "convention": series.convention,
             "central": poly_terms(series.ctx.c_vir),
         },
-        "variables": {"names": list(table.names), "weights": list(table.weights)},
+        "variables": variables_doc(series.table),
+    }
+
+
+def series_to_doc(series: IrregularSeries) -> dict:
+    """Full document for a constructed series, ready for :func:`dumps`."""
+    return {
+        **series_header(series),
         "series": {
             "nu": None if series.nu is None else poly_terms(series.nu),
             "g": _indexed_polys(series.g, "j"),

@@ -587,29 +587,51 @@ def _check_flow(series: IrregularSeries, recipe: Recipe,
                    "" if res.is_zero() else repr(res))
 
 
+def _cleared(vec: ModuleVector) -> tuple[LaurentPoly, ModuleVector]:
+    """Common denominator ``D`` of a rank-one vector and ``D`` times it.
+
+    ``D`` is the product of the distinct coefficient denominators, so each
+    numerator is multiplied by the product of the others, its exact
+    quotient ``D / den``.
+    """
+    table = vec.ctx.table
+    fracs = {lam: (c.num, c.den) if isinstance(c, RationalFunction)
+             else (c, LaurentPoly.const(table, 1)) for lam, c in vec.parts.items()}
+    dens: list[LaurentPoly] = []
+    for _, den in fracs.values():
+        if all(den != d for d in dens):
+            dens.append(den)
+    parts = {lam: num * _product(table, [d for d in dens if d != den])
+             for lam, (num, den) in fracs.items()}
+    return _product(table, dens), ModuleVector(vec.ctx, parts)
+
+
 def _check_rank_one(series: IrregularSeries, report: VerificationReport) -> None:
-    vctx = series.ctx
+    # Each relation is checked on N_k = D_k v_k, which has polynomial
+    # coefficients, after multiplying it through by the denominators it
+    # involves.  Every D_k is a nonzero polynomial (RationalFunction refuses
+    # a zero denominator), so each cleared relation holds exactly when the
+    # original one does, and no rational arithmetic is needed.
     table = series.table
-    one = RationalFunction(LaurentPoly.const(table, 1))
-    report.add("normalization", "k = 0",
-               series.vectors[0].constant_term() == one)
-    lam1 = eigenvalue(table, 1, ("c1",), convention=series.convention)
-    lam2 = eigenvalue(table, 2, ("c1",), convention=series.convention)
-    s1 = lam1.exact_div(LaurentPoly.var(table, "c1"))
-    s2 = lam2.exact_div(LaurentPoly.var(table, "c1", 2))
-    delta = vctx.eigenvalue(0)
-    for k, vk in enumerate(series.vectors):
-        graded = apply_mode(vk, 0) - vk.scale(delta + LaurentPoly.const(table, k))
+    dens, nums = zip(*(_cleared(vk) for vk in series.vectors))
+    report.add("normalization", "k = 0", nums[0].constant_term() == dens[0])
+    delta = series.ctx.eigenvalue(0)
+    for k, nk in enumerate(nums):
+        graded = apply_mode(nk, 0) - nk.scale(delta + LaurentPoly.const(table, k))
         report.add("grading", f"k = {k}", graded.is_zero(),
                    "" if graded.is_zero() else repr(graded))
+    # L_n v_k = s_n v_{k-n} for n = 1, 2 and k >= n, with s_n the eigenvalue
+    # over c1^n, else L_n v_k = 0; cleared: D_{k-n} L_n N_k = s_n D_k N_{k-n}
+    c1 = LaurentPoly.var(table, "c1")
+    lowered = {n: eigenvalue(table, n, ("c1",), convention=series.convention)
+               .exact_div(c1 ** n) for n in (1, 2)}
     for n in range(1, max(4, series.order + 1) + 1):
         bad = ""
-        for k, vk in enumerate(series.vectors):
-            lhs = apply_mode(vk, n)
-            if n == 1 and k >= 1:
-                lhs = lhs - series.vectors[k - 1].scale(s1)
-            elif n == 2 and k >= 2:
-                lhs = lhs - series.vectors[k - 2].scale(s2)
+        for k, nk in enumerate(nums):
+            lhs = apply_mode(nk, n)
+            if n in lowered and k >= n:
+                lhs = (lhs.scale(dens[k - n])
+                       - nums[k - n].scale(lowered[n] * dens[k]))
             if not lhs.is_zero():
                 bad = f"k={k}: {lhs!r}"
                 break

@@ -10,8 +10,10 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from virasoro_irregular.cli import main
 from virasoro_irregular.frames import GENERAL
@@ -126,6 +128,34 @@ def test_poly_from_terms_sums_repeated_exponent_vectors():
         with pytest.raises(SerializeError,
                            match=r"^malformed coefficient in term \{"):
             poly_from_terms(table, records + [record])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_poly_from_terms_matches_a_fraction_sum(data):
+    table = VarTable(("Q", "c0", "c1"), (0, 0, 1))
+    # few exponent vectors, so records repeat them
+    pool = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+                              min_size=1, max_size=4))
+    nonzero = st.integers(-30, 30).filter(bool)
+    records = data.draw(st.lists(st.fixed_dictionaries(
+        {"e": st.sampled_from(pool), "n": st.integers(-50, 50), "d": nonzero}),
+        max_size=12))
+    # negated copies over a scaled denominator cancel their vector's sum
+    for record in data.draw(st.lists(st.sampled_from(records), max_size=4)) \
+            if records else []:
+        scale = data.draw(nonzero)
+        records.append({"e": record["e"], "n": -record["n"] * scale,
+                        "d": record["d"] * scale})
+    records = data.draw(st.permutations(records))
+    reference: dict[tuple[int, ...], Fraction] = {}
+    for record in records:
+        key = tuple(record["e"])
+        reference[key] = reference.get(key, 0) + Fraction(record["n"], record["d"])
+    rebuilt = poly_from_terms(table, records)
+    assert dict(rebuilt.iter_terms()) == {k: c for k, c in reference.items() if c}
+    assert rebuilt.den > 0 and 0 not in rebuilt.terms.values()
+    assert gcd(rebuilt.den, *rebuilt.terms.values()) == 1
 
 
 def test_coefficient_docs_cover_quotients():
@@ -305,12 +335,29 @@ def test_central_override_threads_through_the_documents(rank, tmp_path, capsys):
     ["verify", "--order", "2"],
     ["verify", "--input", "/nonexistent/report.json"],
     ["gauge", "--rank", "2", "--bound", "3"],
+    ["verify", "--input", __file__, "--rank", "5/2", "--order", "7",
+     "--central", "Q", "--convention", "general"],
 ])
 def test_usage_errors_exit_with_code_two(argv, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("option", [["--rank", "2"], ["--order", "2"],
+                                    ["--central", "26"], ["--convention", "general"]])
+def test_verify_input_takes_no_series_options(option, tmp_path, capsys):
+    # the report declares rank, order, central charge and convention, so
+    # each of these given beside --input is a usage error, not ignored
+    report = tmp_path / "series.json"
+    report.write_text(json.dumps(series_to_doc(_series(INTEGER))))
+    code, _ = _run(capsys, ["verify", "--input", str(report)])
+    assert code == 0
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--input", str(report), *option])
+    assert err.value.code == 2
+    assert f"{option[0]} cannot be given with --input" in capsys.readouterr().err
 
 
 # ----- frames and gram ------------------------------------------------------------
@@ -445,13 +492,19 @@ def test_error_record_carries_the_input_meta_and_central(tmp_path, capsys):
     terms = doc["series"]["tail"][1]["terms"]
     terms[sorted(terms)[0]]["num"][0]["d"] = 0
     path.write_text(json.dumps(doc))
-    code, out = _run_json(capsys, ["verify", "--input", str(path),
-                                   "--central", "Q+1"])
+    code, out = _run_json(capsys, ["verify", "--input", str(path)])
     assert code == 1
     assert out["error"]["type"] == "SerializeError"
+    # verify --input takes no --central, so its record names none
+    assert out["meta"] == {"rank": "2", "K": 2, "convention": GENERAL,
+                           "central": None}
+    code, out = _run_json(capsys, ["gauge", "--rank", "2", "--order", "1",
+                                   "--central", "Q+1"])
+    assert code == 1
+    assert out["error"]["type"] == "OrderTooSmall"
     q_table = VarTable(("Q", "c0"), (0, 0))
     central = LaurentPoly.var(q_table, "Q") + 1
-    assert out["meta"] == {"rank": "2", "K": 2, "convention": GENERAL,
+    assert out["meta"] == {"rank": "2", "K": 1, "convention": GENERAL,
                            "central": poly_terms(central)}
 
 

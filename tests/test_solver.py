@@ -342,6 +342,66 @@ def test_rank1_perturbations_are_caught():
     assert not verify_canonical(_with_vector(s, 1, in_level)).all_ok
 
 
+def _bump_lead(poly: LaurentPoly) -> LaurentPoly:
+    """``poly`` with its leading coefficient moved by one, never to zero."""
+    exps, coeff = poly.leading()
+    return poly + LaurentPoly.monomial(poly.table, exps, -1 if coeff == -1 else 1)
+
+
+def _with_coeff(series: IrregularSeries, k: int, lam: tuple[int, ...],
+                coeff: RationalFunction) -> IrregularSeries:
+    vec = series.vectors[k]
+    return _with_vector(series, k, ModuleVector(vec.ctx, {**vec.parts, lam: coeff}))
+
+
+@pytest.mark.parametrize("convention", [GENERAL, DISPLAY])
+def test_rank1_check_accepts_mixed_denominators(convention):
+    # one coefficient of each v_k rewritten as (num f) / (den f): the value,
+    # and so every relation, is unchanged, but v_k's coefficients no longer
+    # share one denominator (a polynomial coefficient would just reduce back)
+    s = clean = _rank1(3, convention)
+    f = _v(s.table, "Q") + _v(s.table, "c0", 2) + 1
+    rewritten = 0
+    for k in range(1, s.order + 1):
+        for lam, c in sorted(s.vectors[k].parts.items()):
+            if not c.den.is_constant():
+                mixed = RationalFunction(c.num * f, c.den * f)
+                assert mixed.den != c.den
+                s = _with_coeff(s, k, lam, mixed)
+                rewritten += 1
+                break
+    assert rewritten >= 2
+    report = verify_canonical(s)
+    assert report.all_ok
+    assert len(report.checks) == len(verify_canonical(clean).checks)
+
+
+@pytest.mark.parametrize("convention", [GENERAL, DISPLAY])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("side", ["num", "den"])
+def test_rank1_check_catches_a_changed_term(convention, k, side):
+    s = _rank1(3, convention)
+    lam, c = max(s.vectors[k].parts.items())
+    num, den = c.num, c.den
+    if side == "num":
+        num = _bump_lead(num)
+    else:
+        den = _bump_lead(den)
+    report = verify_canonical(_with_coeff(s, k, lam, RationalFunction(num, den)))
+    # grading only sees the support, so a mode relation is what fails
+    failed = {check.relation for check in report.failures()}
+    assert failed & {"mode 1 relation", "mode 2 relation"}
+    assert all(name.startswith("mode ") for name in failed)
+
+
+@pytest.mark.parametrize("convention", [GENERAL, DISPLAY])
+def test_rank1_check_catches_a_changed_normalization(convention):
+    s = _rank1(3, convention)
+    two = RationalFunction(LaurentPoly.const(s.table, 2))
+    report = verify_canonical(_with_vector(s, 0, s.ctx.cyclic(two)))
+    assert "normalization" in {check.relation for check in report.failures()}
+
+
 def test_rank1_rejects_bad_contexts_and_eigenvalues():
     t = VarTable(("Q", "c0", "c1"), (0, 0, 1))
     delta = conformal_weight(t, "c0")

@@ -41,6 +41,9 @@ COMMANDS = [
     "frames --rank 4",
     "frames --rank 7/2",
     "verify --rank 3 --order 3",
+    # the rank-one re-check's records
+    "verify --rank 1 --order 4",
+    "verify --rank 1 --order 4 --convention section2-display",
     # the reachable frontier
     "construct --rank 2 --order 5",
     "construct --rank 2 --order 6",
