@@ -14,11 +14,9 @@ errors.
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gauge, serialize
@@ -32,20 +30,18 @@ from .solver import (HALF, INTEGER, RANK_ONE, SolverError, rank1_series,
 from .virasoro import ModuleContext
 
 
-@dataclass(frozen=True)
 class RunConfig:
     """Validated invocation parameters shared by the subcommands."""
 
-    command: str
-    kind: str | None
-    r: int | None
-    order: int
-    central: str | None
-    convention: str
-    fmt: str
-    output: str | None
-    bound: int | None
-    input: str | None = None
+    __slots__ = ("command", "kind", "r", "order", "central", "convention", "fmt",
+                 "output", "bound", "input")
+
+    def __init__(self, command: str, kind: str | None, r: int | None, order: int,
+                 central: str | None, convention: str, fmt: str, output: str | None,
+                 bound: int | None, input: str | None = None) -> None:
+        self.command, self.kind, self.r, self.order = command, kind, r, order
+        self.central, self.convention, self.fmt = central, convention, fmt
+        self.output, self.bound, self.input = output, bound, input
 
 
 # ----- argument handling --------------------------------------------------------
@@ -61,6 +57,8 @@ def _scalar_expression(text: str) -> LaurentPoly:
     literal non-negative integer exponents; division only by nonzero
     constants, so no decimals can sneak in.
     """
+    import ast  # only --central needs it; a top-level import slows every start-up
+
     table = VarTable(("Q", "c0"), (0, 0))
     try:
         tree = ast.parse(text, mode="eval")
@@ -222,9 +220,10 @@ def _error_meta(cfg: RunConfig) -> dict:
     """Meta block of an error record.
 
     It carries ``--central`` as given, over the variables ``Q`` and ``c0``.
-    For ``verify --input``, which takes no ``--central``, the rank, order and
-    convention are those the input declares, each ``None`` where the input's
-    meta block does not supply it.
+    For ``verify --input``, which takes no ``--central``, the rank, order,
+    convention and central charge are those the input declares (the central
+    charge as its term records, over the input's own variables), each
+    ``None`` where the input's meta block does not supply it.
     """
     meta = _meta(cfg, _central_override(cfg))
     if cfg.input is None:
@@ -242,7 +241,18 @@ def _error_meta(cfg: RunConfig) -> dict:
     for key, kind in (("rank", str), ("K", int), ("convention", str)):
         value = declared.get(key)
         meta[key] = value if type(value) is kind else None
+    central = declared.get("central")
+    meta["central"] = central if _is_term_list(central) else None
     return meta
+
+
+def _is_term_list(value: object) -> bool:
+    """Whether ``value`` is a list of ``{"e", "n", "d"}`` term records."""
+    return isinstance(value, list) and all(
+        isinstance(term, dict) and set(term) == {"e", "n", "d"}
+        and isinstance(term["e"], list) and all(type(e) is int for e in term["e"])
+        and type(term["n"]) is int and type(term["d"]) is int and term["d"] != 0
+        for term in value)
 
 
 def _matrix_terms(rows: list[list[LaurentPoly]]) -> list[list[list[dict]]]:

@@ -21,7 +21,6 @@ every other module reads its fields, frame and dual operator from there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
@@ -181,7 +180,6 @@ def series_inverse_coeffs(table: VarTable, r: int, cnames: Sequence[str],
     return coeffs
 
 
-@dataclass
 class DualOperator:
     """Expansion-variable orders of the operator dual to one frame direction.
 
@@ -192,9 +190,10 @@ class DualOperator:
     otherwise).
     """
 
-    r: int
-    var: str
-    orders: list[dict[int, LaurentPoly]]
+    __slots__ = ("r", "var", "orders")
+
+    def __init__(self, r: int, var: str, orders: list[dict[int, LaurentPoly]]) -> None:
+        self.r, self.var, self.orders = r, var, orders
 
 
 def _dual_from_frame(table: VarTable, r: int, matrix: list[list[LaurentPoly]],
@@ -301,15 +300,16 @@ HALF = "half"
 RANK_ONE = "rank-one"
 
 
-@dataclass(frozen=True)
 class Family:
     """Frame data of one rank, keyed by (kind, r): integer rank ``r`` (rank
     one included) has the polynomial fields and expands in ``c_r``, half rank
     ``r - 1/2`` has the odd fields and expands in ``Lam``.  Both have the
     lower parameters ``c_1..c_{r-1}``."""
 
-    kind: str
-    r: int
+    __slots__ = ("kind", "r")
+
+    def __init__(self, kind: str, r: int) -> None:
+        self.kind, self.r = kind, r
 
     @property
     def cnames(self) -> tuple[str, ...]:

@@ -13,7 +13,6 @@ the scalar completions in the gauge singled out by the top frame row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -161,7 +160,6 @@ class VectorSeries:
 # ----- obstruction scalars ----------------------------------------------------
 
 
-@dataclass
 class ObstructionSet:
     """Scalar obstructions of the modes below the annihilating window.
 
@@ -171,19 +169,20 @@ class ObstructionSet:
     window have no entry because their residuals vanish identically.
     """
 
-    kind: str
-    r: int
-    table: VarTable
-    var: str
-    cnames: tuple[str, ...]
-    a: tuple[TruncatedSeries, ...]
-    residuals: tuple[VectorSeries, ...] | None = None
-    theta: TruncatedSeries | None = None
-    series: IrregularSeries | None = None
-    completion: "ScalarCompletion | None" = None
+    __slots__ = ("kind", "r", "table", "var", "cnames", "a", "residuals", "theta",
+                 "series", "completion")
+
+    def __init__(self, kind: str, r: int, table: VarTable, var: str,
+                 cnames: tuple[str, ...], a: tuple[TruncatedSeries, ...],
+                 residuals: tuple[VectorSeries, ...] | None = None,
+                 theta: TruncatedSeries | None = None,
+                 series: IrregularSeries | None = None,
+                 completion: ScalarCompletion | None = None) -> None:
+        self.kind, self.r, self.table, self.var = kind, r, table, var
+        self.cnames, self.a, self.residuals, self.theta = cnames, a, residuals, theta
+        self.series, self.completion = series, completion
 
 
-@dataclass
 class PotentialDecomposition:
     """Exact and logarithmic parts of the lower-parameter potential.
 
@@ -192,12 +191,13 @@ class PotentialDecomposition:
     are passive themselves.
     """
 
-    g0: LaurentPoly
-    nu: dict[int, LaurentPoly]
-    passives: tuple[str, ...]
+    __slots__ = ("g0", "nu", "passives")
+
+    def __init__(self, g0: LaurentPoly, nu: dict[int, LaurentPoly],
+                 passives: tuple[str, ...]) -> None:
+        self.g0, self.nu, self.passives = g0, nu, passives
 
 
-@dataclass
 class ScalarCompletion:
     """Scalar parts completing the odd-family deformation fields.
 
@@ -205,25 +205,26 @@ class ScalarCompletion:
     annihilates the tuple, which fixes the otherwise free conjugation gauge.
     """
 
-    r: int
-    table: VarTable
-    cnames: tuple[str, ...]
-    var: str
-    sigma: tuple[LaurentPoly, ...]
-    bound: int
+    __slots__ = ("r", "table", "cnames", "var", "sigma", "bound")
+
+    def __init__(self, r: int, table: VarTable, cnames: tuple[str, ...], var: str,
+                 sigma: tuple[LaurentPoly, ...], bound: int) -> None:
+        self.r, self.table, self.cnames, self.var = r, table, cnames, var
+        self.sigma, self.bound = sigma, bound
 
 
-@dataclass
 class _EngineState:
-    series: IrregularSeries
-    fields: list[dict[str, LaurentPoly]]
-    scalars: dict[int, LaurentPoly]
-    tail: VectorSeries
-    theta: TruncatedSeries
-    prefactor: LaurentPoly
-    beta: list[list[LaurentPoly]]
-    base_scalars: list[LaurentPoly]
-    lift_cache: dict
+    __slots__ = ("series", "fields", "scalars", "tail", "theta", "prefactor", "beta",
+                 "base_scalars", "lift_cache")
+
+    def __init__(self, series: IrregularSeries, fields: list[dict[str, LaurentPoly]],
+                 scalars: dict[int, LaurentPoly], tail: VectorSeries,
+                 theta: TruncatedSeries, prefactor: LaurentPoly,
+                 beta: list[list[LaurentPoly]], base_scalars: list[LaurentPoly],
+                 lift_cache: dict) -> None:
+        self.series, self.fields, self.scalars, self.tail = series, fields, scalars, tail
+        self.theta, self.prefactor, self.beta = theta, prefactor, beta
+        self.base_scalars, self.lift_cache = base_scalars, lift_cache
 
 
 def _clean_order(series: IrregularSeries) -> int:

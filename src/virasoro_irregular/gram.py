@@ -34,7 +34,6 @@ and then recomputes every prescribed pairing on the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -159,17 +158,15 @@ def pure_power_factor(poly: LaurentPoly, base: LaurentPoly) -> tuple[int, Fracti
     return exponent, ratio.as_rational()
 
 
-@dataclass
 class GramDetReport:
     """Factorized determinant of a weight-range pairing block."""
 
-    lo: int
-    hi: int
-    size: int
-    det: LaurentPoly
-    base: LaurentPoly
-    exponent: int
-    ratio: Fraction
+    __slots__ = ("lo", "hi", "size", "det", "base", "exponent", "ratio")
+
+    def __init__(self, lo: int, hi: int, size: int, det: LaurentPoly, base: LaurentPoly,
+                 exponent: int, ratio: Fraction) -> None:
+        self.lo, self.hi, self.size, self.det = lo, hi, size, det
+        self.base, self.exponent, self.ratio = base, exponent, ratio
 
 
 def gram_det_report(ctx: ModuleContext, lo: int, hi: int) -> GramDetReport:

@@ -1,12 +1,13 @@
 """Exact linear algebra over the Laurent ring and its fraction field.
 
 Determinants use the Bareiss fraction-free scheme so intermediate entries
-stay in the ring and every division is exact.  Adjugates come from cofactor
-determinants, one Bareiss elimination per entry.  Frame inverses take every
-column; the rank-one level solve multiplies the adjugate into a right-hand
-side that vanishes at most partitions, so it asks only for the columns
-where that side is nonzero: at level ``k`` (a ``p(k)``-row matrix, 11 rows
-at level 6) at most ``1 + k // 2`` of them.
+stay in the ring and every division is exact.  Adjugate columns come from
+one such elimination of the matrix bordered by unit columns, then
+fraction-free back substitution.  Frame inverses take every column; the
+rank-one level solve multiplies the adjugate into a right-hand side that
+vanishes at most partitions, so it asks only for the columns where that
+side is nonzero: at level ``k`` (a ``p(k)``-row matrix, 11 rows at level 6)
+at most ``1 + k // 2`` of them.
 """
 
 from __future__ import annotations
@@ -77,14 +78,66 @@ def adjugate(rows: Sequence[Sequence[LaurentPoly]],
     With ``cols`` only those columns are computed; every other entry is
     zero, so ``mat_vec(adjugate(A, cols), v)`` is ``adjugate(A) @ v``
     whenever ``v`` vanishes outside ``cols``.
+
+    One Bareiss elimination of ``[A | e_cols]`` leaves ``U x = b`` with
+    ``U[-1][-1] = det(PA)`` for the row permutation ``P``; fraction-free
+    back substitution then gives ``det(PA) x = sign(P) adj(A) e_j``.  Every
+    intermediate is a minor, so every division is exact.  Two kinds of
+    matrix take their cofactors one at a time instead: those of at most
+    three rows (the frames of ranks up to 5/2), whose cofactors need at most
+    two products each and no division, and a singular one whose elimination
+    runs out of pivots early.
     """
     n = len(rows)
     table = rows[0][0].table
+    zero = LaurentPoly.zero(table)
+    cols = range(n) if cols is None else cols
+    out = [[zero] * n for _ in range(n)]
+    if n <= 3:
+        return _cofactor_adjugate(rows, cols, out)
     one = LaurentPoly.const(table, 1)
-    out = [[LaurentPoly.zero(table) for _ in range(n)] for _ in range(n)]
-    for j in range(n) if cols is None else cols:
+    a = [list(row) + [one if i == j else zero for j in cols]
+         for i, row in enumerate(rows)]
+    width = len(a[0])
+    sign, prev = 1, one
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
+            if swap is None:
+                return _cofactor_adjugate(rows, cols, out)
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        top, pivot = a[k], a[k][k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, width):
+                if row[j].is_zero() and (f.is_zero() or top[j].is_zero()):
+                    continue
+                row[j] = (pivot * row[j] - f * top[j]).exact_div(prev)
+        prev = pivot
+    det = a[n - 1][n - 1]
+    for c, j in enumerate(cols, start=n):
+        x = [zero] * n
+        x[n - 1] = a[n - 1][c]
+        for i in range(n - 2, -1, -1):
+            acc = det * a[i][c]
+            for col in range(i + 1, n):
+                if not x[col].is_zero():
+                    acc = acc - a[i][col] * x[col]
+            x[i] = acc.exact_div(a[i][i])
         for i in range(n):
-            cof = det_bareiss(_minor(rows, j, i)) if n > 1 else one
+            out[i][j] = x[i] if sign == 1 else -x[i]
+    return out
+
+
+def _cofactor_adjugate(rows: Sequence[Sequence[LaurentPoly]], cols: Sequence[int],
+                       out: Matrix) -> Matrix:
+    """``adjugate`` by one cofactor determinant per entry."""
+    n = len(rows)
+    for j in cols:
+        for i in range(n):
+            cof = (det_bareiss(_minor(rows, j, i)) if n > 1
+                   else LaurentPoly.const(rows[0][0].table, 1))
             out[i][j] = cof if (i + j) % 2 == 0 else -cof
     return out
 

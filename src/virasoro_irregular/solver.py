@@ -14,7 +14,6 @@ residual is recomputed and must vanish identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .frames import (CONVENTIONS, GENERAL, HALF, INTEGER, RANK_ONE, DualOperator,
@@ -66,19 +65,18 @@ def scheduled_unknown(r: int, k: int) -> str:
     return f"ce{k - r + 1}"
 
 
-@dataclass
 class LedgerEntry:
-    name: str
-    order: int | None
-    value: LaurentPoly | None = None
-    equation: LaurentPoly | None = None
+    __slots__ = ("name", "order", "value", "equation")
+
+    def __init__(self, name: str, order: int | None, value: LaurentPoly | None = None,
+                 equation: LaurentPoly | None = None) -> None:
+        self.name, self.order, self.value, self.equation = name, order, value, equation
 
     @property
     def solved(self) -> bool:
         return self.value is not None
 
 
-@dataclass
 class UnknownLedger:
     """Elimination schedule with the equation each unknown was pinned by.
 
@@ -86,7 +84,10 @@ class UnknownLedger:
     horizon; those stay symbolic in every stored coefficient.
     """
 
-    entries: list[LedgerEntry]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: list[LedgerEntry]) -> None:
+        self.entries = entries
 
     @classmethod
     def plan(cls, r: int, order: int) -> "UnknownLedger":
@@ -114,7 +115,6 @@ class UnknownLedger:
         return {e.name for e in self.entries if not e.solved}
 
 
-@dataclass
 class IrregularSeries:
     """Truncated canonical series together with its construction record.
 
@@ -125,20 +125,18 @@ class IrregularSeries:
     ``pending`` lists the tail constants the truncation cannot determine.
     """
 
-    kind: str
-    r: int
-    order: int
-    table: VarTable
-    ctx: ModuleContext
-    var: str
-    cnames: tuple[str, ...]
-    vectors: list[ModuleVector]
-    nu: LaurentPoly | None
-    g: dict[int, LaurentPoly]
-    constants: dict[int, LaurentPoly]
-    pending: tuple[str, ...]
-    ledger: UnknownLedger | None
-    convention: str = GENERAL
+    __slots__ = ("kind", "r", "order", "table", "ctx", "var", "cnames", "vectors", "nu",
+                 "g", "constants", "pending", "ledger", "convention")
+
+    def __init__(self, kind: str, r: int, order: int, table: VarTable, ctx: ModuleContext,
+                 var: str, cnames: tuple[str, ...], vectors: list[ModuleVector],
+                 nu: LaurentPoly | None, g: dict[int, LaurentPoly],
+                 constants: dict[int, LaurentPoly], pending: tuple[str, ...],
+                 ledger: UnknownLedger | None, convention: str = GENERAL) -> None:
+        self.kind, self.r, self.order, self.table, self.ctx = kind, r, order, table, ctx
+        self.var, self.cnames, self.vectors, self.nu, self.g = var, cnames, vectors, nu, g
+        self.constants, self.pending, self.ledger = constants, pending, ledger
+        self.convention = convention
 
     @property
     def x_vectors(self) -> list[ModuleVector]:
@@ -195,17 +193,16 @@ def series_context(kind: str, r: int, table: VarTable, central) -> ModuleContext
     return ModuleContext(table, r - 1, eigen, c_vir)
 
 
-@dataclass
 class Recipe:
     """What the recursion and its re-check read of one family.  ``scalars``
     maps each mode of the dual operator to the scalar it subtracts (at
     integer rank only: the conformal weight, then the lower eigenvalues)."""
 
-    kind: str
-    r: int
-    ctx: ModuleContext
-    dual: DualOperator
-    scalars: dict[int, LaurentPoly] | None
+    __slots__ = ("kind", "r", "ctx", "dual", "scalars")
+
+    def __init__(self, kind: str, r: int, ctx: ModuleContext, dual: DualOperator,
+                 scalars: dict[int, LaurentPoly] | None) -> None:
+        self.kind, self.r, self.ctx, self.dual, self.scalars = kind, r, ctx, dual, scalars
 
     def relation(self, part: int) -> tuple[LaurentPoly | None, int]:
         """Scalar and order shift of the relation that trades the word
@@ -539,17 +536,18 @@ def rank1_series(order: int, convention: str = GENERAL,
 # ----- independent verification ----------------------------------------------
 
 
-@dataclass
 class RelationCheck:
-    relation: str
-    window: str
-    ok: bool
-    detail: str = ""
+    __slots__ = ("relation", "window", "ok", "detail")
+
+    def __init__(self, relation: str, window: str, ok: bool, detail: str = "") -> None:
+        self.relation, self.window, self.ok, self.detail = relation, window, ok, detail
 
 
-@dataclass
 class VerificationReport:
-    checks: list[RelationCheck] = field(default_factory=list)
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[RelationCheck] | None = None) -> None:
+        self.checks = [] if checks is None else checks
 
     @property
     def all_ok(self) -> bool:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from virasoro_irregular.cli import main
-from virasoro_irregular.frames import GENERAL
+from virasoro_irregular.frames import GENERAL, default_central_charge
 from virasoro_irregular.ring import LaurentPoly, RationalFunction, VarTable
 from virasoro_irregular.serialize import (
     SerializeError,
@@ -495,9 +495,19 @@ def test_error_record_carries_the_input_meta_and_central(tmp_path, capsys):
     code, out = _run_json(capsys, ["verify", "--input", str(path)])
     assert code == 1
     assert out["error"]["type"] == "SerializeError"
-    # verify --input takes no --central, so its record names none
+    # verify --input takes no --central: its record names the declared one
     assert out["meta"] == {"rank": "2", "K": 2, "convention": GENERAL,
-                           "central": None}
+                           "central": doc["meta"]["central"]}
+    assert out["meta"]["central"] == poly_terms(
+        default_central_charge(_series(INTEGER).table))
+    # a declared central charge that is not a list of term records is dropped
+    for central in ("1 + 6 Q^2", [{"e": [0], "n": 1}], [{"e": [0], "n": True, "d": 1}]):
+        doc["meta"]["central"] = central
+        path.write_text(json.dumps(doc))
+        code, out = _run_json(capsys, ["verify", "--input", str(path)])
+        assert code == 1
+        assert out["meta"] == {"rank": "2", "K": 2, "convention": GENERAL,
+                               "central": None}
     code, out = _run_json(capsys, ["gauge", "--rank", "2", "--order", "1",
                                    "--central", "Q+1"])
     assert code == 1
@@ -509,6 +519,15 @@ def test_error_record_carries_the_input_meta_and_central(tmp_path, capsys):
 
 
 # ----- module entry ---------------------------------------------------------------
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_ast():
+    # every command pays for what the import loads, before it does any work
+    code = ("import sys\nfrom virasoro_irregular import cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_module_entry_point_runs_verify():

@@ -66,21 +66,35 @@ def test_bareiss_handles_zero_pivots():
 
 def test_adjugate_identity():
     rng = random.Random(99)
-    for n in (1, 2, 3):
-        for _ in range(8):
-            rows = [[rand_poly(rng, dense=True) for _ in range(n)] for _ in range(n)]
-            d = det_bareiss(rows)
-            adj = adjugate(rows)
-            prod = mat_mul(rows, adj)
+    zero, one = LaurentPoly.zero(T), LaurentPoly.const(T, 1)
+    x, y = LaurentPoly.var(T, "x"), LaurentPoly.var(T, "y")
+    # up to three rows the adjugate is taken by cofactors, from four by
+    # elimination
+    cases = [[[rand_poly(rng, dense=True) for _ in range(n)] for _ in range(n)]
+             for n in (1, 2, 3, 4, 5) for _ in range(8)]
+    cases += [
+        # a zero (0, 0) entry, and a pivot that vanishes after one step:
+        # the elimination swaps rows, so the adjugate takes the swap sign
+        [[zero, x, y, one], [x, y, x + y, zero], [y, x * y, x, one], [one, x, zero, y]],
+        [[x, x, y, one], [y, y, x, zero], [x, y, y, one], [one, zero, x, y]],
+        # no pivot in the first column: singular, with a nonzero adjugate
+        [[zero, x, y, one], [zero, y, x, x], [zero, x * y, y, one], [zero, one, x, y]],
+    ]
+    for rows in cases:
+        n = len(rows)
+        d = det_bareiss(rows)
+        adj = adjugate(rows)
+        prod = mat_mul(rows, adj)
+        for i in range(n):
+            for j in range(n):
+                assert prod[i][j] == (d if i == j else zero)
+        for cols in ([], [n - 1], list(range(0, n, 2))):
+            part = adjugate(rows, cols)
             for i in range(n):
                 for j in range(n):
-                    assert prod[i][j] == (d if i == j else LaurentPoly.zero(T))
-            for cols in ([], [n - 1], list(range(0, n, 2))):
-                part = adjugate(rows, cols)
-                for i in range(n):
-                    for j in range(n):
-                        assert part[i][j] == (adj[i][j] if j in cols
-                                              else LaurentPoly.zero(T))
+                    assert part[i][j] == (adj[i][j] if j in cols else zero)
+    # the singular case, last above, is not trivially satisfied
+    assert not all(entry.is_zero() for row in adj for entry in row)
 
 
 def test_inverse_exact_on_unit_determinant():

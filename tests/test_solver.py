@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -239,10 +239,18 @@ def test_rejects_too_small_rank_or_negative_order():
 # ----- uniqueness probes -------------------------------------------------------
 
 
+def _replaced(series: IrregularSeries, **changes) -> IrregularSeries:
+    """A shallow copy of ``series`` with some attributes replaced."""
+    out = copy.copy(series)
+    for name, value in changes.items():
+        setattr(out, name, value)
+    return out
+
+
 def _with_vector(series: IrregularSeries, k: int, vec: ModuleVector) -> IrregularSeries:
     vectors = list(series.vectors)
     vectors[k] = vec
-    return dataclasses.replace(series, vectors=vectors)
+    return _replaced(series, vectors=vectors)
 
 
 @pytest.mark.parametrize("series", [
@@ -250,11 +258,11 @@ def _with_vector(series: IrregularSeries, k: int, vec: ModuleVector) -> Irregula
 def test_any_single_perturbation_breaks_verification(series):
     one = LaurentPoly.const(series.table, 1)
     probes = []
-    probes.append(dataclasses.replace(series, nu=series.nu + one))
+    probes.append(_replaced(series, nu=series.nu + one))
     for j in series.g:
         g = dict(series.g)
         g[j] = g[j] + one
-        probes.append(dataclasses.replace(series, g=g))
+        probes.append(_replaced(series, g=g))
     # shifting the cyclic coefficient of a tail vector in the solved range
     # contradicts the pinning equation that fixed it
     solved_top = series.order - series.r + 1

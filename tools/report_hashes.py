@@ -50,6 +50,7 @@ COMMANDS = [
     "construct --rank 5/2 --order 4",
     "gauge --rank 5/2 --order 5",
     "construct --rank 1 --order 5",
+    "construct --rank 1 --order 6",
 ]
 
 
