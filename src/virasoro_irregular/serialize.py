@@ -10,7 +10,7 @@ re-verified from scratch.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as quote
 
 from .frames import CONVENTIONS, GENERAL, HALF, INTEGER, RANK_ONE, Family
 from .ring import LaurentPoly, RationalFunction, TruncatedSeries, VarTable
@@ -79,10 +79,10 @@ def poly_from_terms(table: VarTable, terms: object) -> LaurentPoly:
             raise SerializeError(f"malformed polynomial term {record!r}")
         exps = record["e"]
         if (not isinstance(exps, list) or len(exps) != len(table)
-                or not all(isinstance(e, int) for e in exps)):
+                or not all(type(e) is int for e in exps)):
             raise SerializeError(f"exponent vector {exps!r} does not fit the header")
         num, den = record["n"], record["d"]
-        if not isinstance(num, int) or not isinstance(den, int) or den == 0:
+        if type(num) is not int or type(den) is not int or den == 0:
             raise SerializeError(f"malformed coefficient in term {record!r}")
         triples.append((exps, num, den))
     return LaurentPoly.from_triples(table, triples)
@@ -156,7 +156,7 @@ def _polys_indexed(table: VarTable, docs: object, label: str) -> dict[int, Laure
         if not isinstance(record, dict) or set(record) != {label, "poly"}:
             raise SerializeError(f"malformed {label!r} record {record!r}")
         index = record[label]
-        if not isinstance(index, int) or index in out:
+        if type(index) is not int or index in out:
             raise SerializeError(f"bad or repeated index {index!r} in {label!r} records")
         out[index] = poly_from_terms(table, record["poly"])
     return out
@@ -209,7 +209,7 @@ def series_from_doc(doc: object) -> IrregularSeries:
         raise SerializeError("meta rank must be a string")
     kind, r = parse_rank(rank_text)
     order = _require(meta, "K", "meta block")
-    if not isinstance(order, int) or order < 0:
+    if type(order) is not int or order < 0:
         raise SerializeError(f"order must be a non-negative integer, got {order!r}")
     convention = _require(meta, "convention", "meta block")
     if convention not in CONVENTIONS:
@@ -220,7 +220,8 @@ def series_from_doc(doc: object) -> IrregularSeries:
     table = series_table(kind, r, order)
     header = _require(doc, "variables", "document")
     if (_require(header, "names", "variables header") != list(table.names)
-            or _require(header, "weights", "variables header") != list(table.weights)):
+            or _require(header, "weights", "variables header") != list(table.weights)
+            or not all(type(w) is int for w in header["weights"])):
         raise SerializeError("variables header does not match the declared rank and order")
 
     central = poly_from_terms(table, _require(meta, "central", "meta block"))
@@ -244,7 +245,7 @@ def series_from_doc(doc: object) -> IrregularSeries:
     staged: dict[int, ModuleVector] = {}
     for record in tail:
         k = _require(record, "k", "tail record")
-        if not isinstance(k, int) or k in staged:
+        if type(k) is not int or k in staged:
             raise SerializeError(f"bad or repeated tail order {k!r}")
         staged[k] = vector_from_doc(ctx, _require(record, "terms", "tail record"),
                                     rational)
@@ -279,6 +280,71 @@ def truncated_doc(series: TruncatedSeries) -> dict:
     return {"var": series.var, "lo": series.lo, "hi": series.hi, "orders": orders}
 
 
+# ----- JSON text ------------------------------------------------------------------
+
+_TERM_KEYS = {"d", "e", "n"}
+_INT = {int}
+
+
+def _write(node: object, nl: str, out: list[str]) -> None:
+    """Append the indent-2, sorted-key JSON text of ``node`` to ``out``;
+    ``nl`` is the newline plus the indentation of the line ``node`` is on."""
+    if isinstance(node, dict):
+        if not node:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(node):
+            out.append(sep + quote(key) + ": ")   # quote raises on a non-str key
+            _write(node[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(node, (list, tuple)):
+        if not node:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        # a term record {"d": int, "e": [int, ...], "n": int}, the bulk of
+        # every report, is written from one template
+        term = (f'{{{inner}  "d": %s,{inner}  "e": [{inner}    %s{inner}  ],'
+                f'{inner}  "n": %s{inner}}}')
+        exp_sep = "," + inner + "    "
+        sep = "[" + inner
+        for item in node:
+            out.append(sep)
+            sep = "," + inner
+            if type(item) is dict and item.keys() == _TERM_KEYS:
+                d, e, n = item["d"], item["e"], item["n"]
+                if (type(d) is int and type(n) is int and type(e) is list
+                        and set(map(type, e)) == _INT):
+                    out.append(term % (d, exp_sep.join(map(int.__repr__, e)), n))
+                    continue
+            _write(item, inner, out)
+        out.append(nl + "]")
+    elif isinstance(node, str):
+        out.append(quote(node))
+    elif node is None:
+        out.append("null")
+    elif node is True:
+        out.append("true")
+    elif node is False:
+        out.append("false")
+    elif isinstance(node, int):
+        out.append(int.__repr__(node))
+    else:
+        raise TypeError(f"{type(node).__name__} {node!r} cannot appear in a report")
+
+
 def dumps(doc: dict) -> str:
-    """Byte-deterministic rendering: sorted keys, exact integers, no floats."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Byte-deterministic rendering: sorted keys, exact integers, no floats.
+
+    The text is exactly ``json.dumps(doc, indent=2, sort_keys=True)`` plus a
+    final newline, written without ``json``'s pure-Python indenting encoder.
+    Dict keys must be strings; a float or any other non-JSON value raises
+    :class:`TypeError`.
+    """
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)

@@ -518,6 +518,36 @@ def test_error_record_carries_the_input_meta_and_central(tmp_path, capsys):
                            "central": poly_terms(central)}
 
 
+@pytest.mark.parametrize("path, value", [
+    (("meta", "central", 1, "e", 0), False),   # an exponent entry
+    (("meta", "central", 1, "n"), True),
+    (("meta", "central", 1, "d"), True),
+    (("series", "g", 0, "j"), True),           # an index record
+    (("meta", "K"), True),
+    (("series", "tail", 1, "k"), True),
+    (("variables", "weights", 3), True),
+])
+def test_verify_input_rejects_booleans_where_integers_belong(path, value, tmp_path,
+                                                             capsys):
+    report = tmp_path / "series.json"
+    code, _ = _run(capsys, ["construct", "--rank", "2", "--order", "1",
+                            "--format", "json", "--output", str(report)])
+    assert code == 0
+    doc = json.loads(report.read_text())
+    *parents, last = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    # at order 1 the boolean equals the integer it replaces, so only its
+    # type can tell the edited report from the clean one
+    assert type(node[last]) is int and node[last] == value
+    node[last] = value
+    report.write_text(json.dumps(doc))
+    code, out = _run_json(capsys, ["verify", "--input", str(report)])
+    assert code == 1
+    assert out["error"]["type"] == "SerializeError"
+
+
 # ----- module entry ---------------------------------------------------------------
 
 

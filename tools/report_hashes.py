@@ -51,6 +51,9 @@ COMMANDS = [
     "gauge --rank 5/2 --order 5",
     "construct --rank 1 --order 5",
     "construct --rank 1 --order 6",
+    # the largest reports, where the JSON encoding does the most work
+    "construct --rank 3 --order 6",
+    "construct --rank 4 --order 5",
 ]
 
 
