@@ -166,20 +166,6 @@ def expected_frame_det(table: VarTable, r: int, cnames: Sequence[str]) -> Lauren
     return top * Fraction(sign * factorial(r))
 
 
-def series_inverse_coeffs(table: VarTable, r: int, cnames: Sequence[str],
-                          count: int) -> list[LaurentPoly]:
-    """Taylor coefficients of ``1 / (c_r + c_{r-1} z + ... + c_1 z^{r-1})``."""
-    top = _cvar(table, cnames, r)
-    top_inv = top ** -1
-    coeffs = [top_inv]
-    for p in range(1, count):
-        acc = LaurentPoly.zero(table)
-        for m in range(max(0, p - r + 1), p):
-            acc = acc + coeffs[m] * _cvar(table, cnames, r - p + m)
-        coeffs.append(-(acc * top_inv))
-    return coeffs
-
-
 class DualOperator:
     """Expansion-variable orders of the operator dual to one frame direction.
 
@@ -286,11 +272,6 @@ def odd_dual_operator(table: VarTable, r: int, cnames: Sequence[str],
     """Operator combination dual to deforming the top odd eigenvalue."""
     return _dual_from_frame(table, r, odd_frame_matrix(table, r, cnames, lam_name),
                             lam_name)
-
-
-def lowest_order_profile(op: DualOperator) -> dict[int, LaurentPoly]:
-    """Order-zero part of a dual operator (the seed of its recursion)."""
-    return dict(op.orders[0])
 
 
 # ----- rank families ------------------------------------------------------------

@@ -33,7 +33,6 @@ and then recomputes every prescribed pairing on the result.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Mapping
 
@@ -109,20 +108,6 @@ def gram_matrix(ctx: ModuleContext, lo: int, hi: int
     parts = weight_range_partitions(lo, hi)
     rows = [[gram_entry(ctx, mu, lam) for lam in parts] for mu in parts]
     return parts, rows
-
-
-def expected_diagonal(ctx: ModuleContext, lam: Partition) -> LaurentPoly:
-    """Closed form of the diagonal pairing entry."""
-    top = ctx.eigenvalue(2 * ctx.rho)
-    value = LaurentPoly.const(ctx.table, 1)
-    mult: dict[int, int] = {}
-    for part in lam:
-        mult[part] = mult.get(part, 0) + 1
-        value = value * (2 * part)
-        value = value * top
-    for count in mult.values():
-        value = value * math.factorial(count)
-    return value
 
 
 def pure_power_factor(poly: LaurentPoly, base: LaurentPoly) -> tuple[int, Fraction]:

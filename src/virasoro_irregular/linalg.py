@@ -154,20 +154,6 @@ def inverse_exact(rows: Sequence[Sequence[LaurentPoly]]) -> Matrix:
         raise NotDivisible(f"inverse leaves the Laurent ring: {exc}") from exc
 
 
-def mat_mul(a: Sequence[Sequence[LaurentPoly]], b: Sequence[Sequence[LaurentPoly]]) -> Matrix:
-    table = a[0][0].table
-    out = []
-    for row in a:
-        new = []
-        for j in range(len(b[0])):
-            acc = LaurentPoly.zero(table)
-            for k, entry in enumerate(row):
-                acc = acc + entry * b[k][j]
-            new.append(acc)
-        out.append(new)
-    return out
-
-
 def mat_vec(a: Sequence[Sequence[LaurentPoly]], v: Sequence[LaurentPoly]) -> list[LaurentPoly]:
     out = []
     for row in a:

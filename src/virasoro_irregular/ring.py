@@ -11,9 +11,8 @@ graded-lex order and a monomial product is a key sum; a field overflow
 raises :class:`RingError` rather than wrapping.  The denominator is kept
 reduced against the numerators, so all arithmetic is exact and canonical,
 and the public interface still speaks exponent tuples and
-``fractions.Fraction``.  Rational functions are quarantined in
-:class:`RationalFunction` and only appear where a solve genuinely needs
-denominators (ordinary Verma module solves and generic linear systems);
+``fractions.Fraction``.  Only the ordinary Verma (rank-one) solve keeps
+denominators, as :class:`RationalFunction` pairs without arithmetic;
 every other operation either stays in the Laurent ring or raises
 :class:`NotDivisible`.
 """
@@ -98,9 +97,6 @@ class VarTable:
             return self._index[name]
         except KeyError:
             raise VariableMismatch(f"unknown variable {name!r}") from None
-
-    def weight(self, name: str) -> int:
-        return self.weights[self.index(name)]
 
     def pack(self, exps: Sequence[int]) -> int:
         """Packed key of an exponent vector.
@@ -675,13 +671,14 @@ def _poly_exact_div(table: VarTable, a: dict[int, int],
 
 
 class RationalFunction:
-    """Quotient of Laurent polynomials, normalized opportunistically.
+    """A normalised (numerator, denominator) pair of Laurent polynomials.
 
-    There is no multivariate gcd here: the quotient is reduced when the
-    denominator divides the numerator exactly or is a unit monomial, and the
-    denominator is normalized to have positive leading coefficient and
-    rational content one.  That keeps ordinary Verma solves canonical enough
-    for equality tests (which cross-multiply) without a full gcd engine.
+    It carries no arithmetic: rank-one solves store their coefficients in
+    it, reports write its two halves, and the re-check clears the
+    denominators itself.  There is no multivariate gcd here: the quotient
+    is reduced when the denominator divides the numerator exactly or is a
+    unit monomial, and a surviving denominator is normalised to leading
+    coefficient one.  Equality cross-multiplies.
     """
 
     __slots__ = ("num", "den")
@@ -707,10 +704,6 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    @staticmethod
-    def from_poly(p: LaurentPoly) -> "RationalFunction":
-        return RationalFunction(p)
-
     @property
     def table(self) -> VarTable:
         return self.num.table
@@ -718,73 +711,15 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_poly(self) -> bool:
-        return self.den.is_constant()
-
-    def as_poly(self) -> LaurentPoly:
-        if not self.is_poly():
-            raise NotDivisible(f"denominator survives: {self.den}")
-        return self.num * (Fraction(1) / self.den.as_rational())
-
-    def _coerce(self, other) -> "RationalFunction":
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, LaurentPoly):
-            return RationalFunction(other)
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction(LaurentPoly.const(self.table, other))
-        raise TypeError(f"cannot coerce {type(other).__name__}")
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if self.num.is_zero():
-            return o
-        if o.num.is_zero():
-            return self
-        if self.den == o.den:
-            return RationalFunction(self.num + o.num, self.den)
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = RationalFunction.__new__(RationalFunction)
-        r.num = -self.num
-        r.den = self.den
-        return r
-
-    def __sub__(self, other):
-        return self.__add__(self._coerce(other).__neg__())
-
-    def __rsub__(self, other):
-        return self.__neg__().__add__(other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return RationalFunction(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
-
     def __eq__(self, other: object) -> bool:
-        try:
-            o = self._coerce(other)
-        except TypeError:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
-        return (self.num * o.den) == (o.num * self.den)
+        return (self.num * other.den) == (other.num * self.den)
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        if self.is_poly():
+        if self.den.is_constant():
             return f"RationalFunction({self.num})"
         return f"RationalFunction(({self.num}) / ({self.den}))"
 
@@ -825,7 +760,7 @@ class TruncatedSeries:
     # ----- constructors ---------------------------------------------------
 
     @staticmethod
-    def from_poly(p: LaurentPoly, var: str, hi: int | None = None) -> "TruncatedSeries":
+    def from_poly(p: LaurentPoly, var: str) -> "TruncatedSeries":
         parts = p.split_by_var(var)
         if parts:
             lo = min(parts)
@@ -834,8 +769,7 @@ class TruncatedSeries:
             coeffs = [parts.get(k, zero) for k in range(lo, top + 1)]
         else:
             lo, coeffs = 0, []
-        s = TruncatedSeries(p.table, var, lo, coeffs, None)
-        return s.truncate(hi) if hi is not None else s
+        return TruncatedSeries(p.table, var, lo, coeffs, None)
 
     @staticmethod
     def zero(table: VarTable, var: str) -> "TruncatedSeries":
@@ -861,15 +795,6 @@ class TruncatedSeries:
 
     def is_zero_on_window(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
-
-    def truncate(self, hi: int | None) -> "TruncatedSeries":
-        if hi is None:
-            return self
-        if self.hi is not None and hi > self.hi:
-            raise RingError("cannot extend a truncated series")
-        coeffs = [self.coeff(k) for k in range(self.lo, hi + 1)] if hi >= self.lo else []
-        lo = self.lo if hi >= self.lo else hi + 1
-        return TruncatedSeries(self.table, self.var, lo, coeffs, hi)
 
     def map_coeffs(self, fn: Callable[[LaurentPoly], LaurentPoly]) -> "TruncatedSeries":
         return TruncatedSeries(self.table, self.var, self.lo,
@@ -976,15 +901,6 @@ class TruncatedSeries:
                 acc = acc - qc * other.coeff(k + other.lo - (lo + i))
             qcoeffs.append(acc.exact_div(lead))
         return TruncatedSeries(self.table, self.var, lo, qcoeffs, hi)
-
-    def to_poly(self) -> LaurentPoly:
-        """Collapse an exact series back into a Laurent polynomial."""
-        if self.hi is not None:
-            raise RingError("only exact series can collapse to a polynomial")
-        acc = LaurentPoly.zero(self.table)
-        for k, c in enumerate(self.coeffs, start=self.lo):
-            acc = acc + c * LaurentPoly.var(self.table, self.var, k)
-        return acc
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .ring import LaurentPoly, RationalFunction, RingError, TruncatedSeries, VarTable
+from .ring import LaurentPoly, RationalFunction, VarTable
 
 Partition = tuple[int, ...]
 
@@ -63,8 +63,6 @@ def _coeff_is_zero(c) -> bool:
         return c.is_zero()
     if isinstance(c, RationalFunction):
         return c.is_zero()
-    if isinstance(c, TruncatedSeries):
-        return c.is_zero_on_window()
     return c == 0
 
 
@@ -184,9 +182,10 @@ def verma_context(table: VarTable, delta, c_vir) -> ModuleContext:
 class ModuleVector:
     """Finite linear combination of basis vectors of one module context.
 
-    Coefficients may be LaurentPolys, RationalFunctions or TruncatedSeries;
-    they only need to support ring arithmetic with LaurentPoly.  Zero
-    coefficients are dropped on construction.
+    Coefficients are LaurentPolys, except in rank-one series, whose vectors
+    store RationalFunctions; those carry no arithmetic, so such vectors are
+    only stored, read and serialized.  Zero coefficients are dropped on
+    construction.
     """
 
     __slots__ = ("ctx", "parts")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from virasoro_irregular.gram import (
     GramError,
     ProportionalityFailure,
     SingularGram,
-    expected_diagonal,
     gram_det_report,
     gram_entry,
     gram_entry_on,
@@ -46,6 +46,20 @@ def ctx_rank2() -> ModuleContext:
 def test_weight_range_partitions_order():
     assert weight_range_partitions(0, 2) == [(), (1,), (2,), (1, 1)]
     assert weight_range_partitions(2, 3) == [(2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+
+
+def expected_diagonal(ctx: ModuleContext, lam) -> LaurentPoly:
+    """Closed form of the diagonal pairing entry."""
+    top = ctx.eigenvalue(2 * ctx.rho)
+    value = LaurentPoly.const(ctx.table, 1)
+    mult: dict[int, int] = {}
+    for part in lam:
+        mult[part] = mult.get(part, 0) + 1
+        value = value * (2 * part)
+        value = value * top
+    for count in mult.values():
+        value = value * math.factorial(count)
+    return value
 
 
 def word_entry(ctx: ModuleContext, mu, lam) -> LaurentPoly:

@@ -14,13 +14,26 @@ from virasoro_irregular.linalg import (
     adjugate,
     det_bareiss,
     inverse_exact,
-    mat_mul,
     mat_vec,
     rref_solve_fraction,
 )
 from virasoro_irregular.ring import LaurentPoly, NotDivisible, VarTable
 
 T = VarTable(["x", "y", "z"], [1, 1, 1])
+
+
+def mat_mul(a, b) -> list[list[LaurentPoly]]:
+    table = a[0][0].table
+    out = []
+    for row in a:
+        new = []
+        for j in range(len(b[0])):
+            acc = LaurentPoly.zero(table)
+            for k, entry in enumerate(row):
+                acc = acc + entry * b[k][j]
+            new.append(acc)
+        out.append(new)
+    return out
 
 
 def rand_poly(rng: random.Random, dense: bool = False) -> LaurentPoly:

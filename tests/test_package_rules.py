@@ -1,0 +1,54 @@
+"""Rules about the package's shape that no single behaviour test would catch."""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from virasoro_irregular.ring import LaurentPoly
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "virasoro_irregular"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACER = _load_tracer()
+
+
+@pytest.mark.parametrize("span", sorted(TRACER.SPANS))
+def test_traced_functions_exist(span):
+    # tracer.install() looks every name up with getattr, so a deleted or
+    # renamed function would crash each traced benchmark run
+    module, functions = TRACER.SPANS[span]
+    home = importlib.import_module(f"virasoro_irregular.{module}")
+    for name in functions:
+        assert callable(getattr(home, name, None)), f"{module}.{name}"
+
+
+def test_traced_ring_methods_exist():
+    for methods in TRACER.RING.values():
+        for name in methods:
+            assert callable(getattr(LaurentPoly, name, None)), name
+
+
+def test_no_private_imports_across_modules():
+    offending = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("virasoro_irregular")):
+                offending += [f"{path.name}: from {'.' * node.level}{node.module or ''} "
+                              f"import {alias.name}"
+                              for alias in node.names if alias.name.startswith("_")]
+    assert not offending, offending

@@ -325,18 +325,37 @@ def test_rank1_level_one_vector_display_convention():
         LaurentPoly.const(t, 1), _v(t, "c0"))
 
 
+def _cleared_levels(series: IrregularSeries) -> list[tuple[LaurentPoly, ModuleVector]]:
+    """``(D_k, D_k v_k)`` per level, ``D_k`` the product of v_k's distinct
+    denominators, so that ``D_k v_k`` has polynomial coefficients."""
+    out = []
+    for vec in series.vectors:
+        dens: list[LaurentPoly] = []
+        for c in vec.parts.values():
+            if all(c.den != d for d in dens):
+                dens.append(c.den)
+        d = LaurentPoly.const(series.table, 1)
+        for den in dens:
+            d = d * den
+        out.append((d, vec.map_coeffs(lambda c: c.num * d.exact_div(c.den))))
+    return out
+
+
 @pytest.mark.parametrize("convention", [GENERAL, DISPLAY])
 def test_rank1_forward_relations(convention):
+    # each relation is multiplied through by the level denominators it
+    # involves, so it is checked on polynomial vectors
     s = _rank1(3, convention)
     t = s.table
+    (d0, n0), (d1, n1), (d2, n2), (_, n3) = _cleared_levels(s)
     lam1 = eigenvalue(t, 1, ("c1",), convention=convention)
     s1 = lam1.exact_div(_v(t, "c1"))
-    assert apply_mode(s.vectors[1], 1) == s.vectors[0].scale(s1)
-    assert apply_mode(s.vectors[2], 2) == s.vectors[0].scale(-1)
-    assert apply_mode(s.vectors[3], 3).is_zero()
+    assert apply_mode(n1, 1).scale(d0) == n0.scale(s1 * d1)
+    assert apply_mode(n2, 2).scale(d0) == n0.scale(-d2)
+    assert apply_mode(n3, 3).is_zero()
     delta = s.ctx.eigenvalue(0)
     two = LaurentPoly.const(t, 2)
-    assert apply_mode(s.vectors[2], 0) == s.vectors[2].scale(delta + two)
+    assert apply_mode(n2, 0) == n2.scale(delta + two)
     assert verify_canonical(s).all_ok
 
 
@@ -345,9 +364,10 @@ def test_rank1_perturbations_are_caught():
     off_level = s.vectors[1] + s.ctx.cyclic(
         RationalFunction(LaurentPoly.const(s.table, 1)))
     assert not verify_canonical(_with_vector(s, 1, off_level)).all_ok
-    one = RationalFunction(LaurentPoly.const(s.table, 1))
-    in_level = s.vectors[1] + s.ctx.basis((1,), one)
-    assert not verify_canonical(_with_vector(s, 1, in_level)).all_ok
+    # v_1 plus the basis vector b_(1): its coefficient c becomes c + 1
+    c = s.vectors[1].coeff((1,))
+    in_level = _with_coeff(s, 1, (1,), RationalFunction(c.num + c.den, c.den))
+    assert not verify_canonical(in_level).all_ok
 
 
 def _bump_lead(poly: LaurentPoly) -> LaurentPoly:
