@@ -22,7 +22,7 @@ from .linalg import InconsistentSystem, inverse_exact, rref_solve_fraction
 from .ring import LaurentPoly, TruncatedSeries, VarTable
 from .solver import (HALF, INTEGER, IrregularSeries, ResidualNonZero,
                      VerificationReport, scheduled_unknown)
-from .virasoro import ModuleContext, ModuleVector, apply_mode
+from .virasoro import ModuleVector, apply_mode
 
 
 class GaugeError(Exception):
@@ -33,7 +33,7 @@ class OrderTooSmall(GaugeError, ValueError):
     """The series is truncated too early for the lower-mode analysis."""
 
 
-class ProportionalityFailure(GaugeError):
+class NotParallel(GaugeError):
     """A lower-mode residual is not a scalar multiple of the series."""
 
 
@@ -53,110 +53,6 @@ class Infeasible(GaugeError):
     """No scalar completion exists within the requested denominator bound."""
 
 
-# ----- bucketed vector series -------------------------------------------------
-
-
-class VectorSeries:
-    """Family of module vectors graded by the expansion variable.
-
-    ``parts[m]`` is the order-``m`` coefficient; orders below the stored
-    ones are exactly zero and orders above ``hi`` are unknown.  Coefficients
-    never contain the expansion variable; multiplication scatters any powers
-    produced along the way back into the grading.
-    """
-
-    __slots__ = ("ctx", "var", "parts", "hi")
-
-    def __init__(self, ctx: ModuleContext, var: str,
-                 parts: dict[int, ModuleVector], hi: int):
-        self.ctx = ctx
-        self.var = var
-        self.parts = {m: v for m, v in parts.items()
-                      if m <= hi and not v.is_zero()}
-        self.hi = hi
-
-    @property
-    def lo(self) -> int:
-        return min(self.parts) if self.parts else 0
-
-    def window(self) -> tuple[int, int]:
-        return (self.lo, self.hi)
-
-    def entry(self, m: int) -> ModuleVector:
-        return self.parts.get(m, ModuleVector(self.ctx))
-
-    def is_zero_on_window(self) -> bool:
-        return not self.parts
-
-    def __sub__(self, other: "VectorSeries") -> "VectorSeries":
-        out = dict(self.parts)
-        for m, v in other.parts.items():
-            out[m] = out[m] - v if m in out else -v
-        return VectorSeries(self.ctx, self.var, out, min(self.hi, other.hi))
-
-    def apply_mode(self, n: int) -> "VectorSeries":
-        return VectorSeries(self.ctx, self.var,
-                            {m: apply_mode(v, n) for m, v in self.parts.items()},
-                            self.hi)
-
-    def _scatter(self, out: dict[int, ModuleVector], base: int,
-                 vec: ModuleVector) -> None:
-        for lam, coeff in vec.parts.items():
-            for d, part in coeff.split_by_var(self.var).items():
-                piece = ModuleVector(self.ctx, {lam: part})
-                out[base + d] = out[base + d] + piece if base + d in out else piece
-
-    def mul_poly(self, poly: LaurentPoly) -> "VectorSeries":
-        """Multiply by an exact Laurent scalar, regrading its variable powers."""
-        pieces = poly.split_by_var(self.var)
-        if not pieces:
-            return VectorSeries(self.ctx, self.var, {}, self.hi)
-        out: dict[int, ModuleVector] = {}
-        for d, part in pieces.items():
-            for m, v in self.parts.items():
-                scaled = v.scale(part)
-                out[m + d] = out[m + d] + scaled if m + d in out else scaled
-        return VectorSeries(self.ctx, self.var, out, self.hi + min(pieces))
-
-    def mul_series(self, s: TruncatedSeries) -> "VectorSeries":
-        if s.hi is None:
-            poly = LaurentPoly.zero(s.table)
-            for m in range(s.lo, s.known_hi + 1):
-                poly = poly + s.coeff(m) * LaurentPoly.var(s.table, self.var, m)
-            return self.mul_poly(poly)
-        out: dict[int, ModuleVector] = {}
-        for e in range(s.lo, s.hi + 1):
-            part = s.coeff(e)
-            if part.is_zero():
-                continue
-            for m, v in self.parts.items():
-                scaled = v.scale(part)
-                out[m + e] = out[m + e] + scaled if m + e in out else scaled
-        return VectorSeries(self.ctx, self.var, out,
-                            min(self.hi + s.lo, s.hi + self.lo))
-
-    def field_derivative(self, field: dict[str, LaurentPoly]) -> "VectorSeries":
-        """Apply a deformation field across coefficients and the grading."""
-        out: dict[int, ModuleVector] = {}
-        hi = self.hi
-        for m, v in self.parts.items():
-            self._scatter(out, m, v.map_coeffs(lambda p: apply_field(field, p)))
-        comp = field.get(self.var)
-        if comp is not None and not comp.is_zero():
-            shifts = comp.split_by_var(self.var)
-            hi = min(hi, self.hi - 1 + min(shifts))
-            for m, v in self.parts.items():
-                if m:
-                    self._scatter(out, m - 1, v.scale(comp * m))
-        return VectorSeries(self.ctx, self.var, out, hi)
-
-    def cyclic(self) -> TruncatedSeries:
-        """Constant-term series across the grading."""
-        lo = self.lo
-        coeffs = [self.entry(m).constant_term() for m in range(lo, self.hi + 1)]
-        return TruncatedSeries(self.ctx.table, self.var, lo, coeffs, self.hi)
-
-
 # ----- obstruction scalars ----------------------------------------------------
 
 
@@ -174,7 +70,7 @@ class ObstructionSet:
 
     def __init__(self, kind: str, r: int, table: VarTable, var: str,
                  cnames: tuple[str, ...], a: tuple[TruncatedSeries, ...],
-                 residuals: tuple[VectorSeries, ...] | None = None,
+                 residuals: tuple[TruncatedSeries, ...] | None = None,
                  theta: TruncatedSeries | None = None,
                  series: IrregularSeries | None = None,
                  completion: ScalarCompletion | None = None) -> None:
@@ -218,7 +114,7 @@ class _EngineState:
                  "base_scalars", "lift_cache")
 
     def __init__(self, series: IrregularSeries, fields: list[dict[str, LaurentPoly]],
-                 scalars: dict[int, LaurentPoly], tail: VectorSeries,
+                 scalars: dict[int, LaurentPoly], tail: TruncatedSeries,
                  theta: TruncatedSeries, prefactor: LaurentPoly,
                  beta: list[list[LaurentPoly]], base_scalars: list[LaurentPoly],
                  lift_cache: dict) -> None:
@@ -271,8 +167,8 @@ def _engine_state(series: IrregularSeries,
         # makes one more order clean
         raise OrderTooSmall("series order too small for a lower-mode window: "
                             f"--order {series.order + 1 - order} makes order 1 clean")
-    tail = VectorSeries(series.ctx, var,
-                        {k: series.vectors[k] for k in range(order + 1)}, order)
+    tail = TruncatedSeries(ModuleVector(series.ctx), var,
+                           {k: series.vectors[k] for k in range(order + 1)}, order)
     prefactor = LaurentPoly.zero(table)
     for j, gj in series.g.items():
         prefactor = prefactor + gj * LaurentPoly.var(table, var, -j)
@@ -292,8 +188,8 @@ def _engine_state(series: IrregularSeries,
     base_scalars = [conformal_weight(table, family.base_c0)]
     lower = lower_scalars(table, rho, cnames, c0name=family.base_c0)
     base_scalars.extend(lower[j] for j in range(1, rho))
-    return _EngineState(series=series, fields=fields, scalars=scalars,
-                        tail=tail, theta=tail.cyclic(), prefactor=prefactor,
+    return _EngineState(series=series, fields=fields, scalars=scalars, tail=tail,
+                        theta=tail.map(ModuleVector.constant_term), prefactor=prefactor,
                         beta=beta, base_scalars=base_scalars, lift_cache={})
 
 
@@ -312,11 +208,12 @@ def _cyclic_lift(state: _EngineState, lam: tuple[int, ...], j: int) -> ModuleVec
     return cached
 
 
-def _lift_term(state: _EngineState, i: int, tail: VectorSeries) -> VectorSeries:
-    """Field ``i`` applied to the cyclic vector inside every tail entry."""
-    var = state.series.var
-    out: dict[int, ModuleVector] = {}
+def _lift_term(state: _EngineState, i: int, tail: TruncatedSeries) -> TruncatedSeries:
+    """Field ``i`` applied to the cyclic vector inside every tail entry;
+    the series constructor regrades the expansion-variable powers of ``beta``."""
+    parts = {}
     for m, vec in tail.parts.items():
+        acc = tail.zero
         for lam, coeff in vec.parts.items():
             for j, b in enumerate(state.beta[i]):
                 if b.is_zero():
@@ -324,21 +221,18 @@ def _lift_term(state: _EngineState, i: int, tail: VectorSeries) -> VectorSeries:
                 lift = state.lift_cache.get((lam, j))
                 if lift is None:
                     lift = _cyclic_lift(state, lam, j)
-                if lift.is_zero():
-                    continue
-                for d, piece in (coeff * b).split_by_var(var).items():
-                    moved = lift.scale(piece)
-                    key = m + d
-                    out[key] = out[key] + moved if key in out else moved
-    return VectorSeries(state.series.ctx, var, out, tail.hi)
+                if not lift.is_zero():
+                    acc = acc + lift * (coeff * b)
+        parts[m] = acc
+    return TruncatedSeries(tail.zero, tail.var, parts, tail.hi)
 
 
-def _residual(state: _EngineState, n: int) -> VectorSeries:
+def _residual(state: _EngineState, n: int) -> TruncatedSeries:
     tail = state.tail
-    out = tail.apply_mode(n)
+    out = tail.map(lambda v: apply_mode(v, n))
     scalar = state.scalars.get(n)
     if scalar is not None and not scalar.is_zero():
-        out = out - tail.mul_poly(scalar)
+        out = out - tail * scalar
     if n < state.series.r:
         field = state.fields[n]
         table, var = state.series.table, state.series.var
@@ -348,13 +242,13 @@ def _residual(state: _EngineState, n: int) -> VectorSeries:
             deriv = deriv + state.series.nu * log_part * \
                 LaurentPoly.var(table, var, -1)
         if not deriv.is_zero():
-            out = out - tail.mul_poly(deriv)
-        out = out - tail.field_derivative(field) - _lift_term(state, n, tail)
+            out = out - tail * deriv
+        out = out - derive_series(field, tail) - _lift_term(state, n, tail)
     return out
 
 
 def mode_residual(series: IrregularSeries, n: int,
-                  completion: ScalarCompletion | None = None) -> VectorSeries:
+                  completion: ScalarCompletion | None = None) -> TruncatedSeries:
     """Residual of mode ``n`` against its completed deformation operator.
 
     Below the annihilating window the operator combines the mode scalar,
@@ -378,10 +272,10 @@ def obstructions(series: IrregularSeries,
     residuals = tuple(_residual(state, i) for i in range(series.r))
     ratios = []
     for i, res in enumerate(residuals):
-        a_i = res.cyclic().divide(state.theta)
-        diff = res - state.tail.mul_series(a_i)
+        a_i = res.map(ModuleVector.constant_term).divide(state.theta)
+        diff = res - state.tail * a_i
         if not diff.is_zero_on_window():
-            raise ProportionalityFailure(
+            raise NotParallel(
                 f"mode {i} residual is not parallel to the series on "
                 f"window {diff.window()}")
         ratios.append(a_i)
@@ -404,35 +298,24 @@ def window_str(s: TruncatedSeries) -> str:
 
 def derive_series(field: dict[str, LaurentPoly],
                   s: TruncatedSeries) -> TruncatedSeries:
-    """Deformation-field derivative of a scalar series in the grading."""
-    var, table = s.var, s.table
-    acc: dict[int, LaurentPoly] = {}
+    """Deformation-field derivative of a scalar or vector series.
 
-    def bump(order: int, part: LaurentPoly) -> None:
-        acc[order] = acc[order] + part if order in acc else part
+    The field acts on every coefficient, and its component along the
+    expansion variable also differentiates the grading, which shrinks the
+    window by that component's own lowest power of the variable.
+    """
+    def on_poly(p: LaurentPoly) -> LaurentPoly:
+        return apply_field(field, p)
 
-    hi = s.hi
-    comp = field.get(var)
-    top = s.known_hi
-    for m in range(s.lo, top + 1):
-        f = s.coeff(m)
-        if f.is_zero():
-            continue
-        for d, part in apply_field(field, f).split_by_var(var).items():
-            bump(m + d, part)
-        if comp is not None and m and not comp.is_zero():
-            for d, part in (comp * f * m).split_by_var(var).items():
-                bump(m - 1 + d, part)
-    if hi is not None and comp is not None and not comp.is_zero():
-        hi = min(hi, hi - 1 + min(comp.split_by_var(var)))
-    orders = [m for m in acc if hi is None or m <= hi]
-    lo = min(orders) if orders else (s.lo if hi is None else hi + 1)
-    top = max(orders) if orders else lo - 1
-    if hi is not None:
-        top = hi
-    zero = LaurentPoly.zero(table)
-    return TruncatedSeries(table, var, lo,
-                           [acc.get(m, zero) for m in range(lo, top + 1)], hi)
+    out = s.map(on_poly if isinstance(s.zero, LaurentPoly)
+                else lambda v: v.map_coeffs(on_poly))
+    comp = field.get(s.var)
+    if comp is None:
+        return out
+    grading = TruncatedSeries(s.zero, s.var,
+                              {m - 1: c * m for m, c in s.parts.items() if m},
+                              None if s.hi is None else s.hi - 1)
+    return out + grading * comp
 
 
 def frobenius_verify(obs: ObstructionSet) -> VerificationReport:
@@ -444,10 +327,9 @@ def frobenius_verify(obs: ObstructionSet) -> VerificationReport:
     """
     fields = Family(obs.kind, obs.r).fields(obs.table)
     report = VerificationReport()
-    exact_zero = TruncatedSeries.zero(obs.table, obs.var)
     for i in range(obs.r):
         for j in range(i + 1, obs.r):
-            target = obs.a[i + j] if i + j < obs.r else exact_zero
+            target = obs.a[i + j] if i + j < obs.r else 0
             lhs = derive_series(fields[i], obs.a[j]) \
                 - derive_series(fields[j], obs.a[i]) \
                 - (j - i) * target
@@ -462,10 +344,8 @@ def lstar_certificate(obs: ObstructionSet) -> TruncatedSeries:
     """Top-frame-row combination of the obstructions; zero when the
     potential is free of the expansion variable."""
     inv = inverse_exact(Family(obs.kind, obs.r).frame_matrix(obs.table))
-    acc = TruncatedSeries.zero(obs.table, obs.var)
-    for i in range(obs.r):
-        acc = acc + TruncatedSeries.from_poly(inv[obs.r - 1][i], obs.var) * obs.a[i]
-    return acc
+    return sum(TruncatedSeries.from_poly(c, obs.var) * a
+               for c, a in zip(inv[obs.r - 1], obs.a))
 
 
 def _split_active(poly: LaurentPoly, names: Sequence[str]) \
@@ -497,12 +377,8 @@ def integrate_potential(obs: ObstructionSet,
     if sorted(seq) != list(range(obs.r)):
         raise ValueError("order must permute the frame rows")
     inv = inverse_exact([rows[p] for p in seq])
-    comps = []
-    for k in range(obs.r):
-        acc = TruncatedSeries.zero(obs.table, obs.var)
-        for i in range(obs.r):
-            acc = acc + TruncatedSeries.from_poly(inv[k][i], obs.var) * obs.a[seq[i]]
-        comps.append(acc)
+    comps = [sum(TruncatedSeries.from_poly(c, obs.var) * obs.a[p]
+                 for c, p in zip(row, seq)) for row in inv]
     top = comps[obs.r - 1]
     # The expansion direction is read at order -1 and the parameter
     # components at order 0.  One more series order widens every window by
@@ -515,8 +391,7 @@ def integrate_potential(obs: ObstructionSet,
                 else "isolate the parameter components")
         raise OrderTooSmall(f"window too narrow to {what}: the smallest order "
                             f"that works is --order {obs.series.order + shortfall}")
-    bad = [m for m in range(top.lo, top.known_hi + 1)
-           if m != -1 and not top.coeff(m).is_zero()]
+    bad = sorted(m for m in top.parts if m != -1)
     if bad:
         raise ExpansionVariableLeak(
             f"potential depends on the expansion variable at orders {bad}")
@@ -526,8 +401,7 @@ def integrate_potential(obs: ObstructionSet,
     components: list[LaurentPoly] = []
     for j, name in enumerate(obs.cnames):
         comp = comps[j]
-        bad = [m for m in range(comp.lo, comp.known_hi + 1)
-               if m != 0 and not comp.coeff(m).is_zero()]
+        bad = sorted(m for m in comp.parts if m != 0)
         if bad:
             raise ExpansionVariableLeak(
                 f"component for {name} retains the expansion variable "
@@ -580,7 +454,7 @@ def apply_gauge_and_verify(series: IrregularSeries,
     if obs is None:
         obs = obstructions(series, completion)
     fields = Family(obs.kind, obs.r).fields(obs.table)
-    table, var = obs.table, obs.var
+    table = obs.table
     g0 = decomp.g0.migrate(table)
     nu = {j: nu_j.migrate(table) for j, nu_j in decomp.nu.items()}
     report = VerificationReport()
@@ -592,7 +466,7 @@ def apply_gauge_and_verify(series: IrregularSeries,
             if comp is not None:
                 deriv = deriv + nu_j * comp * \
                     LaurentPoly.var(table, obs.cnames[j - 1], -1)
-        resid = obs.a[i] - TruncatedSeries.from_poly(deriv, var)
+        resid = obs.a[i] - deriv
         ok = resid.is_zero_on_window()
         report.add(f"gauged mode {i} residual", window_str(resid), ok,
                    "" if ok else "residual survives the gauge")

@@ -725,163 +725,145 @@ class RationalFunction:
 
 
 class TruncatedSeries:
-    """Formal series in one distinguished variable with polynomial coefficients.
+    """Formal series in one distinguished variable, graded by its powers.
 
-    Coefficients are LaurentPolys that must be free of the expansion
-    variable; the window [lo, hi] marks the orders that are actually known.
-    ``hi=None`` means the series is exact (a finite Laurent polynomial in the
-    expansion variable), in which case no information is lost in products.
+    The coefficients are all LaurentPolys or all module vectors; ``zero``,
+    the zero coefficient, says which.  ``parts`` maps an order to its
+    nonzero coefficient, and no coefficient contains the expansion variable.
+    The window [lo, hi] marks the orders that are actually known: ``lo`` is
+    the lowest nonzero order (``hi + 1`` when the window holds only zeros),
+    and ``hi=None`` means the series is exact (a finite Laurent polynomial in
+    the expansion variable), in which case no information is lost in
+    products.
     """
 
-    __slots__ = ("table", "var", "lo", "coeffs", "hi")
+    __slots__ = ("zero", "var", "parts", "lo", "hi")
 
-    def __init__(self, table: VarTable, var: str, lo: int,
-                 coeffs: Sequence[LaurentPoly], hi: int | None):
-        self.table = table
-        self.var = var
-        table.index(var)
-        coeffs = list(coeffs)
-        if hi is not None and len(coeffs) != hi - lo + 1:
-            raise ValueError("coefficient count does not match window")
-        for c in coeffs:
-            if c.uses_var(var):
-                raise RingError(f"series coefficient uses expansion variable {var!r}")
-        # trim leading zeros for canonical form (keep window honest)
-        while coeffs and coeffs[0].is_zero():
-            coeffs.pop(0)
-            lo += 1
-        if hi is None:
-            while coeffs and coeffs[-1].is_zero():
-                coeffs.pop()
-        self.lo = lo
-        self.coeffs = coeffs
-        self.hi = hi
+    def __init__(self, zero, var: str, parts: Mapping[int, object], hi: int | None):
+        """Series with coefficient ``parts[m]`` at order ``m``.  A power
+        ``var**d`` left in that coefficient moves its part to order
+        ``m + d``; whatever lands above ``hi`` is dropped."""
+        zero.table.index(var)
+        acc: dict[int, object] = {}
+        for m, c in parts.items():
+            for d, piece in c.split_by_var(var).items():
+                acc[m + d] = acc[m + d] + piece if m + d in acc else piece
+        self._set(zero, var, acc, hi)
+
+    def _set(self, zero, var: str, parts: dict[int, object],
+             hi: int | None) -> "TruncatedSeries":
+        self.zero, self.var, self.hi = zero, var, hi
+        self.parts = {k: c for k, c in parts.items()
+                      if (hi is None or k <= hi) and not c.is_zero()}
+        self.lo = min(self.parts, default=0 if hi is None else hi + 1)
+        return self
+
+    def _like(self, parts: dict[int, object], hi: int | None) -> "TruncatedSeries":
+        """A series over this one's ring and coefficient type whose
+        coefficients are already free of the expansion variable, as sums,
+        products and quotients of such coefficients are: no regrading scan."""
+        return object.__new__(TruncatedSeries)._set(self.zero, self.var, parts, hi)
 
     # ----- constructors ---------------------------------------------------
 
     @staticmethod
     def from_poly(p: LaurentPoly, var: str) -> "TruncatedSeries":
-        parts = p.split_by_var(var)
-        if parts:
-            lo = min(parts)
-            top = max(parts)
-            zero = LaurentPoly.zero(p.table)
-            coeffs = [parts.get(k, zero) for k in range(lo, top + 1)]
-        else:
-            lo, coeffs = 0, []
-        return TruncatedSeries(p.table, var, lo, coeffs, None)
-
-    @staticmethod
-    def zero(table: VarTable, var: str) -> "TruncatedSeries":
-        return TruncatedSeries(table, var, 0, [], None)
+        return TruncatedSeries(LaurentPoly.zero(p.table), var, {0: p}, None)
 
     # ----- structure --------------------------------------------------------
+
+    @property
+    def table(self) -> VarTable:
+        return self.zero.table
 
     @property
     def known_hi(self) -> int:
         if self.hi is not None:
             return self.hi
-        return self.lo + len(self.coeffs) - 1 if self.coeffs else self.lo - 1
+        return max(self.parts, default=self.lo - 1)
 
-    def coeff(self, k: int) -> LaurentPoly:
+    def coeff(self, k: int):
         if self.hi is not None and k > self.hi:
             raise RingError(f"order {k} outside valid window (hi={self.hi})")
-        if k < self.lo or k >= self.lo + len(self.coeffs):
-            return LaurentPoly.zero(self.table)
-        return self.coeffs[k - self.lo]
+        return self.parts.get(k, self.zero)
 
     def window(self) -> tuple[int, int | None]:
         return (self.lo, self.hi)
 
     def is_zero_on_window(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.parts
 
-    def map_coeffs(self, fn: Callable[[LaurentPoly], LaurentPoly]) -> "TruncatedSeries":
-        return TruncatedSeries(self.table, self.var, self.lo,
-                               [fn(c) for c in self.coeffs], self.hi)
+    def map(self, fn: Callable) -> "TruncatedSeries":
+        """Apply ``fn`` to every coefficient (and to ``zero``), regrading."""
+        return TruncatedSeries(fn(self.zero), self.var,
+                               {m: fn(c) for m, c in self.parts.items()}, self.hi)
 
     # ----- arithmetic --------------------------------------------------------
 
-    def _check(self, other: "TruncatedSeries") -> None:
-        if self.table != other.table or self.var != other.var:
-            raise VariableMismatch("series over different rings or expansion variables")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            if isinstance(other, (int, Fraction)):
-                other = LaurentPoly.const(self.table, other)
+    def _operand(self, other):
+        """``other`` as a series over this one's ring, or None."""
+        if isinstance(other, (int, Fraction)):
+            other = LaurentPoly.const(self.table, other)
+        if isinstance(other, LaurentPoly):
             other = TruncatedSeries.from_poly(other, self.var)
         if not isinstance(other, TruncatedSeries):
+            return None
+        if self.table != other.table or self.var != other.var:
+            raise VariableMismatch("series over different rings or expansion variables")
+        return other
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
         his = [h for h in (self.hi, other.hi) if h is not None]
-        hi = min(his) if his else None
-        los = []
-        if self.coeffs or self.hi is not None:
-            los.append(self.lo)
-        if other.coeffs or other.hi is not None:
-            los.append(other.lo)
-        lo = min(los) if los else 0
-        if hi is not None and hi < lo:
-            return TruncatedSeries(self.table, self.var, hi + 1, [], hi)
-        top = hi if hi is not None else max(self.known_hi, other.known_hi, lo - 1)
-        coeffs = [self.coeff(k) + other.coeff(k) for k in range(lo, top + 1)]
-        return TruncatedSeries(self.table, self.var, lo, coeffs, hi)
+        parts = dict(self.parts)
+        for m, c in other.parts.items():
+            parts[m] = parts[m] + c if m in parts else c
+        return self._like(parts, min(his) if his else None)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.map_coeffs(lambda c: -c)
+        return self._like({m: -c for m, c in self.parts.items()}, self.hi)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            if isinstance(other, (int, Fraction)):
-                other = LaurentPoly.const(self.table, other)
-            other = TruncatedSeries.from_poly(other, self.var)
-        if not isinstance(other, TruncatedSeries):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        return self.__add__(other.__neg__())
+        return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            if isinstance(other, (int, Fraction)):
-                other = LaurentPoly.const(self.table, other)
-            other = TruncatedSeries.from_poly(other, self.var)
-        if not isinstance(other, TruncatedSeries):
+        """Product; a vector-coefficient operand keeps its coefficient type."""
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
-        if not self.coeffs and self.hi is None:
-            return TruncatedSeries.zero(self.table, self.var)
-        if not other.coeffs and other.hi is None:
-            return TruncatedSeries.zero(self.table, self.var)
+        if isinstance(self.zero, LaurentPoly) and not isinstance(other.zero, LaurentPoly):
+            return other * self
+        if (not self.parts and self.hi is None) or (not other.parts and other.hi is None):
+            return self._like({}, None)
         # unknown tail of a starts at a.hi+1, so the product is unknown from
         # (a.hi + 1 + b.lo); symmetrically for b.
-        bounds = []
-        if self.hi is not None:
-            bounds.append(self.hi + other.lo)
-        if other.hi is not None:
-            bounds.append(other.hi + self.lo)
+        bounds = [h + s.lo for h, s in ((self.hi, other), (other.hi, self))
+                  if h is not None]
         hi = min(bounds) if bounds else None
-        lo = self.lo + other.lo
-        if hi is not None and hi < lo:
-            return TruncatedSeries(self.table, self.var, hi + 1, [], hi)
-        top = hi if hi is not None else self.known_hi + other.known_hi
-        coeffs = []
-        for k in range(lo, top + 1):
-            acc = LaurentPoly.zero(self.table)
-            for i in range(self.lo, min(self.known_hi, k - other.lo) + 1):
-                acc = acc + self.coeff(i) * other.coeff(k - i)
-            coeffs.append(acc)
-        return TruncatedSeries(self.table, self.var, lo, coeffs, hi)
+        parts: dict[int, object] = {}
+        for i, a in self.parts.items():
+            for j, b in other.parts.items():
+                if hi is None or i + j <= hi:
+                    prod = a * b
+                    parts[i + j] = parts[i + j] + prod if i + j in parts else prod
+        return self._like(parts, hi)
 
     __rmul__ = __mul__
 
     def divide(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Long division; the divisor's lowest coefficient must be a unit monomial."""
-        self._check(other)
-        if not other.coeffs:
+        """Long division of scalar series; the divisor's lowest coefficient
+        must be a unit monomial."""
+        other = self._operand(other)
+        if not other.parts:
             raise ZeroDivisionError("series division by zero")
-        lead = other.coeffs[0]
+        lead = other.parts[other.lo]
         if not lead.is_unit_monomial():
             raise NonUnitLeadingCoefficient(
                 f"series divisor leading coefficient is not a unit monomial: {lead}")
@@ -894,28 +876,28 @@ class TruncatedSeries:
             bounds.append(other.hi - other.lo + lo)
         hi = min(bounds) if bounds else None
         top = hi if hi is not None else self.known_hi - other.lo
-        qcoeffs: list[LaurentPoly] = []
+        quot: dict[int, LaurentPoly] = {}
         for k in range(lo, top + 1):
             acc = self.coeff(k + other.lo)
-            for i, qc in enumerate(qcoeffs):
-                acc = acc - qc * other.coeff(k + other.lo - (lo + i))
-            qcoeffs.append(acc.exact_div(lead))
-        return TruncatedSeries(self.table, self.var, lo, qcoeffs, hi)
+            for i, qc in quot.items():
+                b = other.parts.get(k + other.lo - i)
+                if b is not None:
+                    acc = acc - qc * b
+            q = acc.exact_div(lead)
+            if not q.is_zero():
+                quot[k] = q
+        return self._like(quot, hi)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if self.table != other.table or self.var != other.var or self.hi != other.hi:
-            return False
-        lo = min(self.lo, other.lo)
-        top = max(self.known_hi, other.known_hi)
-        return all(self.coeff(k) == other.coeff(k) for k in range(lo, top + 1))
+        return (self.table == other.table and self.var == other.var
+                and self.hi == other.hi and self.parts == other.parts)
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        parts = [f"({c})*{self.var}^{k}" for k, c in enumerate(self.coeffs, start=self.lo)
-                 if not c.is_zero()]
+        parts = [f"({self.parts[k]})*{self.var}^{k}" for k in sorted(self.parts)]
         body = " + ".join(parts) if parts else "0"
         tail = "" if self.hi is None else f" + O({self.var}^{self.hi + 1})"
         return f"TruncatedSeries({body}{tail})"

@@ -271,12 +271,8 @@ def report_doc(report: VerificationReport) -> list[dict]:
 
 def truncated_doc(series: TruncatedSeries) -> dict:
     """Windowed scalar series: one polynomial per expansion-variable order."""
-    orders = []
-    if series.hi is not None:
-        for m in range(series.lo, series.hi + 1):
-            poly = series.coeff(m)
-            if not poly.is_zero():
-                orders.append({"m": m, "poly": poly_terms(poly)})
+    orders = [] if series.hi is None else [
+        {"m": m, "poly": poly_terms(series.parts[m])} for m in sorted(series.parts)]
     return {"var": series.var, "lo": series.lo, "hi": series.hi, "orders": orders}
 
 

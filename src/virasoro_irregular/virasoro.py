@@ -198,6 +198,10 @@ class ModuleVector:
                 if not _coeff_is_zero(c):
                     self.parts[tuple(lam)] = c
 
+    @property
+    def table(self) -> VarTable:
+        return self.ctx.table
+
     def is_zero(self) -> bool:
         return not self.parts
 
@@ -241,6 +245,17 @@ class ModuleVector:
         if _coeff_is_zero(scalar):
             return ModuleVector(self.ctx)
         return self.map_coeffs(lambda c: c * scalar)
+
+    __mul__ = scale
+
+    def split_by_var(self, name: str) -> dict[int, "ModuleVector"]:
+        """Decompose as a finite Laurent polynomial in ``name`` with vector
+        coefficients free of it."""
+        out: dict[int, dict[Partition, object]] = {}
+        for lam, c in self.parts.items():
+            for d, part in c.split_by_var(name).items():
+                out.setdefault(d, {})[lam] = part
+        return {d: ModuleVector(self.ctx, parts) for d, parts in out.items()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ModuleVector):

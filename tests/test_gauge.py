@@ -22,9 +22,9 @@ from virasoro_irregular.gauge import (
     GaugeError,
     Infeasible,
     NotClosed,
+    NotParallel,
     ObstructionSet,
     PotentialDecomposition,
-    ProportionalityFailure,
     ScalarCompletion,
     WeightZeroObstruction,
     apply_gauge_and_verify,
@@ -48,6 +48,7 @@ from virasoro_irregular.solver import (
     solve_half,
     solve_integer,
 )
+from virasoro_irregular.virasoro import ModuleVector, verma_context
 
 
 @lru_cache(maxsize=None)
@@ -177,27 +178,85 @@ def test_tampered_tail_vector_fails_proportionality():
     vectors[1] = vectors[1] + series.ctx.basis((1,))
     tampered = copy.copy(series)
     tampered.vectors = vectors
-    with pytest.raises(ProportionalityFailure):
+    with pytest.raises(NotParallel):
         obstructions(tampered)
 
 
-# ----- scalar derivative in the grading ----------------------------------------
+# ----- derivative and products in the grading ----------------------------------
+
+
+_TABLE = VarTable(["Q", "c0", "c1", "c2"], [0, 0, 1, 2])
+_CTX = verma_context(_TABLE, _v(_TABLE, "c0"), _v(_TABLE, "Q"))
+_LAMS = [(), (1,), (2,), (1, 1)]
+
+
+def _random_poly(rng: random.Random, nterms: int) -> LaurentPoly:
+    poly = LaurentPoly.zero(_TABLE)
+    for _ in range(nterms):
+        poly = poly + (_v(_TABLE, "c1", rng.randrange(-3, 4))
+                       * _v(_TABLE, "c2", rng.randrange(-2, 4))
+                       * rng.randrange(-4, 5))
+    return poly
+
+
+def _random_vector_series(rng: random.Random, hi: int | None) -> TruncatedSeries:
+    """Module-vector series whose coefficients carry powers of c2."""
+    vec = ModuleVector(_CTX, {lam: _random_poly(rng, rng.randrange(0, 4))
+                              for lam in _LAMS})
+    return TruncatedSeries(ModuleVector(_CTX), "c2", {0: vec}, hi)
+
+
+def _at(lam):
+    return lambda vec: vec.coeff(lam)
 
 
 def test_derive_series_matches_the_direct_derivative():
-    table = VarTable(["Q", "c0", "c1", "c2"], [0, 0, 1, 2])
-    fields = deformation_fields(table, 2, ("c1", "c2"))
+    fields = deformation_fields(_TABLE, 2, ("c1", "c2"))
     rng = random.Random(20240612)
     for field in fields:
         for _ in range(10):
-            poly = LaurentPoly.zero(table)
-            for _ in range(rng.randrange(1, 5)):
-                poly = poly + (_v(table, "c1", rng.randrange(-3, 4))
-                               * _v(table, "c2", rng.randrange(-2, 4))
-                               * rng.randrange(-4, 5))
+            poly = _random_poly(rng, rng.randrange(1, 5))
             series = TruncatedSeries.from_poly(poly, "c2")
             direct = TruncatedSeries.from_poly(apply_field(field, poly), "c2")
             assert derive_series(field, series) == direct
+        # vector coefficients, exact and windowed: partition by partition
+        for hi in (None, 2, -1):
+            for _ in range(5):
+                series = _random_vector_series(rng, hi)
+                derived = derive_series(field, series)
+                for lam in _LAMS:
+                    scalar = derive_series(field, series.map(_at(lam)))
+                    assert derived.map(_at(lam)) == scalar
+
+
+def test_vector_times_scalar_series_is_the_scalar_product_per_partition():
+    rng = random.Random(20261020)
+    for _ in range(20):
+        vec = _random_vector_series(rng, rng.choice([None, 3]))
+        poly = (_v(_TABLE, "c2", rng.randrange(-1, 2), rng.randrange(1, 4))
+                + _v(_TABLE, "c1") * _v(_TABLE, "c2", rng.randrange(0, 3)))
+        scalar = TruncatedSeries(LaurentPoly.zero(_TABLE), "c2", {0: poly},
+                                 rng.randrange(0, 3))
+        prod = vec * scalar
+        assert prod == scalar * vec and isinstance(prod.zero, ModuleVector)
+        per_lam = [vec.map(_at(lam)) * scalar for lam in _LAMS]
+        # the vector window is the narrowest of the per-partition windows
+        assert prod.hi == min((p.hi for p in per_lam if p.hi is not None),
+                              default=None)
+        for lam, p in zip(_LAMS, per_lam):
+            assert prod.map(_at(lam)).parts == {m: c for m, c in p.parts.items()
+                                                if prod.hi is None or m <= prod.hi}
+
+
+def test_an_all_zero_window_is_a_zero_series_of_either_coefficient_type():
+    # an all-zero vector series once reported lo = 0, so its constant-term
+    # series could not be built for a window ending below order -1
+    scalar = TruncatedSeries(LaurentPoly.zero(_TABLE), "c2", {}, -3)
+    vector = TruncatedSeries(ModuleVector(_CTX), "c2", {}, -3)
+    cyclic = vector.map(ModuleVector.constant_term)
+    for s in (scalar, vector, cyclic, vector - vector):
+        assert s.window() == (-2, -3) and s.is_zero_on_window()
+    assert isinstance(cyclic.zero, LaurentPoly)
 
 
 # ----- potential integration -----------------------------------------------------
@@ -288,7 +347,8 @@ def test_integrate_detects_unclosed_forms():
 def test_integrate_requires_a_wide_enough_window():
     obs = _obstructions(INTEGER, 2, 4)
     narrow = copy.copy(obs)
-    narrow.a = tuple(TruncatedSeries(obs.table, obs.var, 0, [], -1) for _ in obs.a)
+    narrow.a = tuple(TruncatedSeries(LaurentPoly.zero(obs.table), obs.var, {}, -1)
+                     for _ in obs.a)
     with pytest.raises(GaugeError):
         integrate_potential(narrow)
 

@@ -101,7 +101,8 @@ def test_dumps_matches_json_on_every_command_document(argv, monkeypatch, capsys)
 # ----- byte contract --------------------------------------------------------------
 
 # byte size and sha256 of the reports of the benchmark's construct and gauge
-# commands, as fingerprinted by tools/report_hashes.py
+# commands, plus one small gauge report that needs three obstruction scalars,
+# as fingerprinted by tools/report_hashes.py
 PINNED_REPORTS = [
     ("construct --rank 2 --order 4", 420460,
      "a1cd2f0ec70aa408c5281bb857bd9d0ab1a83fd2e4c1eb3b2a902ac9df44fd19"),
@@ -115,6 +116,8 @@ PINNED_REPORTS = [
      "6ba3026bae59d65ced73868013ec660fe876847b2b5d513086e3943078de5ffd"),
     ("construct --rank 1 --order 4 --convention section2-display", 235531,
      "4d728815bfdc96789ef9c50791aa973d602d8a64b8ed2b32e3a4ce795e4d353c"),
+    ("gauge --rank 3 --order 4", 10954,
+     "183a32ce457253b0b34285fa1a545afb7b5803e758169d2f290c95c85d9deffd"),
 ]
 
 

@@ -197,6 +197,12 @@ def test_rational_function_constructor_normalises():
         RationalFunction(q, zero)
 
 
+def dense(lo: int, coeffs: list[LaurentPoly], hi: int | None) -> TruncatedSeries:
+    """Series in c2 with ``coeffs[k]`` at order ``lo + k``."""
+    return TruncatedSeries(LaurentPoly.zero(TABLE), "c2",
+                           {lo + k: c for k, c in enumerate(coeffs)}, hi)
+
+
 def test_series_from_poly_round_trip():
     t = LaurentPoly.var(TABLE, "c2")
     q = LaurentPoly.var(TABLE, "Q")
@@ -204,22 +210,28 @@ def test_series_from_poly_round_trip():
     s = TruncatedSeries.from_poly(p, "c2")
     assert s.window() == (-1, None)
     back = LaurentPoly.zero(TABLE)
-    for k, c in enumerate(s.coeffs, start=s.lo):
+    for k, c in s.parts.items():
         back = back + c * t ** k
     assert back == p
     assert s.coeff(2) == q
     assert s.coeff(5).is_zero()
 
 
-def test_series_coefficients_reject_expansion_variable():
-    with pytest.raises(RingError):
-        TruncatedSeries(TABLE, "c2", 0, [LaurentPoly.var(TABLE, "c2")], 0)
+def test_series_constructor_regrades_expansion_variable_powers():
+    t = LaurentPoly.var(TABLE, "c2")
+    q = LaurentPoly.var(TABLE, "Q")
+    s = dense(0, [q * t + 1, q], 2)
+    assert s.parts == {0: LaurentPoly.const(TABLE, 1), 1: 2 * q}
+    # a power that lands above the window is dropped with it
+    assert dense(0, [t], 0).window() == (1, 0)
+    one = LaurentPoly.const(TABLE, 1)
+    assert dense(0, [q * t ** 3, t ** -1], 1) == dense(0, [one], 1)
 
 
 def test_series_window_tracking_through_products():
     q = LaurentPoly.var(TABLE, "Q")
-    a = TruncatedSeries(TABLE, "c2", 0, [LaurentPoly.const(TABLE, 1), q, q * q], 2)
-    b = TruncatedSeries(TABLE, "c2", 1, [LaurentPoly.const(TABLE, 2)], None)
+    a = dense(0, [LaurentPoly.const(TABLE, 1), q, q * q], 2)
+    b = dense(1, [LaurentPoly.const(TABLE, 2)], None)
     prod = a * b
     # b is exact with lo=1, so knowledge is limited by a.hi + b.lo = 3
     assert prod.window() == (1, 3)
@@ -231,8 +243,7 @@ def test_series_window_tracking_through_products():
 def windowed(p: LaurentPoly, hi: int) -> TruncatedSeries:
     """``p`` as a series in c2 whose orders above ``hi`` are unknown."""
     exact = TruncatedSeries.from_poly(p, "c2")
-    return TruncatedSeries(TABLE, "c2", exact.lo,
-                           [exact.coeff(k) for k in range(exact.lo, hi + 1)], hi)
+    return dense(exact.lo, [exact.coeff(k) for k in range(exact.lo, hi + 1)], hi)
 
 
 def test_series_product_matches_poly_product_on_window():
@@ -252,8 +263,8 @@ def test_series_product_matches_poly_product_on_window():
 def test_series_division_inverts_multiplication():
     q = LaurentPoly.var(TABLE, "Q")
     one = LaurentPoly.const(TABLE, 1)
-    b = TruncatedSeries(TABLE, "c2", 0, [one, q, q + 1, q * q], 3)
-    a = TruncatedSeries(TABLE, "c2", 0, [q + 2, one, q, 2 * q], 3)
+    b = dense(0, [one, q, q + 1, q * q], 3)
+    a = dense(0, [q + 2, one, q, 2 * q], 3)
     quot = a.divide(b)
     assert (quot * b - a).is_zero_on_window()
 
@@ -261,19 +272,19 @@ def test_series_division_inverts_multiplication():
 def test_series_division_by_unit_monomial_leading_coeff():
     c1 = LaurentPoly.var(TABLE, "c1")
     lead = 2 * c1  # unit monomial, invertible
-    b = TruncatedSeries(TABLE, "c2", 1, [lead, LaurentPoly.const(TABLE, 1)], 2)
-    a = TruncatedSeries(TABLE, "c2", 1, [c1 * c1, c1], 2)
+    b = dense(1, [lead, LaurentPoly.const(TABLE, 1)], 2)
+    a = dense(1, [c1 * c1, c1], 2)
     quot = a.divide(b)
     assert quot.lo == 0
     assert quot.coeff(0) == LaurentPoly.const(TABLE, Fraction(1, 2)) * c1
-    bad = TruncatedSeries(TABLE, "c2", 0, [c1 + 1], 0)
+    bad = dense(0, [c1 + 1], 0)
     with pytest.raises(NonUnitLeadingCoefficient):
         a.divide(bad)
 
 
 def test_series_addition_aligns_windows():
     q = LaurentPoly.var(TABLE, "Q")
-    a = TruncatedSeries(TABLE, "c2", 0, [q, q], 1)
+    a = dense(0, [q, q], 1)
     b = TruncatedSeries.from_poly(LaurentPoly.var(TABLE, "c2", 3), "c2")
     s = a + b
     assert s.window() == (0, 1)  # the exact part beyond a's window is discarded

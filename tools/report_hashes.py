@@ -54,6 +54,11 @@ COMMANDS = [
     # the largest reports, where the JSON encoding does the most work
     "construct --rank 3 --order 6",
     "construct --rank 4 --order 5",
+    # the window arithmetic of graded series: two error records whose named
+    # order is computed from a window's top, and the largest clean gauge run
+    "gauge --rank 3 --order 3",
+    "gauge --rank 5/2 --order 4",
+    "gauge --rank 4 --order 6",
 ]
 
 
