@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .frames import (Family, apply_field, conformal_weight, eigen_window,
                      frame_matrix, lower_scalars, quadratic_scalars)
-from .linalg import InconsistentSystem, inverse_exact, rref_solve_fraction
+from .linalg import InconsistentSystem, inverse_exact, sparse_solve
 from .ring import LaurentPoly, TruncatedSeries, VarTable
 from .solver import (HALF, INTEGER, IrregularSeries, ResidualNonZero,
                      VerificationReport, scheduled_unknown)
@@ -540,45 +540,34 @@ def scalar_completion_half(r: int, bound: int = 1) -> ScalarCompletion:
         for mono in _weighted_monomials(table, cnames, var, n, bound):
             basis.extend((n, slot * mono) for slot in slots)
 
-    equations: list[tuple[list[LaurentPoly], LaurentPoly]] = []
+    # one row per (relation, monomial); the last relation is the frame row
     zero = LaurentPoly.zero(table)
-    for i in range(r):
-        for j in range(i + 1, r):
-            cols = []
-            for n, b in basis:
-                term = zero
-                if n == j:
-                    term = term + apply_field(fields[i], b)
-                if n == i:
-                    term = term - apply_field(fields[j], b)
-                if n == i + j:
-                    term = term - (j - i) * b
-                cols.append(term)
-            rhs = (j - i) * fixed.get(i + j, zero) if i + j >= r else zero
-            equations.append((cols, rhs))
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
     inv_row = inverse_exact(family.frame_matrix(table))[r - 1]
-    equations.append(([inv_row[n] * b for n, b in basis], zero))
-
-    rows: list[list[Fraction]] = []
-    rhs_col: list[Fraction] = []
-    for cols, rhs in equations:
-        seen: dict[tuple, int] = {}
-
-        def row_for(expo: tuple) -> int:
-            if expo not in seen:
-                seen[expo] = len(rows)
-                rows.append([Fraction(0)] * len(basis))
-                rhs_col.append(Fraction(0))
-            return seen[expo]
-
-        for u, poly in enumerate(cols):
+    rows: dict[tuple, dict[int, Fraction]] = {}
+    rhs: dict[tuple, Fraction] = {}
+    for u, (n, b) in enumerate(basis):
+        polys = []
+        for i, j in pairs:
+            term = zero
+            if n == j:
+                term = term + apply_field(fields[i], b)
+            if n == i:
+                term = term - apply_field(fields[j], b)
+            if n == i + j:
+                term = term - (j - i) * b
+            polys.append(term)
+        polys.append(inv_row[n] * b)
+        for rel, poly in enumerate(polys):
             for expo, coeff in poly.iter_terms():
-                rows[row_for(expo)][u] += coeff
-        for expo, coeff in rhs.iter_terms():
-            rhs_col[row_for(expo)] += coeff
-
+                rows.setdefault((rel, expo), {})[u] = coeff
+    for rel, (i, j) in enumerate(pairs):
+        for expo, coeff in ((j - i) * fixed.get(i + j, zero)).iter_terms():
+            rows.setdefault((rel, expo), {})
+            rhs[(rel, expo)] = coeff
     try:
-        solution, _ = rref_solve_fraction(rows, rhs_col)
+        solution = sparse_solve(list(rows.values()),
+                                [rhs.get(k, Fraction(0)) for k in rows], len(basis))
     except InconsistentSystem as exc:
         raise Infeasible(f"no scalar completion within bound {bound}") from exc
     sigma = [zero for _ in range(r)]

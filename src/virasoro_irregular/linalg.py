@@ -7,7 +7,9 @@ fraction-free back substitution.  Frame inverses take every column; the
 rank-one level solve multiplies the adjugate into a right-hand side that
 vanishes at most partitions, so it asks only for the columns where that
 side is nonzero: at level ``k`` (a ``p(k)``-row matrix, 11 rows at level 6)
-at most ``1 + k // 2`` of them.
+at most ``1 + k // 2`` of them.  Both read the determinant off one computed
+column instead of eliminating again.  Rational systems, such as the
+odd-family scalar completion, are solved sparsely.
 """
 
 from __future__ import annotations
@@ -33,8 +35,32 @@ class InconsistentSystem(LinalgError):
 Matrix = list[list[LaurentPoly]]
 
 
-def _clone(rows: Sequence[Sequence[LaurentPoly]]) -> Matrix:
-    return [list(row) for row in rows]
+def _bareiss(a: Matrix, n: int) -> int:
+    """Fraction-free elimination of the leading ``n`` columns of ``a``, in place.
+
+    Every column right of the pivot is carried along, so bordered columns
+    come out reduced too; an entry that is zero and stays zero is skipped.
+    Returns the row-swap sign, or 0 when a column has no pivot.  Afterwards
+    ``a[n-1][n-1]`` is the determinant of the row-permuted square block.
+    """
+    width = len(a[0])
+    sign, prev = 1, LaurentPoly.const(a[0][0].table, 1)
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        top, pivot = a[k], a[k][k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, width):
+                if row[j].is_zero() and (f.is_zero() or top[j].is_zero()):
+                    continue
+                row[j] = (pivot * row[j] - f * top[j]).exact_div(prev)
+        prev = pivot
+    return sign
 
 
 def det_bareiss(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
@@ -44,31 +70,8 @@ def det_bareiss(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
         raise ValueError("empty matrix")
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    table = rows[0][0].table
-    a = _clone(rows)
-    sign = 1
-    prev = LaurentPoly.const(table, 1)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-            if swap is None:
-                return LaurentPoly.zero(table)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).exact_div(prev)
-            a[i][k] = LaurentPoly.zero(table)
-        prev = a[k][k]
-    return a[n - 1][n - 1] if sign == 1 else -a[n - 1][n - 1]
-
-
-def _minor(rows: Sequence[Sequence[LaurentPoly]], drop_row: int, drop_col: int) -> Matrix:
-    return [
-        [entry for j, entry in enumerate(row) if j != drop_col]
-        for i, row in enumerate(rows)
-        if i != drop_row
-    ]
+    a = [list(row) for row in rows]
+    return _bareiss(a, n) * a[n - 1][n - 1]
 
 
 def adjugate(rows: Sequence[Sequence[LaurentPoly]],
@@ -98,23 +101,9 @@ def adjugate(rows: Sequence[Sequence[LaurentPoly]],
     one = LaurentPoly.const(table, 1)
     a = [list(row) + [one if i == j else zero for j in cols]
          for i, row in enumerate(rows)]
-    width = len(a[0])
-    sign, prev = 1, one
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-            if swap is None:
-                return _cofactor_adjugate(rows, cols, out)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        top, pivot = a[k], a[k][k]
-        for row in a[k + 1:]:
-            f = row[k]
-            for j in range(k + 1, width):
-                if row[j].is_zero() and (f.is_zero() or top[j].is_zero()):
-                    continue
-                row[j] = (pivot * row[j] - f * top[j]).exact_div(prev)
-        prev = pivot
+    sign = _bareiss(a, n)
+    if sign == 0:
+        return _cofactor_adjugate(rows, cols, out)
     det = a[n - 1][n - 1]
     for c, j in enumerate(cols, start=n):
         x = [zero] * n
@@ -136,18 +125,26 @@ def _cofactor_adjugate(rows: Sequence[Sequence[LaurentPoly]], cols: Sequence[int
     n = len(rows)
     for j in cols:
         for i in range(n):
-            cof = (det_bareiss(_minor(rows, j, i)) if n > 1
-                   else LaurentPoly.const(rows[0][0].table, 1))
+            minor = [[entry for c, entry in enumerate(row) if c != i]
+                     for k, row in enumerate(rows) if k != j]
+            cof = det_bareiss(minor) if n > 1 else LaurentPoly.const(rows[0][0].table, 1)
             out[i][j] = cof if (i + j) % 2 == 0 else -cof
     return out
 
 
+def det_from_adjugate(rows: Sequence[Sequence[LaurentPoly]], adj: Matrix,
+                      j: int) -> LaurentPoly:
+    """``det(A)`` as row ``j`` of ``A`` times column ``j`` of its adjugate."""
+    return sum((a * adj[i][j] for i, a in enumerate(rows[j])),
+               LaurentPoly.zero(rows[0][0].table))
+
+
 def inverse_exact(rows: Sequence[Sequence[LaurentPoly]]) -> Matrix:
     """Inverse with entries in the Laurent ring; needs det to divide every cofactor."""
-    d = det_bareiss(rows)
+    adj = adjugate(rows)
+    d = det_from_adjugate(rows, adj, 0)
     if d.is_zero():
         raise SingularSystem("matrix determinant is zero")
-    adj = adjugate(rows)
     try:
         return [[entry.exact_div(d) for entry in row] for row in adj]
     except NotDivisible as exc:
@@ -164,39 +161,51 @@ def mat_vec(a: Sequence[Sequence[LaurentPoly]], v: Sequence[LaurentPoly]) -> lis
     return out
 
 
-def rref_solve_fraction(
-    a_rows: Sequence[Sequence[Fraction]],
-    b: Sequence[Fraction],
-) -> tuple[list[Fraction], list[int]]:
-    """Solve a rational linear system, zeroing all free variables.
+def sparse_solve(rows: Sequence[dict[int, Fraction]], rhs: Sequence[Fraction],
+                 ncols: int) -> list[Fraction]:
+    """Solve a sparse rational system, zeroing all free columns.
 
-    Returns ``(solution, free_columns)``; the solution is the unique one
-    supported on pivot columns, which makes the output deterministic.
-    Raises InconsistentSystem when no solution exists.
+    Each row maps a column to its nonzero coefficient.  The columns are
+    eliminated left to right, each on the sparsest live row that holds it,
+    so the pivot columns are the greedy left-to-right column basis whatever
+    the row order, and the solution supported on them is unique.  Raises
+    InconsistentSystem when no solution exists.
     """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(a_rows, b)]
-    row = 0
-    pivot_of_col: dict[int, int] = {}
-    for col in range(n):
-        piv = next((i for i in range(row, m) if aug[i][col] != 0), None)
-        if piv is None:
+    live = [dict(row) for row in rows]
+    b = list(rhs)
+    holders: dict[int, set[int]] = {}   # column -> the non-pivot rows holding it
+    for i, row in enumerate(live):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+    pivots: list[tuple[int, dict[int, Fraction], Fraction]] = []
+    for col in range(ncols):
+        held = holders.pop(col, None)
+        if not held:
             continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [entry * inv for entry in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[row])]
-        pivot_of_col[col] = row
-        row += 1
-    for i in range(row, m):
-        if aug[i][n] != 0:
-            raise InconsistentSystem("no solution over the rationals")
-    xs = [Fraction(0)] * n
-    for col, r in pivot_of_col.items():
-        xs[col] = aug[r][n]
-    free = [c for c in range(n) if c not in pivot_of_col]
-    return xs, free
+        p = min(held, key=lambda i: (len(live[i]), i))
+        held.discard(p)
+        top = live[p]
+        inv = 1 / Fraction(top.pop(col))
+        for c in top:
+            top[c] *= inv
+            holders[c].discard(p)
+        top_b, b[p] = b[p] * inv, 0
+        pivots.append((col, top, top_b))
+        for i in held:
+            row = live[i]
+            f = row.pop(col)
+            for c, v in top.items():
+                x = row.get(c, 0) - f * v
+                if x:
+                    row[c] = x
+                    holders.setdefault(c, set()).add(i)
+                else:
+                    del row[c]
+                    holders[c].discard(i)
+            b[i] -= f * top_b
+    if any(b):
+        raise InconsistentSystem("no solution over the rationals")
+    xs = [Fraction(0)] * ncols
+    for col, top, top_b in reversed(pivots):
+        xs[col] = top_b - sum(v * xs[c] for c, v in top.items())
+    return xs

@@ -20,7 +20,7 @@ from .frames import (CONVENTIONS, GENERAL, HALF, INTEGER, RANK_ONE, DualOperator
                      Family, conformal_weight, default_central_charge,
                      eigen_window, eigenvalue, lower_scalars)
 from .gram import gram_entry, gram_entry_on, solve_descendants
-from .linalg import adjugate, det_bareiss, mat_vec
+from .linalg import adjugate, det_from_adjugate, mat_vec
 from .ring import LaurentPoly, NotDivisible, RationalFunction, VarTable
 from .virasoro import (ModuleContext, ModuleVector, apply_mode, apply_tilde,
                        partitions_of, verma_context)
@@ -465,8 +465,8 @@ def solve_rank1(vctx: ModuleContext, lam1: LaurentPoly, lam2: LaurentPoly,
     # Delta and central charge c, so it is built over a two-variable
     # (Delta, c) table, where its determinant and cofactors have far fewer
     # terms.  Only the adjugate columns where a right-hand side is nonzero
-    # are computed; the others would meet exact zeros in mat_vec.  The
-    # determinant and those columns then return to the module table by
+    # are computed (column 0 if none), and the determinant is read off the
+    # first through A adj(A) = det(A) I.  All return to the module table by
     # Delta -> eigenvalue(0) and c -> c_vir.  Each level carries one explicit
     # factored denominator, so the solve stays in the ring and never builds
     # unreduced rational intermediates; the two relation sources are solved
@@ -486,10 +486,10 @@ def solve_rank1(vctx: ModuleContext, lam1: LaurentPoly, lam2: LaurentPoly,
         drop2 = [gram_entry_on(vctx, mu[1:], numerators[k - 2]) * s2
                  if mu[0] == 2 and k >= 2 else zero for mu in lams]
         cols = [j for j, (a, b) in enumerate(zip(drop, drop2))
-                if not (a.is_zero() and b.is_zero())]
+                if not (a.is_zero() and b.is_zero())] or [0]
         rows = [[gram_entry(inv_ctx, mu, lam) for lam in lams] for mu in lams]
-        det = det_bareiss(rows)
         adj = adjugate(rows, cols)
+        det = det_from_adjugate(rows, adj, cols[0])
         entries = [det, *(a for row in adj for a in row)]
         for name, pows, base in zip(inv_table.names, powers, bases):
             top = max(p.degree_in(name)[1] for p in entries)

@@ -449,6 +449,18 @@ def test_gauge_narrow_window_names_the_order_that_works(rank, order, works_at, c
     assert all(entry["status"] == "ok" for entry in doc["residuals"])
 
 
+def test_gauge_rank_seven_halves_names_its_working_order(capsys):
+    # the rank-7/2 scalar completion runs before the window check; at order
+    # 4 it finishes and the window names order 8
+    code, doc = _run_json(capsys, ["gauge", "--rank", "7/2", "--order", "4"])
+    assert code == 1
+    assert doc["error"]["type"] == "OrderTooSmall"
+    assert doc["error"]["message"].endswith(
+        "the smallest order that works is --order 8")
+    assert doc["meta"] == {"K": 4, "central": None, "convention": "general",
+                           "rank": "7/2"}
+
+
 @pytest.mark.parametrize("rank, order", [("2", 1), ("3/2", 0), ("3", 1)])
 def test_gauge_below_the_lower_mode_window_reports_a_structured_error(
         rank, order, capsys):

@@ -451,6 +451,21 @@ def test_completion_gauge_row_rules_out_the_short_solution():
     assert failures == ["top frame row annihilates the scalars"]
 
 
+def test_completion_r4_is_infeasible_below_the_third_bound():
+    # rank 7/2: the bracket system at bound 1 is 1,023 x 267 with 0.7%
+    # nonzeros, so a dense elimination of it does not finish
+    for bound in (1, 2):
+        with pytest.raises(Infeasible):
+            scalar_completion_half(4, bound)
+    completion = scalar_completion_half(4, 3)
+    assert completion.bound == 3
+    assert completion.sigma[0].is_zero()
+    assert not any(completion.sigma[n].is_zero() for n in (1, 2, 3))
+    report = completion_residuals(completion)
+    assert report.all_ok
+    assert len(report.checks) == 6 + 1 + 4
+
+
 def test_completion_rejects_bad_arguments():
     with pytest.raises(ValueError):
         scalar_completion_half(1)

@@ -14,8 +14,9 @@ from virasoro_irregular.linalg import (
     adjugate,
     det_bareiss,
     inverse_exact,
+    det_from_adjugate,
     mat_vec,
-    rref_solve_fraction,
+    sparse_solve,
 )
 from virasoro_irregular.ring import LaurentPoly, NotDivisible, VarTable
 
@@ -97,6 +98,7 @@ def test_adjugate_identity():
         n = len(rows)
         d = det_bareiss(rows)
         adj = adjugate(rows)
+        assert all(det_from_adjugate(rows, adj, j) == d for j in range(n))
         prod = mat_mul(rows, adj)
         for i in range(n):
             for j in range(n):
@@ -126,15 +128,90 @@ def test_inverse_exact_on_unit_determinant():
         inverse_exact([[x + one, zero], [zero, x]])
 
 
+def rref_solve_fraction(a_rows, b):
+    """Dense Gauss-Jordan oracle: ``(solution, free_columns)``, free columns at zero."""
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(a_rows, b)]
+    row = 0
+    pivot_of_col: dict[int, int] = {}
+    for col in range(n):
+        piv = next((i for i in range(row, m) if aug[i][col] != 0), None)
+        if piv is None:
+            continue
+        aug[row], aug[piv] = aug[piv], aug[row]
+        inv = 1 / aug[row][col]
+        aug[row] = [entry * inv for entry in aug[row]]
+        for i in range(m):
+            if i != row and aug[i][col] != 0:
+                factor = aug[i][col]
+                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[row])]
+        pivot_of_col[col] = row
+        row += 1
+    for i in range(row, m):
+        if aug[i][n] != 0:
+            raise InconsistentSystem("no solution over the rationals")
+    xs = [Fraction(0)] * n
+    for col, r in pivot_of_col.items():
+        xs[col] = aug[r][n]
+    free = [c for c in range(n) if c not in pivot_of_col]
+    return xs, free
+
+
 def test_rref_solve_fraction_zeroes_free_variables():
-    a = [[Fraction(1), Fraction(1), Fraction(0)],
-         [Fraction(0), Fraction(0), Fraction(1)]]
-    b = [Fraction(3), Fraction(5)]
-    xs, free = rref_solve_fraction(a, b)
+    rows = [{0: Fraction(1), 1: Fraction(1)}, {2: Fraction(1)}]
+    xs = sparse_solve(rows, [Fraction(3), Fraction(5)], 3)
     assert xs == [Fraction(3), Fraction(0), Fraction(5)]
-    assert free == [1]
+    assert rows == [{0: Fraction(1), 1: Fraction(1)}, {2: Fraction(1)}]
     with pytest.raises(InconsistentSystem):
-        rref_solve_fraction([[Fraction(1)], [Fraction(1)]], [Fraction(0), Fraction(1)])
+        sparse_solve([{0: Fraction(1)}, {0: Fraction(1)}], [Fraction(0), Fraction(1)], 1)
+
+
+def _sparse_system(rng: random.Random, m: int, n: int):
+    """Random sparse rows of width ``n``: some empty, some multiples of others."""
+    rows = []
+    for _ in range(m):
+        kind = rng.random()
+        if kind < 0.1 or not rows:
+            row = {}
+        elif kind < 0.25:
+            f = Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))
+            row = {c: f * v for c, v in rng.choice(rows).items()}
+        else:
+            row = {c: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+                   for c in rng.sample(range(n), rng.randint(1, min(n, 3)))}
+        rows.append(row)
+    return rows
+
+
+def test_sparse_solve_matches_the_dense_oracle():
+    rng = random.Random(2026)
+    outcomes = {"solved": 0, "free": 0, "inconsistent": 0}
+    for _ in range(300):
+        m, n = rng.randint(1, 12), rng.randint(1, 10)
+        rows = _sparse_system(rng, m, n)
+        dense = [[row.get(c, Fraction(0)) for c in range(n)] for row in rows]
+        if rng.random() < 0.5:
+            # a right-hand side in the column span: always consistent
+            x = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+            b = [sum((v * x[c] for c, v in row.items()), Fraction(0)) for row in rows]
+        else:
+            b = [Fraction(rng.randint(-2, 2)) for _ in rows]
+        try:
+            expected, free = rref_solve_fraction(dense, b)
+        except InconsistentSystem:
+            outcomes["inconsistent"] += 1
+            with pytest.raises(InconsistentSystem):
+                sparse_solve(rows, b, n)
+            continue
+        outcomes["free" if free else "solved"] += 1
+        assert sparse_solve(rows, b, n) == expected
+        assert all(expected[c] == 0 for c in free)
+        # the answer does not depend on the order of the rows
+        order = list(range(m))
+        rng.shuffle(order)
+        assert sparse_solve([rows[i] for i in order], [b[i] for i in order], n) == expected
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 def test_mat_vec():

@@ -10,6 +10,10 @@ printed per command:
 
     exit  bytes  sha256  wall_s  peak_rss_mb  command
 
+A command still running after ``TIMEOUT_S`` seconds is killed and shows
+exit -9 with an empty report: older checkouts do not finish some of the
+commands.
+
 ``peak_rss_mb`` is the child's ``ru_maxrss`` from ``wait4``; Linux carries
 the RSS of this script (about 10 MB) into it at fork, so it is a lower bound
 only there.  Two checkouts produce byte-identical reports exactly when their
@@ -23,7 +27,10 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+
+TIMEOUT_S = 300
 
 COMMANDS = [
     # the tail_solve and rank_one benchmark workloads
@@ -59,6 +66,10 @@ COMMANDS = [
     "gauge --rank 3 --order 3",
     "gauge --rank 5/2 --order 4",
     "gauge --rank 4 --order 6",
+    # the rank-7/2 scalar completion, a sparse system of about 1,000 rows,
+    # ahead of the two window errors
+    "gauge --rank 7/2 --order 3",
+    "gauge --rank 7/2 --order 4",
 ]
 
 
@@ -69,7 +80,10 @@ def run(src: str, command: str, out_path: str) -> tuple[int, float, float]:
             "--format", "json", "--output", out_path]
     start = time.perf_counter()
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+    timer = threading.Timer(TIMEOUT_S, proc.kill)
+    timer.start()
     _, status, usage = os.wait4(proc.pid, 0)
+    timer.cancel()
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
     return proc.returncode, wall, usage.ru_maxrss / 1024
