@@ -422,12 +422,6 @@ HANDLERS = {
 # ----- rendering ----------------------------------------------------------------
 
 
-def _is_terms(node: object) -> bool:
-    return (isinstance(node, list) and bool(node)
-            and all(isinstance(item, dict) and set(item) == {"e", "n", "d"}
-                    for item in node))
-
-
 def _poly_text(table: VarTable | None, terms: list) -> str:
     if not terms:
         return "0"
@@ -442,7 +436,7 @@ def _scalar_text(table: VarTable | None, node: object) -> str | None:
         return str(node)
     if node == []:
         return "[]"
-    if _is_terms(node):
+    if _is_term_list(node):
         return _poly_text(table, node)
     if isinstance(node, dict) and set(node) == {"num", "den"}:
         num = _poly_text(table, node["num"])

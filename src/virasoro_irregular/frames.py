@@ -16,7 +16,8 @@ Two families appear:
   of weight ``2r-1``, expansion in ``Lam``.
 
 :class:`Family` makes the choice between them once, from a rank's (kind, r);
-every other module reads its fields, frame and dual operator from there.
+every other module reads its mode scalars, fields, frame and dual operator
+from there.
 """
 
 from __future__ import annotations
@@ -81,24 +82,6 @@ def eigenvalue(table: VarTable, n: int, cnames: Sequence[str],
     for a in range(1, n):
         out = out - _cvar(table, cnames, a) * _cvar(table, cnames, n - a)
     return out
-
-
-def eigen_window(table: VarTable, r: int, cnames: Sequence[str],
-                 c0name: str = "c0", qname: str = "Q",
-                 convention: str = GENERAL) -> dict[int, LaurentPoly]:
-    """Eigenvalues of the annihilating window, modes ``r`` through ``2r``."""
-    if len(cnames) != r:
-        raise ValueError("need exactly r parameter names")
-    return {n: eigenvalue(table, n, cnames, c0name, qname, convention)
-            for n in range(r, 2 * r + 1)}
-
-
-def lower_scalars(table: VarTable, r: int, cnames: Sequence[str],
-                  c0name: str = "c0", qname: str = "Q",
-                  convention: str = GENERAL) -> dict[int, LaurentPoly]:
-    """Scalars subtracted from the free modes ``1`` through ``r-1``."""
-    return {n: eigenvalue(table, n, cnames, c0name, qname, convention)
-            for n in range(1, r)}
 
 
 def quadratic_scalars(table: VarTable, r: int, cnames: Sequence[str],
@@ -172,14 +155,15 @@ class DualOperator:
     ``orders[i]`` maps a mode index ``n`` to the coefficient of ``D_n`` at
     order ``i`` of the expansion variable; coefficients never contain the
     expansion variable itself.  ``D_n`` stands for mode ``n`` minus its
-    scalar (the conformal weight for ``n = 0``, the lower scalar table
-    otherwise).
+    scalar from :meth:`Family.mode_scalars`.  ``row`` is the unsplit L_*
+    row, the top row of the inverted frame.
     """
 
-    __slots__ = ("r", "var", "orders")
+    __slots__ = ("r", "var", "orders", "row")
 
-    def __init__(self, r: int, var: str, orders: list[dict[int, LaurentPoly]]) -> None:
-        self.r, self.var, self.orders = r, var, orders
+    def __init__(self, r: int, var: str, orders: list[dict[int, LaurentPoly]],
+                 row: list[LaurentPoly]) -> None:
+        self.r, self.var, self.orders, self.row = r, var, orders, row
 
 
 def _dual_from_frame(table: VarTable, r: int, matrix: list[list[LaurentPoly]],
@@ -197,7 +181,7 @@ def _dual_from_frame(table: VarTable, r: int, matrix: list[list[LaurentPoly]],
                     f"dual coefficient power {power} outside 0..{r - 1}")
             if not part.is_zero():
                 orders[power][n] = part
-    return DualOperator(r=r, var=var, orders=orders)
+    return DualOperator(r=r, var=var, orders=orders, row=row)
 
 
 def dual_operator(table: VarTable, r: int, cnames: Sequence[str]) -> DualOperator:
@@ -314,6 +298,17 @@ class Family:
         """``Q``, ``c0``, the lower parameters and the expansion variable."""
         return VarTable(("Q", "c0") + self.cnames + (self.var,),
                         (0, 0) + tuple(range(1, self.r)) + (self.step,))
+
+    def mode_scalars(self, table: VarTable, c0name: str = "c0") -> dict[int, LaurentPoly]:
+        """Fixed scalar of each mode that has one: at integer rank the
+        conformal weight and the eigenvalues of modes ``1..2r``, at half rank
+        the annihilating window ``r..2r-1`` (the lower modes come from the
+        scalar completion)."""
+        if self.kind == HALF:
+            return quadratic_scalars(table, self.r, self.cnames, self.var)
+        cnames = self.cnames + (self.var,)
+        return {n: eigenvalue(table, n, cnames, c0name) if n else
+                conformal_weight(table, c0name) for n in range(2 * self.r + 1)}
 
     def fields(self, table: VarTable) -> list[dict[str, LaurentPoly]]:
         if self.kind == HALF:

@@ -16,8 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .frames import (Family, apply_field, conformal_weight, eigen_window,
-                     frame_matrix, lower_scalars, quadratic_scalars)
+from .frames import Family, apply_field
 from .linalg import InconsistentSystem, inverse_exact, sparse_solve
 from .ring import LaurentPoly, TruncatedSeries, VarTable
 from .solver import (HALF, INTEGER, IrregularSeries, ResidualNonZero,
@@ -151,16 +150,14 @@ def _engine_state(series: IrregularSeries,
     if series.kind == INTEGER:
         if completion is not None:
             raise ValueError("scalar completion applies to the odd family only")
-        scalars = {0: conformal_weight(table, "c0")}
-        scalars.update(lower_scalars(table, r, cnames))
-        scalars.update(eigen_window(table, r, cnames + (var,)))
+        scalars = family.mode_scalars(table)
     else:
         if completion is None:
             raise ValueError("the odd family needs a scalar completion")
         if completion.r != r:
             raise ValueError("scalar completion rank does not match the series")
         scalars = {i: completion.sigma[i].migrate(table) for i in range(r)}
-        scalars.update(quadratic_scalars(table, r, cnames, var))
+        scalars.update(family.mode_scalars(table))
     order = _clean_order(series)
     if order < 1:
         # each further series order pins one more tail constant, so it
@@ -178,16 +175,16 @@ def _engine_state(series: IrregularSeries,
     # the base frame are fixed by the lower deformation equations one rank
     # down.  Decompose every field over that frame once.
     rho = r - 1
-    inv_base = inverse_exact(frame_matrix(table, rho, cnames))
+    base = Family(INTEGER, rho)
+    inv_base = inverse_exact(base.frame_matrix(table))
     zero = LaurentPoly.zero(table)
     beta = []
     for field in fields:
         h = [field.get(name, zero) for name in cnames]
         beta.append([sum((h[k] * inv_base[k][j] for k in range(rho)),
                          start=zero) for j in range(rho)])
-    base_scalars = [conformal_weight(table, family.base_c0)]
-    lower = lower_scalars(table, rho, cnames, c0name=family.base_c0)
-    base_scalars.extend(lower[j] for j in range(1, rho))
+    base_modes = base.mode_scalars(table, family.base_c0)
+    base_scalars = [base_modes[j] for j in range(rho)]
     return _EngineState(series=series, fields=fields, scalars=scalars, tail=tail,
                         theta=tail.map(ModuleVector.constant_term), prefactor=prefactor,
                         beta=beta, base_scalars=base_scalars, lift_cache={})
@@ -343,9 +340,8 @@ def frobenius_verify(obs: ObstructionSet) -> VerificationReport:
 def lstar_certificate(obs: ObstructionSet) -> TruncatedSeries:
     """Top-frame-row combination of the obstructions; zero when the
     potential is free of the expansion variable."""
-    inv = inverse_exact(Family(obs.kind, obs.r).frame_matrix(obs.table))
-    return sum(TruncatedSeries.from_poly(c, obs.var) * a
-               for c, a in zip(inv[obs.r - 1], obs.a))
+    row = Family(obs.kind, obs.r).dual_operator(obs.table).row
+    return sum(TruncatedSeries.from_poly(c, obs.var) * a for c, a in zip(row, obs.a))
 
 
 def _split_active(poly: LaurentPoly, names: Sequence[str]) \
@@ -532,7 +528,7 @@ def scalar_completion_half(r: int, bound: int = 1) -> ScalarCompletion:
     family = Family(HALF, r)
     cnames, var, table = family.cnames, family.var, family.frame_table()
     fields = family.fields(table)
-    fixed = quadratic_scalars(table, r, cnames, var)
+    fixed = family.mode_scalars(table)
     slots = [LaurentPoly.const(table, 1), LaurentPoly.var(table, "Q"),
              LaurentPoly.var(table, "c0")]
     basis: list[tuple[int, LaurentPoly]] = []
@@ -543,7 +539,7 @@ def scalar_completion_half(r: int, bound: int = 1) -> ScalarCompletion:
     # one row per (relation, monomial); the last relation is the frame row
     zero = LaurentPoly.zero(table)
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    inv_row = inverse_exact(family.frame_matrix(table))[r - 1]
+    inv_row = family.dual_operator(table).row
     rows: dict[tuple, dict[int, Fraction]] = {}
     rhs: dict[tuple, Fraction] = {}
     for u, (n, b) in enumerate(basis):
@@ -590,11 +586,10 @@ def completion_residuals(completion: ScalarCompletion) -> VerificationReport:
     bracket relations against both the unknown and the fixed window scalars,
     the top-frame-row constraint, and the weight grading of each scalar.
     """
-    r, table, cnames, var = (completion.r, completion.table,
-                             completion.cnames, completion.var)
+    r, table = completion.r, completion.table
     family = Family(HALF, r)
     fields = family.fields(table)
-    fixed = quadratic_scalars(table, r, cnames, var)
+    fixed = family.mode_scalars(table)
     zero = LaurentPoly.zero(table)
 
     def scalar(n: int) -> LaurentPoly:
@@ -610,7 +605,7 @@ def completion_residuals(completion: ScalarCompletion) -> VerificationReport:
             report.add(f"bracket({i},{j}) closes on scalar {i + j}",
                        "exact", lhs.is_zero(),
                        "" if lhs.is_zero() else "nonzero bracket defect")
-    inv_row = inverse_exact(family.frame_matrix(table))[r - 1]
+    inv_row = family.dual_operator(table).row
     gauge = zero
     for n in range(r):
         gauge = gauge + inv_row[n] * completion.sigma[n]

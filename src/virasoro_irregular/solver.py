@@ -17,8 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .frames import (CONVENTIONS, GENERAL, HALF, INTEGER, RANK_ONE, DualOperator,
-                     Family, conformal_weight, default_central_charge,
-                     eigen_window, eigenvalue, lower_scalars)
+                     Family, conformal_weight, default_central_charge, eigenvalue)
 from .gram import gram_entry, gram_entry_on, solve_descendants
 from .linalg import adjugate, det_from_adjugate, mat_vec
 from .ring import LaurentPoly, NotDivisible, RationalFunction, VarTable
@@ -119,8 +118,7 @@ class IrregularSeries:
     """Truncated canonical series together with its construction record.
 
     ``vectors[k]`` is the order-``k`` tail coefficient over the base module
-    context; ``x_vectors`` are the constant-term-free combinations used by
-    the elimination argument.  ``nu`` and ``g`` hold the solved exponent and
+    context.  ``nu`` and ``g`` hold the solved exponent and
     essential-singularity data (still-symbolic slots keep their variable).
     ``pending`` lists the tail constants the truncation cannot determine.
     """
@@ -137,22 +135,6 @@ class IrregularSeries:
         self.var, self.cnames, self.vectors, self.nu, self.g = var, cnames, vectors, nu, g
         self.constants, self.pending, self.ledger = constants, pending, ledger
         self.convention = convention
-
-    @property
-    def x_vectors(self) -> list[ModuleVector]:
-        """Constant-term-free combinations X_k = v_k - sum {v_i} X_{k-i}.
-
-        Computed on each access; rank one has none.
-        """
-        if self.kind == RANK_ONE:
-            return []
-        vectors = self.vectors
-        xs: list[ModuleVector] = []
-        for k, x in enumerate(vectors):
-            for i in range(1, k + 1):
-                x = x - xs[k - i].scale(vectors[i].constant_term())
-            xs.append(x)
-        return xs
 
 
 # ----- shared elimination machinery -----------------------------------------
@@ -188,46 +170,37 @@ def series_context(kind: str, r: int, table: VarTable, central) -> ModuleContext
         else LaurentPoly.const(table, central)
     if kind == RANK_ONE:
         return verma_context(table, conformal_weight(table, "c0"), c_vir)
-    family = Family(kind, r)
-    eigen = eigen_window(table, r - 1, family.cnames, c0name=family.base_c0)
+    scalars = Family(INTEGER, r - 1).mode_scalars(table, Family(kind, r).base_c0)
+    eigen = {n: scalars[n] for n in range(r - 1, 2 * r - 1)}
     return ModuleContext(table, r - 1, eigen, c_vir)
 
 
 class Recipe:
     """What the recursion and its re-check read of one family.  ``scalars``
     maps each mode of the dual operator to the scalar it subtracts (at
-    integer rank only: the conformal weight, then the lower eigenvalues)."""
+    integer rank only: the conformal weight, then the lower eigenvalues).
+    ``relations[part]`` is the scalar and order shift of the relation that
+    trades the word factor ``part`` for a lower-order vector."""
 
-    __slots__ = ("kind", "r", "ctx", "dual", "scalars")
+    __slots__ = ("kind", "r", "ctx", "dual", "scalars", "relations")
 
     def __init__(self, kind: str, r: int, ctx: ModuleContext, dual: DualOperator,
-                 scalars: dict[int, LaurentPoly] | None) -> None:
+                 scalars: dict[int, LaurentPoly] | None,
+                 relations: dict[int, tuple[LaurentPoly, int]]) -> None:
         self.kind, self.r, self.ctx, self.dual, self.scalars = kind, r, ctx, dual, scalars
-
-    def relation(self, part: int) -> tuple[LaurentPoly | None, int]:
-        """Scalar and order shift of the relation that trades the word
-        factor ``part`` for a lower-order vector; ``None`` if there is none."""
-        table, r = self.ctx.table, self.r
-        if self.kind == HALF:
-            return (LaurentPoly.const(table, 1), 1) if part == r else (None, 0)
-        if part == 1:
-            qc = LaurentPoly.var(table, "Q", 1, r + 1) - LaurentPoly.var(table, "c0")
-            return qc, 1
-        if 2 <= part <= r:
-            return LaurentPoly.var(table, f"c{part - 1}", 1, -2), 1
-        if part == r + 1:
-            return LaurentPoly.const(table, -1), 2
-        return None, 0
+        self.relations = relations
 
 
 def series_recipe(kind: str, r: int, ctx: ModuleContext) -> Recipe:
-    """Recipe of an integer or half series over its module context."""
+    """Recipe of an integer or half series over its module context.  The
+    mode-``n`` scalar's one positive power ``d`` of the expansion variable,
+    with coefficient ``s``, is the relation ``(s, d)`` of part ``n - r + 1``."""
     family = Family(kind, r)
-    scalars = None
-    if kind == INTEGER:
-        scalars = {0: conformal_weight(ctx.table, "c0"),
-                   **lower_scalars(ctx.table, r, family.cnames)}
-    return Recipe(kind, r, ctx, family.dual_operator(ctx.table), scalars)
+    modes = family.mode_scalars(ctx.table)
+    scalars = {n: modes[n] for n in range(r)} if kind == INTEGER else None
+    relations = {n - r + 1: (s, d) for n, scalar in modes.items()
+                 for d, s in scalar.split_by_var(family.var).items() if d > 0}
+    return Recipe(kind, r, ctx, family.dual_operator(ctx.table), scalars, relations)
 
 
 def _restrict(vec: ModuleVector, cyclic: bool) -> ModuleVector:
@@ -288,9 +261,9 @@ def _order_targets(recipe: Recipe, vectors: list[ModuleVector],
     targets: dict[tuple[int, ...], LaurentPoly] = {}
     for w in range(1, recipe.r * k + 1):
         for mu in partitions_of(w):
-            scalar, shift = recipe.relation(mu[0])
-            if scalar is None:
+            if mu[0] not in recipe.relations:
                 continue
+            scalar, shift = recipe.relations[mu[0]]
             j = k - shift
             if j < 0:
                 continue
@@ -565,7 +538,7 @@ def _check_mode_relations(series: IrregularSeries, recipe: Recipe,
     r, rho = recipe.r, recipe.ctx.rho
     top_mode = max(2 * r, 2 * rho + recipe.r * series.order)
     for n in range(r, top_mode + 1):
-        scalar, shift = recipe.relation(n - rho)
+        scalar, shift = recipe.relations.get(n - rho, (None, 0))
         bad = ""
         for k, vk in enumerate(series.vectors):
             lhs = apply_tilde(vk, n) if n <= 2 * rho else apply_mode(vk, n)

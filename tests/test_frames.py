@@ -10,18 +10,18 @@ import pytest
 from virasoro_irregular.frames import (
     DISPLAY,
     GENERAL,
+    INTEGER,
     DegreeOverflow,
+    Family,
     apply_field,
     conformal_weight,
     default_central_charge,
     deformation_fields,
     dual_operator,
-    eigen_window,
     eigenvalue,
     expected_frame_det,
     expected_odd_frame_det,
     frame_matrix,
-    lower_scalars,
     odd_dual_operator,
     odd_fields,
     odd_frame_matrix,
@@ -84,7 +84,7 @@ def test_eigenvalues_are_quasi_homogeneous():
 def test_eigenvalue_window_boundary_values():
     for r in (1, 2, 3, 4):
         table, cnames = poly_table(r)
-        window = eigen_window(table, r, cnames)
+        window = Family(INTEGER, r).mode_scalars(table)
         top = LaurentPoly.var(table, cnames[r - 1])
         assert window[2 * r] == -(top * top)
         q = LaurentPoly.var(table, "Q")
@@ -107,9 +107,10 @@ def test_display_convention_changes_linear_term_only():
 def test_lower_scalars_free_of_top_parameter():
     for r in (2, 3, 4):
         table, cnames = poly_table(r)
-        for n, val in lower_scalars(table, r, cnames).items():
-            assert 1 <= n <= r - 1
-            assert not val.uses_var(cnames[r - 1])
+        scalars = Family(INTEGER, r).mode_scalars(table)
+        assert sorted(scalars) == list(range(2 * r + 1))
+        for n in range(1, r):
+            assert not scalars[n].uses_var(cnames[r - 1])
 
 
 # ----- polynomial-family frame ---------------------------------------------------

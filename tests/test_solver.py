@@ -168,6 +168,71 @@ def test_arbitrary_central_charge_is_consistent(series):
     assert rebuilt.constants[1] != series.constants[1]
 
 
+def _at_q(q: int):
+    """Substitution Q -> q on the coefficients of one series."""
+    def sub(p: LaurentPoly) -> LaurentPoly:
+        return p.subs({"Q": LaurentPoly.const(p.table, q)})
+    return sub
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("kind,r", [(INTEGER, 2), (INTEGER, 3), (HALF, 2), (HALF, 3)])
+def test_specialising_q_commutes_with_the_central_override(kind, r, q):
+    # solving with c = 1 + 6 q^2 and then putting Q = q must give the
+    # generic series (c = 1 + 6 Q^2) with Q = q put in afterwards
+    generic = (_integer if kind == INTEGER else _half)(r, 3)
+    special = (solve_integer if kind == INTEGER else solve_half)(r, 3, central=1 + 6 * q * q)
+    sub = _at_q(q)
+    assert len(generic.vectors) == len(special.vectors)
+    for gv, sv in zip(generic.vectors, special.vectors):
+        for lam in set(gv.parts) | set(sv.parts):
+            assert sub(gv.coeff(lam)) == sub(sv.coeff(lam)), lam
+    assert sub(generic.nu) == sub(special.nu)
+    assert generic.g.keys() == special.g.keys()
+    for j, gj in generic.g.items():
+        assert sub(gj) == sub(special.g[j]), j
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_specialising_q_commutes_with_the_central_override_at_rank_one(q):
+    generic, special = _rank1(3), rank1_series(3, central=1 + 6 * q * q)
+    sub = _at_q(q)
+    for gv, sv in zip(generic.vectors, special.vectors, strict=True):
+        assert gv.parts.keys() == sv.parts.keys()
+        for lam, a in gv.parts.items():
+            b = sv.parts[lam]
+            assert not sub(a.den).is_zero() and not sub(b.den).is_zero()
+            assert sub(a.num) * sub(b.den) == sub(b.num) * sub(a.den), lam
+
+
+def _relation_oracle(kind: str, r: int, table: VarTable,
+                     part: int) -> tuple[LaurentPoly, int] | None:
+    """Closed forms of the relation that trades the word factor ``part``."""
+    if kind == HALF:
+        return (LaurentPoly.const(table, 1), 1) if part == r else None
+    if part == 1:
+        return LaurentPoly.var(table, "Q", 1, r + 1) - LaurentPoly.var(table, "c0"), 1
+    if 2 <= part <= r:
+        return LaurentPoly.var(table, f"c{part - 1}", 1, -2), 1
+    if part == r + 1:
+        return LaurentPoly.const(table, -1), 2
+    return None
+
+
+@pytest.mark.parametrize("kind,r", [(INTEGER, r) for r in range(2, 7)]
+                         + [(HALF, r) for r in range(2, 6)])
+def test_relations_derived_from_the_mode_scalars_match_the_closed_forms(kind, r):
+    table = series_table(kind, r, 1)
+    recipe = series_recipe(kind, r, series_context(kind, r, table, None))
+    expected = {}
+    for part in range(-2 * r, 3 * r):
+        rel = _relation_oracle(kind, r, table, part)
+        if rel is not None:
+            expected[part] = rel
+    assert set(recipe.relations) == set(expected)
+    assert recipe.relations == expected
+
+
 @pytest.mark.parametrize("series", [
     _integer(2, 3), _integer(3, 2), _half(2, 3), _half(3, 2)])
 def test_support_bound_and_pole_location(series):
@@ -205,9 +270,20 @@ def test_scalars_and_tail_free_of_the_expansion_variable(series):
             assert not coeff.uses_var(series.var)
 
 
+def x_vectors(series: IrregularSeries) -> list[ModuleVector]:
+    """Constant-term-free combinations X_k = v_k - sum {v_i} X_{k-i} used by
+    the elimination argument."""
+    xs: list[ModuleVector] = []
+    for k, x in enumerate(series.vectors):
+        for i in range(1, k + 1):
+            x = x - xs[k - i].scale(series.vectors[i].constant_term())
+        xs.append(x)
+    return xs
+
+
 @pytest.mark.parametrize("series", [_integer(2, 3), _integer(3, 2), _half(2, 3)])
 def test_constant_free_combinations(series):
-    xs = series.x_vectors
+    xs = x_vectors(series)
     assert xs[0] == series.vectors[0]
     pending = set(series.pending)
     for k, x in enumerate(xs):

@@ -1,14 +1,20 @@
 """Fingerprint the JSON reports of a checkout: exit code, size, sha256, time.
 
-    python tools/report_hashes.py [CHECKOUT]
+    python tools/report_hashes.py [--check] [CHECKOUT]
 
 CHECKOUT is the root of a source tree holding ``src/virasoro_irregular``
-(default: the tree this script sits in).  Each command of a fixed list runs
-as its own ``python -m virasoro_irregular.cli`` process, one at a time,
-writing its report with ``--format json`` to a temporary file.  One line is
-printed per command:
+(default: the tree this script sits in).  Each command listed in
+``report_hashes.txt`` beside this script runs as its own
+``python -m virasoro_irregular.cli`` process, one at a time, writing its
+report with ``--format json`` to a temporary file.  One line is printed per
+command:
 
     exit  bytes  sha256  wall_s  peak_rss_mb  command
+
+``report_hashes.txt`` also holds the expected exit code, size and sha256 of
+each command.  With ``--check`` the script stops at the first command that
+differs from them, names it on stderr and exits 1; it exits 0 when all
+match.  A change that alters report bytes on purpose updates that file.
 
 A command still running after ``TIMEOUT_S`` seconds is killed and shows
 exit -9 with an empty report: older checkouts do not finish some of the
@@ -32,45 +38,19 @@ import time
 
 TIMEOUT_S = 300
 
-COMMANDS = [
-    # the tail_solve and rank_one benchmark workloads
-    "construct --rank 2 --order 4",
-    "construct --rank 5/2 --order 3",
-    "gauge --rank 2 --order 4",
-    "gauge --rank 3/2 --order 4",
-    "construct --rank 1 --order 4",
-    "construct --rank 1 --order 4 --convention section2-display",
-    # further sizes and commands
-    "gram --rank 2 --order 4",
-    "construct --rank 3 --order 3",
-    "gauge --rank 3 --order 4",
-    # the frame tables and the re-check's own rebuild of the canonical operator
-    "frames --rank 4",
-    "frames --rank 7/2",
-    "verify --rank 3 --order 3",
-    # the rank-one re-check's records
-    "verify --rank 1 --order 4",
-    "verify --rank 1 --order 4 --convention section2-display",
-    # the reachable frontier
-    "construct --rank 2 --order 5",
-    "construct --rank 2 --order 6",
-    "construct --rank 5/2 --order 4",
-    "gauge --rank 5/2 --order 5",
-    "construct --rank 1 --order 5",
-    "construct --rank 1 --order 6",
-    # the largest reports, where the JSON encoding does the most work
-    "construct --rank 3 --order 6",
-    "construct --rank 4 --order 5",
-    # the window arithmetic of graded series: two error records whose named
-    # order is computed from a window's top, and the largest clean gauge run
-    "gauge --rank 3 --order 3",
-    "gauge --rank 5/2 --order 4",
-    "gauge --rank 4 --order 6",
-    # the rank-7/2 scalar completion, a sparse system of about 1,000 rows,
-    # ahead of the two window errors
-    "gauge --rank 7/2 --order 3",
-    "gauge --rank 7/2 --order 4",
-]
+EXPECTED = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "report_hashes.txt")
+
+
+def load_expected() -> list[tuple[int, int, str, str]]:
+    """The (exit, bytes, sha256, command) lines of the expected-values file."""
+    rows = []
+    with open(EXPECTED, "r", encoding="utf-8") as handle:
+        for line in handle:
+            if line.strip() and not line.startswith("#"):
+                code, size, digest, command = line.split(None, 3)
+                rows.append((int(code), int(size), digest, command.strip()))
+    return rows
 
 
 def run(src: str, command: str, out_path: str) -> tuple[int, float, float]:
@@ -90,16 +70,21 @@ def run(src: str, command: str, out_path: str) -> tuple[int, float, float]:
 
 
 def main() -> int:
-    root = sys.argv[1] if len(sys.argv) > 1 else os.path.dirname(
+    args = sys.argv[1:]
+    check = "--check" in args
+    args = [a for a in args if a != "--check"]
+    root = args[0] if args else os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
     src = os.path.join(os.path.abspath(root), "src")
-    if not os.path.isdir(os.path.join(src, "virasoro_irregular")):
-        print(f"no src/virasoro_irregular under {root}", file=sys.stderr)
+    if len(args) > 1 or not os.path.isdir(os.path.join(src, "virasoro_irregular")):
+        print(f"usage: report_hashes.py [--check] [CHECKOUT]; "
+              f"no src/virasoro_irregular under {root}", file=sys.stderr)
         return 2
     print("exit  bytes  sha256  wall_s  peak_rss_mb  command")
     with tempfile.TemporaryDirectory() as tmp:
         out_path = os.path.join(tmp, "report.json")
-        for command in COMMANDS:
+        for expected in load_expected():
+            command = expected[3]
             if os.path.exists(out_path):
                 os.remove(out_path)
             code, wall, rss = run(src, command, out_path)
@@ -110,6 +95,12 @@ def main() -> int:
             digest = hashlib.sha256(data).hexdigest()
             print(f"{code}  {len(data)}  {digest}  {wall:.2f}  {rss:.1f}  {command}",
                   flush=True)
+            if check and (code, len(data), digest, command) != expected:
+                print(f"MISMATCH {command}: expected exit {expected[0]}, "
+                      f"{expected[1]} bytes, sha256 {expected[2]}", file=sys.stderr)
+                return 1
+    if check:
+        print("all fingerprints match", file=sys.stderr)
     return 0
 
 
