@@ -31,17 +31,19 @@ from .virasoro import ModuleContext
 
 
 class RunConfig:
-    """Validated invocation parameters shared by the subcommands."""
+    """Validated invocation parameters shared by the subcommands.  ``family``
+    is ``None`` only for ``verify --input``; ``declared`` holds the input's
+    meta block once :func:`_build_series` has read the input."""
 
-    __slots__ = ("command", "kind", "r", "order", "central", "convention", "fmt",
-                 "output", "bound", "input")
+    __slots__ = ("command", "family", "order", "central", "convention", "fmt",
+                 "output", "bound", "input", "declared")
 
-    def __init__(self, command: str, kind: str | None, r: int | None, order: int,
+    def __init__(self, command: str, family: Family | None, order: int,
                  central: str | None, convention: str, fmt: str, output: str | None,
                  bound: int | None, input: str | None = None) -> None:
-        self.command, self.kind, self.r, self.order = command, kind, r, order
-        self.central, self.convention, self.fmt = central, convention, fmt
-        self.output, self.bound, self.input = output, bound, input
+        self.command, self.family, self.order, self.central = command, family, order, central
+        self.convention, self.fmt, self.output = convention, fmt, output
+        self.bound, self.input, self.declared = bound, input, None
 
 
 # ----- argument handling --------------------------------------------------------
@@ -139,8 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
-    kind: str | None = None
-    r: int | None = None
+    family: Family | None = None
     input_path = getattr(args, "input", None)
     if input_path is not None and not os.path.exists(input_path):
         parser.error(f"input file {input_path!r} does not exist")
@@ -154,9 +155,10 @@ def _config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunCon
                          "whose report declares the series")
     if args.rank is not None:
         try:
-            kind, r = parse_rank(args.rank)
+            family = parse_rank(args.rank)
         except SerializeError as exc:
             parser.error(str(exc))
+    kind = None if family is None else family.kind
     order = getattr(args, "order", None)
     if order is None:
         order = ORDER_DEFAULTS.get(args.command, 0)
@@ -181,7 +183,7 @@ def _config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunCon
     if args.command == "gauge" and kind == RANK_ONE:
         parser.error("gauge requires rank at least 2 or a half rank")
     return RunConfig(
-        command=args.command, kind=kind, r=r, order=order,
+        command=args.command, family=family, order=order,
         central=central, convention=convention,
         fmt=args.fmt, output=args.output, bound=bound, input=input_path)
 
@@ -199,17 +201,24 @@ def _central_override(cfg: RunConfig) -> LaurentPoly | None:
 
 
 def _build_series(cfg: RunConfig):
+    """Solve the series the options declare, or rebuild the one ``--input``
+    holds.  The input is read once; its meta block stays on ``cfg.declared``
+    for an error record, and the rest is dropped once the series is built."""
+    if cfg.input is not None:
+        with open(cfg.input, "r", encoding="utf-8") as handle:
+            source = json.load(handle)
+        cfg.declared = source.get("meta") if isinstance(source, dict) else None
+        return serialize.series_from_doc(source)
     central = _central_override(cfg)
-    if cfg.kind == RANK_ONE:
+    if cfg.family.kind == RANK_ONE:
         return rank1_series(cfg.order, cfg.convention, central)
-    if cfg.kind == INTEGER:
-        return solve_integer(cfg.r, cfg.order, central)
-    return solve_half(cfg.r, cfg.order, central)
+    solve = solve_integer if cfg.family.kind == INTEGER else solve_half
+    return solve(cfg.family.r, cfg.order, central)
 
 
 def _meta(cfg: RunConfig, central: LaurentPoly | None = None) -> dict:
     return {
-        "rank": None if cfg.kind is None else format_rank(cfg.kind, cfg.r),
+        "rank": None if cfg.family is None else format_rank(cfg.family),
         "K": cfg.order,
         "convention": cfg.convention,
         "central": None if central is None else poly_terms(central),
@@ -223,19 +232,13 @@ def _error_meta(cfg: RunConfig) -> dict:
     For ``verify --input``, which takes no ``--central``, the rank, order,
     convention and central charge are those the input declares (the central
     charge as its term records, over the input's own variables), each
-    ``None`` where the input's meta block does not supply it.
+    ``None`` where the input's meta block does not supply it or the input
+    could not be read as JSON.
     """
     meta = _meta(cfg, _central_override(cfg))
     if cfg.input is None:
         return meta
-    declared: object = None
-    try:
-        with open(cfg.input, "r", encoding="utf-8") as handle:
-            declared = json.load(handle)
-    except (OSError, ValueError):
-        pass
-    if isinstance(declared, dict):
-        declared = declared.get("meta")
+    declared = cfg.declared
     if not isinstance(declared, dict):
         declared = {}
     for key, kind in (("rank", str), ("K", int), ("convention", str)):
@@ -285,11 +288,7 @@ def _cmd_construct(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def _cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
-    if cfg.input is not None:
-        with open(cfg.input, "r", encoding="utf-8") as handle:
-            series = serialize.series_from_doc(json.load(handle))
-    else:
-        series = _build_series(cfg)
+    series = _build_series(cfg)
     report = verify_canonical(series)
     doc = serialize.series_header(series)
     doc["residuals"] = serialize.report_doc(report)
@@ -297,14 +296,14 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def _cmd_frames(cfg: RunConfig) -> tuple[int, dict]:
-    family = Family(cfg.kind, cfg.r)
+    family = cfg.family
     table = family.frame_table()
     matrix = family.frame_matrix(table)
     expected = family.expected_det(table)
     det = det_bareiss(matrix)
     ok = det == expected
     doc = {
-        "meta": {"rank": format_rank(cfg.kind, cfg.r), "K": None,
+        "meta": {"rank": format_rank(family), "K": None,
                  "convention": cfg.convention, "central": None},
         "variables": serialize.variables_doc(table),
         "frames": {
@@ -317,14 +316,14 @@ def _cmd_frames(cfg: RunConfig) -> tuple[int, dict]:
             "dual": _dual_doc(family.dual_operator(table)),
         },
         "residuals": [{"relation": "frame determinant closed form",
-                       "window": f"rank {format_rank(cfg.kind, cfg.r)}",
+                       "window": f"rank {format_rank(family)}",
                        "status": "ok" if ok else "fail"}],
     }
     return (0 if ok else 1), doc
 
 
 def _cmd_gram(cfg: RunConfig) -> tuple[int, dict]:
-    rho = cfg.r
+    rho = cfg.family.r
     names = ("cv",) + tuple(f"E{n}" for n in range(rho, 2 * rho + 1))
     weights = (0,) + tuple(range(rho, 2 * rho + 1))
     table = VarTable(names, weights)
@@ -364,11 +363,11 @@ def _cmd_gauge(cfg: RunConfig) -> tuple[int, dict]:
     series = _build_series(cfg)
     completion = None
     residuals: list[dict] = []
-    if cfg.kind == HALF:
-        top = cfg.bound if cfg.bound is not None else cfg.r
+    if cfg.family.kind == HALF:
+        top = cfg.bound if cfg.bound is not None else cfg.family.r
         for bound in range(1, top + 1):
             try:
-                completion = gauge.scalar_completion_half(cfg.r, bound)
+                completion = gauge.scalar_completion_half(cfg.family.r, bound)
                 break
             except gauge.Infeasible:
                 continue
@@ -504,7 +503,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, doc = HANDLERS[cfg.command](cfg)
     except (RingError, SolverError, gauge.GaugeError, SerializeError,
-            json.JSONDecodeError, OSError) as exc:
+            json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         code = 1
         doc = {"meta": _error_meta(cfg),
                "error": {"type": type(exc).__name__, "message": str(exc)}}

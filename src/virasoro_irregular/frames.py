@@ -15,9 +15,9 @@ Two families appear:
 * the odd family, coordinates ``c_1..c_{r-1}`` plus a top eigenvalue ``Lam``
   of weight ``2r-1``, expansion in ``Lam``.
 
-:class:`Family` makes the choice between them once, from a rank's (kind, r);
-every other module reads its mode scalars, fields, frame and dual operator
-from there.
+:class:`Family` is the one value that names a rank.  It makes the choice
+between the two families once, from the rank's (kind, r); every other
+module reads its mode scalars, fields, frame and dual operator from there.
 """
 
 from __future__ import annotations
@@ -62,6 +62,14 @@ def _cvar(table: VarTable, cnames: Sequence[str], j: int) -> LaurentPoly:
     return LaurentPoly.zero(table)
 
 
+def _quadratic(table: VarTable, cnames: Sequence[str], n: int) -> LaurentPoly:
+    """``-sum_{a+b=n} c_a c_b`` over positive indices."""
+    out = LaurentPoly.zero(table)
+    for a in range(1, n):
+        out = out - _cvar(table, cnames, a) * _cvar(table, cnames, n - a)
+    return out
+
+
 def eigenvalue(table: VarTable, n: int, cnames: Sequence[str],
                c0name: str = "c0", qname: str = "Q",
                convention: str = GENERAL) -> LaurentPoly:
@@ -78,51 +86,11 @@ def eigenvalue(table: VarTable, n: int, cnames: Sequence[str],
     kappa = 1 if convention == GENERAL else 2
     q = LaurentPoly.var(table, qname)
     c0 = LaurentPoly.var(table, c0name)
-    out = ((n + 1) * q - kappa * c0) * _cvar(table, cnames, n)
-    for a in range(1, n):
-        out = out - _cvar(table, cnames, a) * _cvar(table, cnames, n - a)
-    return out
+    return ((n + 1) * q - kappa * c0) * _cvar(table, cnames, n) \
+        + _quadratic(table, cnames, n)
 
 
-def quadratic_scalars(table: VarTable, r: int, cnames: Sequence[str],
-                      lam_name: str) -> dict[int, LaurentPoly]:
-    """Annihilating-window scalars of the odd family.
-
-    Modes ``r`` to ``2r-2`` carry the pure quadratic ``-sum c_a c_b`` over
-    the surviving parameters ``c_1..c_{r-1}``; mode ``2r-1`` carries the free
-    top eigenvalue; everything above vanishes (and is omitted).
-    """
-    if len(cnames) != r - 1:
-        raise ValueError("odd family has r-1 polynomial parameters")
-    out: dict[int, LaurentPoly] = {}
-    for m in range(r, 2 * r - 1):
-        acc = LaurentPoly.zero(table)
-        for a in range(1, m):
-            acc = acc - _cvar(table, cnames, a) * _cvar(table, cnames, m - a)
-        out[m] = acc
-    out[2 * r - 1] = LaurentPoly.var(table, lam_name)
-    return out
-
-
-# ----- polynomial-family frame ------------------------------------------------
-
-
-def deformation_fields(table: VarTable, r: int,
-                       cnames: Sequence[str]) -> list[dict[str, LaurentPoly]]:
-    """Vector fields of parameter deformations, indices ``0`` to ``r-1``.
-
-    Field ``i`` sends ``c_k`` to ``k * c_{i+k}``; entries beyond the top
-    index vanish.  Field ``0`` is the weight (Euler) field.
-    """
-    if len(cnames) != r:
-        raise ValueError("need exactly r parameter names")
-    fields = []
-    for i in range(r):
-        comp: dict[str, LaurentPoly] = {}
-        for k in range(1, r - i + 1):
-            comp[cnames[k - 1]] = k * _cvar(table, cnames, i + k)
-        fields.append(comp)
-    return fields
+# ----- fields and dual operators ------------------------------------------------
 
 
 def apply_field(field: dict[str, LaurentPoly], poly: LaurentPoly) -> LaurentPoly:
@@ -130,23 +98,6 @@ def apply_field(field: dict[str, LaurentPoly], poly: LaurentPoly) -> LaurentPoly
     for name, coeff in field.items():
         out = out + coeff * poly.derivative(name)
     return out
-
-
-def _field_matrix(table: VarTable, fields: list[dict[str, LaurentPoly]],
-                  cols: Sequence[str]) -> list[list[LaurentPoly]]:
-    zero = LaurentPoly.zero(table)
-    return [[field.get(col, zero) for col in cols] for field in fields]
-
-
-def frame_matrix(table: VarTable, r: int, cnames: Sequence[str]) -> list[list[LaurentPoly]]:
-    """Matrix of the deformation fields against the parameter derivatives."""
-    return _field_matrix(table, deformation_fields(table, r, cnames), cnames)
-
-
-def expected_frame_det(table: VarTable, r: int, cnames: Sequence[str]) -> LaurentPoly:
-    sign = -1 if (r * (r - 1) // 2) % 2 else 1
-    top = LaurentPoly.var(table, cnames[r - 1], r)
-    return top * Fraction(sign * factorial(r))
 
 
 class DualOperator:
@@ -166,12 +117,12 @@ class DualOperator:
         self.r, self.var, self.orders, self.row = r, var, orders, row
 
 
-def _dual_from_frame(table: VarTable, r: int, matrix: list[list[LaurentPoly]],
-                     var: str) -> DualOperator:
+def _dual_from_frame(family: Family, table: VarTable) -> DualOperator:
     """Top row of the inverted frame, cleared by ``var ** r`` and split into
     powers of ``var``: ``sum_i var^i sum_n w[i][n] D_n`` with every
     ``w[i][n]`` free of ``var`` and every power inside ``0..r-1``."""
-    row = inverse_exact(matrix)[r - 1]
+    r, var = family.r, family.var
+    row = inverse_exact(family.frame_matrix(table))[r - 1]
     clear = LaurentPoly.var(table, var, r)
     orders: list[dict[int, LaurentPoly]] = [{} for _ in range(r)]
     for n in range(r):
@@ -184,78 +135,18 @@ def _dual_from_frame(table: VarTable, r: int, matrix: list[list[LaurentPoly]],
     return DualOperator(r=r, var=var, orders=orders, row=row)
 
 
-def dual_operator(table: VarTable, r: int, cnames: Sequence[str]) -> DualOperator:
+# The two families' dual operators are separate functions so that a profiler
+# can wrap each by name; both are reached through Family.dual_operator.
+
+
+def dual_operator(family: Family, table: VarTable) -> DualOperator:
     """Operator combination dual to deforming the top polynomial parameter."""
-    return _dual_from_frame(table, r, frame_matrix(table, r, cnames), cnames[r - 1])
+    return _dual_from_frame(family, table)
 
 
-# ----- odd-family frame ---------------------------------------------------------
-
-
-def odd_fields(table: VarTable, r: int, cnames: Sequence[str],
-               lam_name: str) -> list[dict[str, LaurentPoly]]:
-    """Deformation fields of the odd family, indices ``0`` to ``r-1``.
-
-    Field ``0`` is the weight field.  For ``n >= 1`` the components are the
-    unique solution of the requirement that applying the field to every
-    annihilating-window scalar ``S_m`` (modes ``r`` to ``2r-2``) returns
-    ``(m - n) S_{m+n}``, scalars above mode ``2r-1`` being zero.  The system
-    is triangular with diagonal ``-2 c_{r-1}``, so the solution is exact.
-    """
-    if len(cnames) != r - 1:
-        raise ValueError("odd family has r-1 polynomial parameters")
-    scal = quadratic_scalars(table, r, cnames, lam_name)
-
-    def s_at(m: int) -> LaurentPoly:
-        return scal.get(m, LaurentPoly.zero(table))
-
-    fields: list[dict[str, LaurentPoly]] = []
-    euler: dict[str, LaurentPoly] = {
-        cnames[k - 1]: k * _cvar(table, cnames, k) for k in range(1, r)
-    }
-    euler[lam_name] = (2 * r - 1) * LaurentPoly.var(table, lam_name)
-    fields.append(euler)
-    diag = -2 * _cvar(table, cnames, r - 1)
-    for n in range(1, r):
-        h: dict[int, LaurentPoly] = {}
-        for j in range(r - 1, 0, -1):
-            rhs = (r - 1 + j - n) * s_at(r - 1 + j + n)
-            acc = rhs
-            for k in range(j + 1, r):
-                idx = r - 1 + j - k
-                if 1 <= idx <= r - 1:
-                    acc = acc + 2 * _cvar(table, cnames, idx) * h[k]
-            h[j] = acc.exact_div(diag)
-        comp = {cnames[k - 1]: h[k] for k in range(1, r) if not h[k].is_zero()}
-        fields.append(comp)
-    return fields
-
-
-def odd_frame_matrix(table: VarTable, r: int, cnames: Sequence[str],
-                     lam_name: str) -> list[list[LaurentPoly]]:
-    """Odd-family fields against the derivatives of ``c_1..c_{r-1}, Lam``."""
-    return _field_matrix(table, odd_fields(table, r, cnames, lam_name),
-                         (*cnames, lam_name))
-
-
-def expected_odd_frame_det(table: VarTable, r: int, cnames: Sequence[str],
-                           lam_name: str) -> LaurentPoly:
-    kappa = Fraction(2 * r - 1)
-    for n in range(1, r):
-        kappa *= Fraction(-(2 * r - 2 * n - 1), 2)
-    if (r * (r - 1) // 2) % 2:
-        kappa = -kappa
-    lam = LaurentPoly.var(table, lam_name, r)
-    bottom = LaurentPoly.var(table, cnames[r - 2], -(r - 1)) if r >= 2 \
-        else LaurentPoly.const(table, 1)
-    return lam * bottom * kappa
-
-
-def odd_dual_operator(table: VarTable, r: int, cnames: Sequence[str],
-                      lam_name: str) -> DualOperator:
+def odd_dual_operator(family: Family, table: VarTable) -> DualOperator:
     """Operator combination dual to deforming the top odd eigenvalue."""
-    return _dual_from_frame(table, r, odd_frame_matrix(table, r, cnames, lam_name),
-                            lam_name)
+    return _dual_from_frame(family, table)
 
 
 # ----- rank families ------------------------------------------------------------
@@ -285,6 +176,11 @@ class Family:
         return "Lam" if self.kind == HALF else f"c{self.r}"
 
     @property
+    def coords(self) -> tuple[str, ...]:
+        """Frame coordinates: the lower parameters, then the expansion variable."""
+        return self.cnames + (self.var,)
+
+    @property
     def step(self) -> int:
         """Weight of the expansion variable."""
         return 2 * self.r - 1 if self.kind == HALF else self.r
@@ -296,34 +192,76 @@ class Family:
 
     def frame_table(self) -> VarTable:
         """``Q``, ``c0``, the lower parameters and the expansion variable."""
-        return VarTable(("Q", "c0") + self.cnames + (self.var,),
+        return VarTable(("Q", "c0") + self.coords,
                         (0, 0) + tuple(range(1, self.r)) + (self.step,))
 
     def mode_scalars(self, table: VarTable, c0name: str = "c0") -> dict[int, LaurentPoly]:
-        """Fixed scalar of each mode that has one: at integer rank the
-        conformal weight and the eigenvalues of modes ``1..2r``, at half rank
-        the annihilating window ``r..2r-1`` (the lower modes come from the
-        scalar completion)."""
-        if self.kind == HALF:
-            return quadratic_scalars(table, self.r, self.cnames, self.var)
-        cnames = self.cnames + (self.var,)
-        return {n: eigenvalue(table, n, cnames, c0name) if n else
-                conformal_weight(table, c0name) for n in range(2 * self.r + 1)}
+        """Fixed scalar of each mode that has one.  At integer rank these are
+        the conformal weight and the eigenvalues of modes ``1..2r``.  At half
+        rank they are the annihilating window: the pure quadratic
+        ``-sum c_a c_b`` over ``c_1..c_{r-1}`` at modes ``r..2r-2`` and the
+        free top eigenvalue at mode ``2r-1`` (the lower modes come from the
+        scalar completion, the higher ones vanish and are omitted)."""
+        r = self.r
+        if self.kind != HALF:
+            return {n: eigenvalue(table, n, self.coords, c0name) if n else
+                    conformal_weight(table, c0name) for n in range(2 * r + 1)}
+        out = {m: _quadratic(table, self.cnames, m) for m in range(r, 2 * r - 1)}
+        out[2 * r - 1] = LaurentPoly.var(table, self.var)
+        return out
 
     def fields(self, table: VarTable) -> list[dict[str, LaurentPoly]]:
-        if self.kind == HALF:
-            return odd_fields(table, self.r, self.cnames, self.var)
-        return deformation_fields(table, self.r, self.cnames + (self.var,))
+        """Vector fields of the parameter deformations, indices ``0`` to
+        ``r-1``; field ``0`` is the weight (Euler) field.
+
+        At integer rank field ``i`` sends ``c_k`` to ``k * c_{i+k}``, entries
+        beyond the top index vanishing.  At half rank the components of field
+        ``n >= 1`` are the unique solution of the requirement that applying
+        the field to every annihilating-window scalar ``S_m`` (modes ``r`` to
+        ``2r-2``) returns ``(m - n) S_{m+n}``, scalars above mode ``2r-1``
+        being zero.  That system is triangular with diagonal ``-2 c_{r-1}``,
+        so the solution is exact.
+        """
+        r, coords = self.r, self.coords
+        if self.kind != HALF:
+            return [{coords[k - 1]: k * _cvar(table, coords, i + k)
+                     for k in range(1, r - i + 1)} for i in range(r)]
+        lower = self.cnames
+        scalars = self.mode_scalars(table)
+        zero = LaurentPoly.zero(table)
+        euler = {name: k * _cvar(table, lower, k) for k, name in enumerate(lower, 1)}
+        euler[self.var] = (2 * r - 1) * LaurentPoly.var(table, self.var)
+        fields = [euler]
+        diag = -2 * _cvar(table, lower, r - 1)
+        for n in range(1, r):
+            h: dict[int, LaurentPoly] = {}
+            for j in range(r - 1, 0, -1):
+                acc = (r - 1 + j - n) * scalars.get(r - 1 + j + n, zero)
+                for k in range(j + 1, r):
+                    acc = acc + 2 * _cvar(table, lower, r - 1 + j - k) * h[k]
+                h[j] = acc.exact_div(diag)
+            fields.append({lower[k - 1]: h[k] for k in range(1, r) if not h[k].is_zero()})
+        return fields
 
     def frame_matrix(self, table: VarTable) -> list[list[LaurentPoly]]:
-        return _field_matrix(table, self.fields(table), self.cnames + (self.var,))
+        """Matrix of the deformation fields against the coordinate derivatives."""
+        zero = LaurentPoly.zero(table)
+        return [[field.get(col, zero) for col in self.coords]
+                for field in self.fields(table)]
 
     def expected_det(self, table: VarTable) -> LaurentPoly:
-        if self.kind == HALF:
-            return expected_odd_frame_det(table, self.r, self.cnames, self.var)
-        return expected_frame_det(table, self.r, self.cnames + (self.var,))
+        """Closed form of the frame determinant: ``+-r! c_r^r`` at integer
+        rank, ``kappa Lam^r c_{r-1}^{-(r-1)}`` at half rank."""
+        r = self.r
+        sign = -1 if (r * (r - 1) // 2) % 2 else 1
+        top = LaurentPoly.var(table, self.var, r)
+        if self.kind != HALF:
+            return top * Fraction(sign * factorial(r))
+        kappa = Fraction(sign * (2 * r - 1))
+        for n in range(1, r):
+            kappa *= Fraction(-(2 * r - 2 * n - 1), 2)
+        return top * LaurentPoly.var(table, self.cnames[-1], -(r - 1)) * kappa
 
     def dual_operator(self, table: VarTable) -> DualOperator:
-        if self.kind == HALF:
-            return odd_dual_operator(table, self.r, self.cnames, self.var)
-        return dual_operator(table, self.r, self.cnames + (self.var,))
+        """Operator combination dual to deforming the expansion variable."""
+        return (odd_dual_operator if self.kind == HALF else dual_operator)(self, table)

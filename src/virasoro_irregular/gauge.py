@@ -64,18 +64,15 @@ class ObstructionSet:
     window have no entry because their residuals vanish identically.
     """
 
-    __slots__ = ("kind", "r", "table", "var", "cnames", "a", "residuals", "theta",
-                 "series", "completion")
+    __slots__ = ("family", "table", "a", "residuals", "theta", "series", "completion")
 
-    def __init__(self, kind: str, r: int, table: VarTable, var: str,
-                 cnames: tuple[str, ...], a: tuple[TruncatedSeries, ...],
+    def __init__(self, family: Family, table: VarTable, a: tuple[TruncatedSeries, ...],
                  residuals: tuple[TruncatedSeries, ...] | None = None,
                  theta: TruncatedSeries | None = None,
                  series: IrregularSeries | None = None,
                  completion: ScalarCompletion | None = None) -> None:
-        self.kind, self.r, self.table, self.var = kind, r, table, var
-        self.cnames, self.a, self.residuals, self.theta = cnames, a, residuals, theta
-        self.series, self.completion = series, completion
+        self.family, self.table, self.a, self.residuals = family, table, a, residuals
+        self.theta, self.series, self.completion = theta, series, completion
 
 
 class PotentialDecomposition:
@@ -100,12 +97,11 @@ class ScalarCompletion:
     annihilates the tuple, which fixes the otherwise free conjugation gauge.
     """
 
-    __slots__ = ("r", "table", "cnames", "var", "sigma", "bound")
+    __slots__ = ("r", "table", "sigma", "bound")
 
-    def __init__(self, r: int, table: VarTable, cnames: tuple[str, ...], var: str,
-                 sigma: tuple[LaurentPoly, ...], bound: int) -> None:
-        self.r, self.table, self.cnames, self.var = r, table, cnames, var
-        self.sigma, self.bound = sigma, bound
+    def __init__(self, r: int, table: VarTable, sigma: tuple[LaurentPoly, ...],
+                 bound: int) -> None:
+        self.r, self.table, self.sigma, self.bound = r, table, sigma, bound
 
 
 class _EngineState:
@@ -124,7 +120,7 @@ class _EngineState:
 
 def _clean_order(series: IrregularSeries) -> int:
     """Largest order whose vectors are free of still-symbolic unknowns."""
-    known = {"Q", "c0", "c0p", series.var} | set(series.cnames)
+    known = {"Q", "c0", "c0p", *series.family.coords}
     symbols = [n for n in series.table.names if n not in known]
     top = series.order
     for k, vec in enumerate(series.vectors):
@@ -136,18 +132,17 @@ def _clean_order(series: IrregularSeries) -> int:
 
 def _engine_state(series: IrregularSeries,
                   completion: ScalarCompletion | None) -> _EngineState:
-    if series.kind not in (INTEGER, HALF):
-        raise ValueError(f"no lower-mode analysis for kind {series.kind!r}")
+    family, table = series.family, series.table
+    r, var = family.r, family.var
+    if family.kind not in (INTEGER, HALF):
+        raise ValueError(f"no lower-mode analysis for kind {family.kind!r}")
     if any(not name.startswith("ce") for name in series.pending):
         # nu is the last of the exponent and singularity unknowns pinned
-        needed = next(k for k in range(series.r)
-                      if scheduled_unknown(series.r, k) == "nu")
+        needed = next(k for k in range(r) if scheduled_unknown(r, k) == "nu")
         raise OrderTooSmall("series order too small: exponent or singularity "
                             f"data still symbolic; --order {needed} pins it")
-    table, var, cnames, r = series.table, series.var, series.cnames, series.r
-    family = Family(series.kind, r)
     fields = family.fields(table)
-    if series.kind == INTEGER:
+    if family.kind == INTEGER:
         if completion is not None:
             raise ValueError("scalar completion applies to the odd family only")
         scalars = family.mode_scalars(table)
@@ -180,7 +175,7 @@ def _engine_state(series: IrregularSeries,
     zero = LaurentPoly.zero(table)
     beta = []
     for field in fields:
-        h = [field.get(name, zero) for name in cnames]
+        h = [field.get(name, zero) for name in family.cnames]
         beta.append([sum((h[k] * inv_base[k][j] for k in range(rho)),
                          start=zero) for j in range(rho)])
     base_modes = base.mode_scalars(table, family.base_c0)
@@ -230,9 +225,9 @@ def _residual(state: _EngineState, n: int) -> TruncatedSeries:
     scalar = state.scalars.get(n)
     if scalar is not None and not scalar.is_zero():
         out = out - tail * scalar
-    if n < state.series.r:
+    if n < state.series.family.r:
         field = state.fields[n]
-        table, var = state.series.table, state.series.var
+        table, var = state.series.table, state.series.family.var
         log_part = field.get(var)
         deriv = apply_field(field, state.prefactor)
         if log_part is not None and state.series.nu is not None:
@@ -266,7 +261,7 @@ def obstructions(series: IrregularSeries,
     holds the scalar ratios together with the audited residual vectors.
     """
     state = _engine_state(series, completion)
-    residuals = tuple(_residual(state, i) for i in range(series.r))
+    residuals = tuple(_residual(state, i) for i in range(series.family.r))
     ratios = []
     for i, res in enumerate(residuals):
         a_i = res.map(ModuleVector.constant_term).divide(state.theta)
@@ -276,10 +271,8 @@ def obstructions(series: IrregularSeries,
                 f"mode {i} residual is not parallel to the series on "
                 f"window {diff.window()}")
         ratios.append(a_i)
-    return ObstructionSet(kind=series.kind, r=series.r, table=series.table,
-                          var=series.var, cnames=series.cnames,
-                          a=tuple(ratios), residuals=residuals,
-                          theta=state.theta, series=series,
+    return ObstructionSet(family=series.family, table=series.table, a=tuple(ratios),
+                          residuals=residuals, theta=state.theta, series=series,
                           completion=completion)
 
 
@@ -322,11 +315,11 @@ def frobenius_verify(obs: ObstructionSet) -> VerificationReport:
     scalars must reproduce the scalar of the summed mode, which vanishes at
     or above the window; failures land in the report rather than raising.
     """
-    fields = Family(obs.kind, obs.r).fields(obs.table)
+    r, fields = obs.family.r, obs.family.fields(obs.table)
     report = VerificationReport()
-    for i in range(obs.r):
-        for j in range(i + 1, obs.r):
-            target = obs.a[i + j] if i + j < obs.r else 0
+    for i in range(r):
+        for j in range(i + 1, r):
+            target = obs.a[i + j] if i + j < r else 0
             lhs = derive_series(fields[i], obs.a[j]) \
                 - derive_series(fields[j], obs.a[i]) \
                 - (j - i) * target
@@ -340,8 +333,9 @@ def frobenius_verify(obs: ObstructionSet) -> VerificationReport:
 def lstar_certificate(obs: ObstructionSet) -> TruncatedSeries:
     """Top-frame-row combination of the obstructions; zero when the
     potential is free of the expansion variable."""
-    row = Family(obs.kind, obs.r).dual_operator(obs.table).row
-    return sum(TruncatedSeries.from_poly(c, obs.var) * a for c, a in zip(row, obs.a))
+    row = obs.family.dual_operator(obs.table).row
+    return sum(TruncatedSeries.from_poly(c, obs.family.var) * a
+               for c, a in zip(row, obs.a))
 
 
 def _split_active(poly: LaurentPoly, names: Sequence[str]) \
@@ -356,26 +350,21 @@ def _split_active(poly: LaurentPoly, names: Sequence[str]) \
     return out
 
 
-def integrate_potential(obs: ObstructionSet,
-                        frame: Sequence[Sequence[LaurentPoly]] | None = None,
-                        order: Sequence[int] | None = None) -> PotentialDecomposition:
+def integrate_potential(obs: ObstructionSet) -> PotentialDecomposition:
     """Integrate the obstructions into a potential on the lower parameters.
 
     Inverting the frame turns the obstruction tuple into coordinate
     components of a one-form; these must be free of the expansion variable,
     with the expansion-direction component vanishing outright.  The closed
     form then splits monomial-wise into an exact part and logarithmic terms
-    on the remaining coordinates.  Processing the frame rows in a different
-    ``order`` permutes the linear system without changing the result.
+    on the remaining coordinates.
     """
-    rows = frame if frame is not None else Family(obs.kind, obs.r).frame_matrix(obs.table)
-    seq = list(order) if order is not None else list(range(obs.r))
-    if sorted(seq) != list(range(obs.r)):
-        raise ValueError("order must permute the frame rows")
-    inv = inverse_exact([rows[p] for p in seq])
-    comps = [sum(TruncatedSeries.from_poly(c, obs.var) * obs.a[p]
-                 for c, p in zip(row, seq)) for row in inv]
-    top = comps[obs.r - 1]
+    family, table = obs.family, obs.table
+    cnames = family.cnames
+    inv = inverse_exact(family.frame_matrix(table))
+    comps = [sum(TruncatedSeries.from_poly(c, family.var) * a for c, a in zip(row, obs.a))
+             for row in inv]
+    top = comps[-1]
     # The expansion direction is read at order -1 and the parameter
     # components at order 0.  One more series order widens every window by
     # one, so the largest shortfall is the number of orders missing.
@@ -395,44 +384,44 @@ def integrate_potential(obs: ObstructionSet,
         raise WeightZeroObstruction(
             "constant term in the expansion direction cannot be integrated")
     components: list[LaurentPoly] = []
-    for j, name in enumerate(obs.cnames):
+    for j, name in enumerate(cnames):
         comp = comps[j]
         bad = sorted(m for m in comp.parts if m != 0)
         if bad:
             raise ExpansionVariableLeak(
                 f"component for {name} retains the expansion variable "
                 f"at orders {bad}")
-        components.append(LaurentPoly.var(obs.table, name) * comp.coeff(0))
-    split = [_split_active(a_j, obs.cnames) for a_j in components]
+        components.append(LaurentPoly.var(table, name) * comp.coeff(0))
+    split = [_split_active(a_j, cnames) for a_j in components]
     exponents = sorted({e for m in split for e in m})
-    zero = LaurentPoly.zero(obs.table)
-    g0 = LaurentPoly.zero(obs.table)
+    zero = LaurentPoly.zero(table)
+    g0 = LaurentPoly.zero(table)
     nu: dict[int, LaurentPoly] = {}
     for expo in exponents:
         coeffs = [m.get(expo, zero) for m in split]
-        for i in range(len(obs.cnames)):
-            for j in range(i + 1, len(obs.cnames)):
+        for i in range(len(cnames)):
+            for j in range(i + 1, len(cnames)):
                 if coeffs[j] * expo[i] != coeffs[i] * expo[j]:
                     raise NotClosed(
                         f"cross derivatives differ on monomial {expo} "
-                        f"(coordinates {obs.cnames[i]}, {obs.cnames[j]})")
+                        f"(coordinates {cnames[i]}, {cnames[j]})")
         if all(e == 0 for e in expo):
             for j, c in enumerate(coeffs):
                 if not c.is_zero():
                     nu[j + 1] = c
             continue
         pick = next(j for j, e in enumerate(expo) if e != 0)
-        mono = LaurentPoly.const(obs.table, Fraction(1, expo[pick]))
-        for name, e in zip(obs.cnames, expo):
-            mono = mono * LaurentPoly.var(obs.table, name, e)
+        mono = LaurentPoly.const(table, Fraction(1, expo[pick]))
+        for name, e in zip(cnames, expo):
+            mono = mono * LaurentPoly.var(table, name, e)
         g0 = g0 + coeffs[pick] * mono
-    for j, name in enumerate(obs.cnames):
-        rebuilt = LaurentPoly.var(obs.table, name) * g0.derivative(name) \
+    for j, name in enumerate(cnames):
+        rebuilt = LaurentPoly.var(table, name) * g0.derivative(name) \
             + nu.get(j + 1, zero)
         if rebuilt != components[j]:
             raise NotClosed(f"reconstructed derivative along {name} "
                             "does not match the one-form")
-    passives = ("c0p", "c0") if obs.kind == INTEGER else ("c0",)
+    passives = ("c0p", "c0") if family.kind == INTEGER else ("c0",)
     return PotentialDecomposition(g0=g0, nu=nu, passives=passives)
 
 
@@ -449,19 +438,18 @@ def apply_gauge_and_verify(series: IrregularSeries,
     """
     if obs is None:
         obs = obstructions(series, completion)
-    fields = Family(obs.kind, obs.r).fields(obs.table)
-    table = obs.table
+    table, cnames = obs.table, obs.family.cnames
+    fields = obs.family.fields(table)
     g0 = decomp.g0.migrate(table)
     nu = {j: nu_j.migrate(table) for j, nu_j in decomp.nu.items()}
     report = VerificationReport()
     failed = []
-    for i in range(obs.r):
+    for i in range(obs.family.r):
         deriv = apply_field(fields[i], g0)
         for j, nu_j in nu.items():
-            comp = fields[i].get(obs.cnames[j - 1])
+            comp = fields[i].get(cnames[j - 1])
             if comp is not None:
-                deriv = deriv + nu_j * comp * \
-                    LaurentPoly.var(table, obs.cnames[j - 1], -1)
+                deriv = deriv + nu_j * comp * LaurentPoly.var(table, cnames[j - 1], -1)
         resid = obs.a[i] - deriv
         ok = resid.is_zero_on_window()
         report.add(f"gauged mode {i} residual", window_str(resid), ok,
@@ -476,11 +464,11 @@ def apply_gauge_and_verify(series: IrregularSeries,
 # ----- scalar completion of the odd family -------------------------------------
 
 
-def _weighted_monomials(table: VarTable, cnames: Sequence[str], var: str,
-                        weight: int, bound: int) -> list[LaurentPoly]:
+def _weighted_monomials(family: Family, table: VarTable, weight: int,
+                        bound: int) -> list[LaurentPoly]:
     """Monomials of one quasi-homogeneous weight, localized at the last
     polynomial parameter and the top eigenvalue down to ``-bound``."""
-    r = len(cnames) + 1
+    r, cnames, var = family.r, family.cnames, family.var
     floor = -bound * (r - 1)
 
     def c_parts(k: int, remaining: int) -> list[tuple[int, ...]]:
@@ -526,14 +514,14 @@ def scalar_completion_half(r: int, bound: int = 1) -> ScalarCompletion:
     if bound < 1:
         raise ValueError("the denominator bound must be positive")
     family = Family(HALF, r)
-    cnames, var, table = family.cnames, family.var, family.frame_table()
+    table = family.frame_table()
     fields = family.fields(table)
     fixed = family.mode_scalars(table)
     slots = [LaurentPoly.const(table, 1), LaurentPoly.var(table, "Q"),
              LaurentPoly.var(table, "c0")]
     basis: list[tuple[int, LaurentPoly]] = []
     for n in range(r):
-        for mono in _weighted_monomials(table, cnames, var, n, bound):
+        for mono in _weighted_monomials(family, table, n, bound):
             basis.extend((n, slot * mono) for slot in slots)
 
     # one row per (relation, monomial); the last relation is the frame row
@@ -570,8 +558,7 @@ def scalar_completion_half(r: int, bound: int = 1) -> ScalarCompletion:
     for x, (n, b) in zip(solution, basis):
         if x:
             sigma[n] = sigma[n] + b * x
-    completion = ScalarCompletion(r=r, table=table, cnames=cnames, var=var,
-                                  sigma=tuple(sigma), bound=bound)
+    completion = ScalarCompletion(r=r, table=table, sigma=tuple(sigma), bound=bound)
     report = completion_residuals(completion)
     if not report.all_ok:
         raise Infeasible(f"completion candidate fails re-verification "

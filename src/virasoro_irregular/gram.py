@@ -59,14 +59,6 @@ class SingularGram(GramError):
 class ProportionalityFailure(GramError):
     """A determinant is not a rational multiple of a pure eigenvalue power."""
 
-    def __init__(self, message: str, det: LaurentPoly, base: LaurentPoly,
-                 exponent: int, remainder: LaurentPoly):
-        super().__init__(message)
-        self.det = det
-        self.base = base
-        self.exponent = exponent
-        self.remainder = remainder
-
 
 def gram_entry(ctx: ModuleContext, mu: Partition, lam: Partition) -> LaurentPoly:
     """Pairing of the shifted word of ``mu`` against the basis vector of ``lam``."""
@@ -118,28 +110,24 @@ def pure_power_factor(poly: LaurentPoly, base: LaurentPoly) -> tuple[int, Fracti
     eigenvalue base here does), so a single exact division decides.
     """
     if poly.is_zero():
-        raise ProportionalityFailure("zero cannot be a pure power", poly, base, 0, poly)
+        raise ProportionalityFailure("zero cannot be a pure power")
     if poly.is_constant():
         return 0, poly.as_rational()
     w_base = base.homogeneous_weight()
     w_poly = poly.homogeneous_weight()
     if not w_base:
-        raise ProportionalityFailure("base must carry nonzero weight",
-                                     poly, base, 0, poly)
+        raise ProportionalityFailure("base must carry nonzero weight")
     if w_poly is None or w_poly % w_base != 0 or w_poly // w_base < 0:
-        raise ProportionalityFailure("weights rule out a pure power",
-                                     poly, base, 0, poly)
+        raise ProportionalityFailure("weights rule out a pure power")
     exponent = w_poly // w_base
     try:
         ratio = poly.exact_div(base ** exponent)
     except NotDivisible:
         raise ProportionalityFailure(
-            f"base power {exponent} does not divide the determinant",
-            poly, base, exponent, poly) from None
+            f"base power {exponent} does not divide the determinant") from None
     if not ratio.is_constant():
         raise ProportionalityFailure(
-            f"cofactor of base power {exponent} is not rational",
-            poly, base, exponent, ratio)
+            f"cofactor of base power {exponent} is not rational")
     return exponent, ratio.as_rational()
 
 

@@ -26,18 +26,16 @@ class SerializeError(ValueError):
 # ----- rank strings -----------------------------------------------------------
 
 
-def format_rank(kind: str, r: int) -> str:
-    """Render an internal (kind, r) pair as the user-facing rank string."""
-    if kind == HALF:
-        return f"{2 * r - 1}/2"
-    return str(r if kind == INTEGER else 1)
+def format_rank(family: Family) -> str:
+    """Render a rank family as the user-facing rank string."""
+    return f"{2 * family.r - 1}/2" if family.kind == HALF else str(family.r)
 
 
-def parse_rank(text: str) -> tuple[str, int]:
-    """Parse a rank string such as ``"3"`` or ``"5/2"`` into (kind, r).
+def parse_rank(text: str) -> Family:
+    """Parse a rank string such as ``"3"`` or ``"5/2"`` into its family.
 
     Half ranks are the family (2m+1)/2 with m >= 1, stored under the next
-    integer up, so ``"5/2"`` maps to ``(half, 3)``.
+    integer up, so ``"5/2"`` maps to ``Family(HALF, 3)``.
     """
     body = text.strip()
     if "/" in body:
@@ -49,14 +47,14 @@ def parse_rank(text: str) -> tuple[str, int]:
         if den != 2 or num < 3 or num % 2 == 0:
             raise SerializeError(
                 f"half ranks have the form (2m+1)/2 with m >= 1, got {text!r}")
-        return HALF, (num + 1) // 2
+        return Family(HALF, (num + 1) // 2)
     try:
         r = int(body)
     except ValueError:
         raise SerializeError(f"rank {text!r} is not an integer or a half") from None
     if r < 1:
         raise SerializeError(f"rank must be at least 1, got {r}")
-    return (RANK_ONE, 1) if r == 1 else (INTEGER, r)
+    return Family(RANK_ONE, 1) if r == 1 else Family(INTEGER, r)
 
 
 # ----- polynomial and coefficient terms ---------------------------------------
@@ -171,7 +169,7 @@ def series_header(series: IrregularSeries) -> dict:
     """The ``meta`` and ``variables`` blocks of a series document."""
     return {
         "meta": {
-            "rank": format_rank(series.kind, series.r),
+            "rank": format_rank(series.family),
             "K": series.order,
             "convention": series.convention,
             "central": poly_terms(series.ctx.c_vir),
@@ -207,17 +205,17 @@ def series_from_doc(doc: object) -> IrregularSeries:
     rank_text = _require(meta, "rank", "meta block")
     if not isinstance(rank_text, str):
         raise SerializeError("meta rank must be a string")
-    kind, r = parse_rank(rank_text)
+    family = parse_rank(rank_text)
     order = _require(meta, "K", "meta block")
     if type(order) is not int or order < 0:
         raise SerializeError(f"order must be a non-negative integer, got {order!r}")
     convention = _require(meta, "convention", "meta block")
     if convention not in CONVENTIONS:
         raise SerializeError(f"unknown convention {convention!r}")
-    if convention != GENERAL and kind != RANK_ONE:
+    if convention != GENERAL and family.kind != RANK_ONE:
         raise SerializeError(f"the {convention} convention applies to rank one only")
 
-    table = series_table(kind, r, order)
+    table = series_table(family, order)
     header = _require(doc, "variables", "document")
     if (_require(header, "names", "variables header") != list(table.names)
             or _require(header, "weights", "variables header") != list(table.weights)
@@ -225,7 +223,7 @@ def series_from_doc(doc: object) -> IrregularSeries:
         raise SerializeError("variables header does not match the declared rank and order")
 
     central = poly_from_terms(table, _require(meta, "central", "meta block"))
-    ctx = series_context(kind, r, table, central)
+    ctx = series_context(family, table, central)
 
     body = _require(doc, "series", "document")
     nu_doc = _require(body, "nu", "series block")
@@ -241,7 +239,7 @@ def series_from_doc(doc: object) -> IrregularSeries:
     tail = _require(body, "tail", "series block")
     if not isinstance(tail, list):
         raise SerializeError("tail must be a list of order records")
-    rational = kind == RANK_ONE
+    rational = family.kind == RANK_ONE
     staged: dict[int, ModuleVector] = {}
     for record in tail:
         k = _require(record, "k", "tail record")
@@ -252,11 +250,10 @@ def series_from_doc(doc: object) -> IrregularSeries:
     if sorted(staged) != list(range(order + 1)):
         raise SerializeError(f"tail must cover orders 0..{order} exactly once")
     vectors = [staged[k] for k in range(order + 1)]
-    family = Family(kind, r)
     return IrregularSeries(
-        kind=kind, r=r, order=order, table=table, ctx=ctx, var=family.var,
-        cnames=family.cnames, vectors=vectors, nu=nu, g=g, constants=constants,
-        pending=tuple(pending_doc), ledger=None, convention=convention)
+        family=family, order=order, table=table, ctx=ctx, vectors=vectors, nu=nu,
+        g=g, constants=constants, pending=tuple(pending_doc), ledger=None,
+        convention=convention)
 
 
 # ----- reports and windowed series ----------------------------------------------

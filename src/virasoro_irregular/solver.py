@@ -123,36 +123,34 @@ class IrregularSeries:
     ``pending`` lists the tail constants the truncation cannot determine.
     """
 
-    __slots__ = ("kind", "r", "order", "table", "ctx", "var", "cnames", "vectors", "nu",
-                 "g", "constants", "pending", "ledger", "convention")
+    __slots__ = ("family", "order", "table", "ctx", "vectors", "nu", "g", "constants",
+                 "pending", "ledger", "convention")
 
-    def __init__(self, kind: str, r: int, order: int, table: VarTable, ctx: ModuleContext,
-                 var: str, cnames: tuple[str, ...], vectors: list[ModuleVector],
-                 nu: LaurentPoly | None, g: dict[int, LaurentPoly],
-                 constants: dict[int, LaurentPoly], pending: tuple[str, ...],
-                 ledger: UnknownLedger | None, convention: str = GENERAL) -> None:
-        self.kind, self.r, self.order, self.table, self.ctx = kind, r, order, table, ctx
-        self.var, self.cnames, self.vectors, self.nu, self.g = var, cnames, vectors, nu, g
-        self.constants, self.pending, self.ledger = constants, pending, ledger
-        self.convention = convention
+    def __init__(self, family: Family, order: int, table: VarTable, ctx: ModuleContext,
+                 vectors: list[ModuleVector], nu: LaurentPoly | None,
+                 g: dict[int, LaurentPoly], constants: dict[int, LaurentPoly],
+                 pending: tuple[str, ...], ledger: UnknownLedger | None,
+                 convention: str = GENERAL) -> None:
+        self.family, self.order, self.table, self.ctx = family, order, table, ctx
+        self.vectors, self.nu, self.g, self.constants = vectors, nu, g, constants
+        self.pending, self.ledger, self.convention = pending, ledger, convention
 
 
 # ----- shared elimination machinery -----------------------------------------
 
 
-def series_table(kind: str, r: int, order: int) -> VarTable:
+def series_table(family: Family, order: int) -> VarTable:
     """Variables of a series: the family's frame table (with the primed zero
     mode ``c0p`` at integer rank), then ``nu``, ``g1..g{r-1}`` and the tail
     constants ``ce1..ce{order}``.  Rank one keeps the frame table."""
-    family = Family(kind, r)
     frame = family.frame_table()
-    if kind == RANK_ONE:
+    if family.kind == RANK_ONE:
         return frame
     names, weights = list(frame.names), list(frame.weights)
-    if kind == INTEGER:
+    if family.kind == INTEGER:
         names.insert(2, "c0p")
         weights.insert(2, 0)
-    step = family.step
+    r, step = family.r, family.step
     names += ["nu"] + [f"g{j}" for j in range(1, r)]
     weights += [0] + [step * j for j in range(1, r)]
     names += [f"ce{k}" for k in range(1, order + 1)]
@@ -160,7 +158,7 @@ def series_table(kind: str, r: int, order: int) -> VarTable:
     return VarTable(tuple(names), tuple(weights))
 
 
-def series_context(kind: str, r: int, table: VarTable, central) -> ModuleContext:
+def series_context(family: Family, table: VarTable, central) -> ModuleContext:
     """Module a series lives over: the Verma module at rank one, else the
     rank ``r-1`` module on the family's zero-mode parameter.  ``central``
     defaults to ``1 + 6 Q^2``."""
@@ -168,9 +166,10 @@ def series_context(kind: str, r: int, table: VarTable, central) -> ModuleContext
         central = default_central_charge(table)
     c_vir = central.migrate(table) if isinstance(central, LaurentPoly) \
         else LaurentPoly.const(table, central)
-    if kind == RANK_ONE:
+    if family.kind == RANK_ONE:
         return verma_context(table, conformal_weight(table, "c0"), c_vir)
-    scalars = Family(INTEGER, r - 1).mode_scalars(table, Family(kind, r).base_c0)
+    r = family.r
+    scalars = Family(INTEGER, r - 1).mode_scalars(table, family.base_c0)
     eigen = {n: scalars[n] for n in range(r - 1, 2 * r - 1)}
     return ModuleContext(table, r - 1, eigen, c_vir)
 
@@ -182,25 +181,24 @@ class Recipe:
     ``relations[part]`` is the scalar and order shift of the relation that
     trades the word factor ``part`` for a lower-order vector."""
 
-    __slots__ = ("kind", "r", "ctx", "dual", "scalars", "relations")
+    __slots__ = ("family", "ctx", "dual", "scalars", "relations")
 
-    def __init__(self, kind: str, r: int, ctx: ModuleContext, dual: DualOperator,
+    def __init__(self, family: Family, ctx: ModuleContext, dual: DualOperator,
                  scalars: dict[int, LaurentPoly] | None,
                  relations: dict[int, tuple[LaurentPoly, int]]) -> None:
-        self.kind, self.r, self.ctx, self.dual, self.scalars = kind, r, ctx, dual, scalars
+        self.family, self.ctx, self.dual, self.scalars = family, ctx, dual, scalars
         self.relations = relations
 
 
-def series_recipe(kind: str, r: int, ctx: ModuleContext) -> Recipe:
+def series_recipe(family: Family, ctx: ModuleContext) -> Recipe:
     """Recipe of an integer or half series over its module context.  The
     mode-``n`` scalar's one positive power ``d`` of the expansion variable,
     with coefficient ``s``, is the relation ``(s, d)`` of part ``n - r + 1``."""
-    family = Family(kind, r)
-    modes = family.mode_scalars(ctx.table)
-    scalars = {n: modes[n] for n in range(r)} if kind == INTEGER else None
+    r, modes = family.r, family.mode_scalars(ctx.table)
+    scalars = {n: modes[n] for n in range(r)} if family.kind == INTEGER else None
     relations = {n - r + 1: (s, d) for n, scalar in modes.items()
                  for d, s in scalar.split_by_var(family.var).items() if d > 0}
-    return Recipe(kind, r, ctx, family.dual_operator(ctx.table), scalars, relations)
+    return Recipe(family, ctx, family.dual_operator(ctx.table), scalars, relations)
 
 
 def _restrict(vec: ModuleVector, cyclic: bool) -> ModuleVector:
@@ -232,7 +230,7 @@ def _flow_residual(recipe: Recipe, vectors: list[ModuleVector],
     With ``cyclic`` only its cyclic-vector component is formed, which is
     all that pinning the order's unknown reads.
     """
-    r = recipe.r
+    r = recipe.family.r
     acc = ModuleVector(recipe.ctx)
     for i in range(r - 1):
         j = k - i
@@ -259,7 +257,7 @@ def _order_targets(recipe: Recipe, vectors: list[ModuleVector],
     against that vector.
     """
     targets: dict[tuple[int, ...], LaurentPoly] = {}
-    for w in range(1, recipe.r * k + 1):
+    for w in range(1, recipe.family.r * k + 1):
         for mu in partitions_of(w):
             if mu[0] not in recipe.relations:
                 continue
@@ -316,9 +314,9 @@ def _pin_unknown(recipe: Recipe, ledger: UnknownLedger,
 
 
 def _run_recursion(recipe: Recipe, order: int) -> IrregularSeries:
-    table = recipe.ctx.table
-    ledger = UnknownLedger.plan(recipe.r, order)
-    g_polys = {j: LaurentPoly.var(table, f"g{j}") for j in range(1, recipe.r)}
+    table, r = recipe.ctx.table, recipe.family.r
+    ledger = UnknownLedger.plan(r, order)
+    g_polys = {j: LaurentPoly.var(table, f"g{j}") for j in range(1, r)}
     nu_poly = LaurentPoly.var(table, "nu")
     vectors = [recipe.ctx.cyclic()]
     for k in range(order + 1):
@@ -326,7 +324,7 @@ def _run_recursion(recipe: Recipe, order: int) -> IrregularSeries:
             slot = LaurentPoly.var(table, f"ce{k}")
             targets = _order_targets(recipe, vectors, k)
             vectors.append(solve_descendants(
-                recipe.ctx, targets, recipe.r * k, constant=slot))
+                recipe.ctx, targets, r * k, constant=slot))
         name = ledger.entry_for_order(k).name
         value = _pin_unknown(recipe, ledger, vectors, g_polys, nu_poly, k)
         nu_poly = _substitute_state(vectors, g_polys, nu_poly, name, value)
@@ -340,31 +338,29 @@ def _run_recursion(recipe: Recipe, order: int) -> IrregularSeries:
             constants[int(entry.name[2:])] = entry.value
     pending = tuple(sorted(ledger.pending_names(),
                            key=lambda s: (s[:2] != "ce", s)))
-    family = Family(recipe.kind, recipe.r)
     return IrregularSeries(
-        kind=recipe.kind, r=recipe.r, order=order, table=table,
-        ctx=recipe.ctx, var=family.var, cnames=family.cnames,
+        family=recipe.family, order=order, table=table, ctx=recipe.ctx,
         vectors=vectors, nu=nu_poly, g=g_polys, constants=constants,
         pending=pending, ledger=ledger)
 
 
-def _solve(kind: str, r: int, order: int, central) -> IrregularSeries:
-    if r < 2:
-        raise ValueError(f"{kind} construction starts at r = 2")
+def _solve(family: Family, order: int, central) -> IrregularSeries:
+    if family.r < 2:
+        raise ValueError(f"{family.kind} construction starts at r = 2")
     if order < 0:
         raise ValueError("truncation order must be non-negative")
-    ctx = series_context(kind, r, series_table(kind, r, order), central)
-    return _run_recursion(series_recipe(kind, r, ctx), order)
+    ctx = series_context(family, series_table(family, order), central)
+    return _run_recursion(series_recipe(family, ctx), order)
 
 
 def solve_integer(r: int, order: int, central=None) -> IrregularSeries:
     """Canonical integer-rank series over the rank ``r-1`` module."""
-    return _solve(INTEGER, r, order, central)
+    return _solve(Family(INTEGER, r), order, central)
 
 
 def solve_half(r: int, order: int, central=None) -> IrregularSeries:
     """Canonical half-integer series (rank ``r - 1/2``)."""
-    return _solve(HALF, r, order, central)
+    return _solve(Family(HALF, r), order, central)
 
 
 # ----- rank one --------------------------------------------------------------
@@ -489,9 +485,9 @@ def solve_rank1(vctx: ModuleContext, lam1: LaurentPoly, lam2: LaurentPoly,
         for vec, factors in zip(numerators, denominators)
     ]
     return IrregularSeries(
-        kind=RANK_ONE, r=1, order=order, table=table, ctx=vctx, var="c1",
-        cnames=(), vectors=vectors, nu=None, g={},
-        constants={}, pending=(), ledger=None, convention=convention)
+        family=Family(RANK_ONE, 1), order=order, table=table, ctx=vctx,
+        vectors=vectors, nu=None, g={}, constants={}, pending=(), ledger=None,
+        convention=convention)
 
 
 def rank1_series(order: int, convention: str = GENERAL,
@@ -499,8 +495,9 @@ def rank1_series(order: int, convention: str = GENERAL,
     """Rank-one series on the standard three-variable table."""
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    table = series_table(RANK_ONE, 1, order)
-    vctx = series_context(RANK_ONE, 1, table, central)
+    family = Family(RANK_ONE, 1)
+    table = series_table(family, order)
+    vctx = series_context(family, table, central)
     lam1 = eigenvalue(table, 1, ("c1",), convention=convention)
     lam2 = eigenvalue(table, 2, ("c1",), convention=convention)
     return solve_rank1(vctx, lam1, lam2, order, convention=convention)
@@ -535,8 +532,8 @@ class VerificationReport:
 
 def _check_mode_relations(series: IrregularSeries, recipe: Recipe,
                           report: VerificationReport) -> None:
-    r, rho = recipe.r, recipe.ctx.rho
-    top_mode = max(2 * r, 2 * rho + recipe.r * series.order)
+    r, rho = recipe.family.r, recipe.ctx.rho
+    top_mode = max(2 * r, 2 * rho + r * series.order)
     for n in range(r, top_mode + 1):
         scalar, shift = recipe.relations.get(n - rho, (None, 0))
         bad = ""
@@ -617,15 +614,15 @@ def verify_canonical(series: IrregularSeries) -> VerificationReport:
     Failures become report entries, never exceptions.
     """
     report = VerificationReport()
-    if series.kind == RANK_ONE:
+    if series.family.kind == RANK_ONE:
         _check_rank_one(series, report)
         return report
-    recipe = series_recipe(series.kind, series.r, series.ctx)
+    recipe = series_recipe(series.family, series.ctx)
     one = LaurentPoly.const(series.table, 1)
     report.add("normalization", "k = 0",
                series.vectors[0].constant_term() == one)
     for k, vk in enumerate(series.vectors):
-        ok = vk.max_weight() <= recipe.r * k
+        ok = vk.max_weight() <= series.family.r * k
         report.add("support bound", f"k = {k}", ok,
                    "" if ok else f"weight {vk.max_weight()}")
     _check_mode_relations(series, recipe, report)

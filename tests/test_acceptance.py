@@ -13,16 +13,7 @@ import random
 import time
 from fractions import Fraction
 
-from virasoro_irregular.frames import (
-    apply_field,
-    deformation_fields,
-    dual_operator,
-    frame_matrix,
-    odd_dual_operator,
-    odd_fields,
-    odd_frame_matrix,
-    quadratic_scalars,
-)
+from virasoro_irregular.frames import HALF, INTEGER, Family, apply_field
 from virasoro_irregular.gauge import (
     Infeasible,
     apply_gauge_and_verify,
@@ -68,7 +59,7 @@ def test_01_frame_determinant_closed_form():
     ok = True
     for r in range(2, 7):
         table, cnames = _integer_table(r)
-        det = det_bareiss(frame_matrix(table, r, cnames))
+        det = det_bareiss(Family(INTEGER, r).frame_matrix(table))
         sign = -1 if (r * (r - 1) // 2) % 2 else 1
         expected = LaurentPoly.var(table, f"c{r}", r, sign * math.factorial(r))
         ok = ok and det == expected
@@ -84,7 +75,7 @@ def test_02_frame_inverse_row_and_lowest_order_profile():
     ok = True
     for r in range(2, 7):
         table, cnames = _integer_table(r)
-        matrix = frame_matrix(table, r, cnames)
+        matrix = Family(INTEGER, r).frame_matrix(table)
         row = inverse_exact(matrix)[r - 1]
         one = LaurentPoly.const(table, 1)
         for j in range(r):
@@ -93,7 +84,7 @@ def test_02_frame_inverse_row_and_lowest_order_profile():
             ok = ok and total == (one if j == r - 1 else LaurentPoly.zero(table))
     for r in range(2, 6):
         table, cnames = _integer_table(r)
-        profile = dict(dual_operator(table, r, cnames).orders[0])
+        profile = dict(Family(INTEGER, r).dual_operator(table).orders[0])
         seed = LaurentPoly.var(table, f"c{r - 1}", r - 1,
                                Fraction((-1) ** (r - 1), r))
         ok = ok and profile == {r - 1: seed}
@@ -109,8 +100,8 @@ def test_03_odd_fields_restate_the_quadratic_scalars():
     ok = True
     for r in range(2, 6):
         table, cnames = _odd_table(r)
-        fields = odd_fields(table, r, cnames, "Lam")
-        scalars = quadratic_scalars(table, r, cnames, "Lam")
+        fields = Family(HALF, r).fields(table)
+        scalars = Family(HALF, r).mode_scalars(table)
         zero = LaurentPoly.zero(table)
         for n in range(r):
             for m in range(r, 2 * r):
@@ -140,7 +131,7 @@ def test_04_odd_frame_determinant_and_profile():
     ok = True
     for r in range(2, 6):
         table, cnames = _odd_table(r)
-        det = det_bareiss(odd_frame_matrix(table, r, cnames, "Lam"))
+        det = det_bareiss(Family(HALF, r).frame_matrix(table))
         kappa = Fraction(2 * r - 1)
         for n in range(1, r):
             kappa *= Fraction(-(2 * r - 2 * n - 1), 2)
@@ -153,7 +144,7 @@ def test_04_odd_frame_determinant_and_profile():
              4: Fraction(16, 35), 5: Fraction(128, 315)}
     for r, rho in seeds.items():
         table, cnames = _odd_table(r)
-        profile = dict(odd_dual_operator(table, r, cnames, "Lam").orders[0])
+        profile = dict(Family(HALF, r).dual_operator(table).orders[0])
         seed = LaurentPoly.var(table, f"c{r - 1}", 2 * r - 2, rho)
         ok = ok and profile == {r - 1: seed}
     elapsed = time.monotonic() - started
@@ -289,7 +280,7 @@ def test_09_integer_gauge_pipeline():
     frob = frobenius_verify(obs)
     certificate = lstar_certificate(obs)
     decomp = integrate_potential(obs)
-    var = series.var
+    var = series.family.var
     clean = not decomp.g0.uses_var(var) \
         and all(not poly.uses_var(var) for poly in decomp.nu.values())
     gauged = apply_gauge_and_verify(series, decomp, obs=obs)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from virasoro_irregular.cli import main
-from virasoro_irregular.frames import GENERAL, default_central_charge
+from virasoro_irregular.frames import GENERAL, Family, default_central_charge
 from virasoro_irregular.ring import LaurentPoly, RationalFunction, VarTable
 from virasoro_irregular.serialize import (
     SerializeError,
@@ -74,9 +74,10 @@ def _table_of(doc: dict) -> VarTable:
     (HALF, 2, "3/2"), (HALF, 4, "7/2"),
 ])
 def test_rank_strings_round_trip(kind, r, text):
-    assert format_rank(kind, r) == text
-    assert parse_rank(text) == (kind, r)
-    assert parse_rank(f"  {text} ") == (kind, r)
+    assert format_rank(Family(kind, r)) == text
+    for given in (text, f"  {text} "):
+        family = parse_rank(given)
+        assert (family.kind, family.r) == (kind, r)
 
 
 @pytest.mark.parametrize("text", ["0", "-2", "2/3", "4/2", "1/2", "7/3",
@@ -494,6 +495,17 @@ def test_error_record_of_an_unreadable_input_declares_nothing(tmp_path, capsys):
     code, doc = _run_json(capsys, ["verify", "--input", str(path)])
     assert code == 1
     assert doc["error"]["type"] == "SerializeError"
+    assert doc["meta"] == {"rank": None, "K": None, "convention": None,
+                           "central": None}
+
+
+def test_error_record_of_a_non_utf8_input_declares_nothing(tmp_path, capsys):
+    # bytes that do not decode as UTF-8 once ended verify --input in a traceback
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe not json")
+    code, doc = _run_json(capsys, ["verify", "--input", str(path)])
+    assert code == 1
+    assert doc["error"]["type"] == "UnicodeDecodeError"
     assert doc["meta"] == {"rank": None, "K": None, "convention": None,
                            "central": None}
 

@@ -10,22 +10,14 @@ import pytest
 from virasoro_irregular.frames import (
     DISPLAY,
     GENERAL,
+    HALF,
     INTEGER,
     DegreeOverflow,
     Family,
     apply_field,
     conformal_weight,
     default_central_charge,
-    deformation_fields,
-    dual_operator,
     eigenvalue,
-    expected_frame_det,
-    expected_odd_frame_det,
-    frame_matrix,
-    odd_dual_operator,
-    odd_fields,
-    odd_frame_matrix,
-    quadratic_scalars,
 )
 from virasoro_irregular.linalg import det_bareiss, inverse_exact
 from virasoro_irregular.ring import LaurentPoly, VarTable
@@ -119,14 +111,14 @@ def test_lower_scalars_free_of_top_parameter():
 def test_frame_determinant_closed_form():
     for r in range(2, 7):
         table, cnames = poly_table(r)
-        m = frame_matrix(table, r, cnames)
-        assert det_bareiss(m) == expected_frame_det(table, r, cnames)
+        m = Family(INTEGER, r).frame_matrix(table)
+        assert det_bareiss(m) == Family(INTEGER, r).expected_det(table)
 
 
 def test_inverse_last_row_matches_series_coefficients():
     for r in range(2, 7):
         table, cnames = poly_table(r)
-        inv = inverse_exact(frame_matrix(table, r, cnames))
+        inv = inverse_exact(Family(INTEGER, r).frame_matrix(table))
         coeffs = series_inverse_coeffs(table, r, cnames, r)
         for k in range(r):
             assert inv[r - 1][k] == coeffs[k] * Fraction(1, r)
@@ -147,7 +139,7 @@ def test_series_coefficients_invert_the_generating_polynomial():
 
 def test_dual_operator_small_case():
     table, cnames = poly_table(2)
-    op = dual_operator(table, 2, cnames)
+    op = Family(INTEGER, 2).dual_operator(table)
     c1 = LaurentPoly.var(table, "c1")
     assert op.orders[0] == {1: c1 * Fraction(-1, 2)}
     assert op.orders[1] == {0: LaurentPoly.const(table, Fraction(1, 2))}
@@ -158,7 +150,7 @@ def test_dual_operator_lowest_order_profile():
     # coefficient ((-1)^(r-1) / r) c_{r-1}^{r-1}.
     for r in range(2, 6):
         table, cnames = poly_table(r)
-        profile = dict(dual_operator(table, r, cnames).orders[0])
+        profile = dict(Family(INTEGER, r).dual_operator(table).orders[0])
         assert set(profile) == {r - 1}
         sign = 1 if (r - 1) % 2 == 0 else -1
         expected = LaurentPoly.var(table, cnames[r - 2], r - 1) * Fraction(sign, r)
@@ -169,8 +161,8 @@ def test_dual_row_reproduces_top_parameter_derivative():
     rng = random.Random(314)
     for r in (2, 3, 4):
         table, cnames = poly_table(r)
-        fields = deformation_fields(table, r, cnames)
-        inv = inverse_exact(frame_matrix(table, r, cnames))
+        fields = Family(INTEGER, r).fields(table)
+        inv = inverse_exact(Family(INTEGER, r).frame_matrix(table))
         for _ in range(10):
             f = LaurentPoly.zero(table)
             for _ in range(4):
@@ -189,7 +181,7 @@ def test_quadratic_scalars_values():
     table, cnames, lam = odd_table(3)
     c1 = LaurentPoly.var(table, "c1")
     c2 = LaurentPoly.var(table, "c2")
-    scal = quadratic_scalars(table, 3, cnames, lam)
+    scal = Family(HALF, 3).mode_scalars(table)
     assert set(scal) == {3, 4, 5}
     assert scal[3] == -2 * c1 * c2
     assert scal[4] == -(c2 * c2)
@@ -199,8 +191,8 @@ def test_quadratic_scalars_values():
 def test_odd_fields_satisfy_defining_action():
     for r in (2, 3, 4, 5):
         table, cnames, lam = odd_table(r)
-        scal = quadratic_scalars(table, r, cnames, lam)
-        fields = odd_fields(table, r, cnames, lam)
+        scal = Family(HALF, r).mode_scalars(table)
+        fields = Family(HALF, r).fields(table)
         zero = LaurentPoly.zero(table)
         for n in range(r):
             for m in range(r, 2 * r):
@@ -212,7 +204,7 @@ def test_odd_fields_satisfy_defining_action():
 def test_odd_fields_support_profile():
     for r in (3, 4, 5):
         table, cnames, lam = odd_table(r)
-        fields = odd_fields(table, r, cnames, lam)
+        fields = Family(HALF, r).fields(table)
         cbot = LaurentPoly.var(table, cnames[r - 2])
         lam_poly = LaurentPoly.var(table, lam)
         for n in range(1, r):
@@ -229,7 +221,7 @@ def test_odd_fields_support_profile():
 def test_odd_field_brackets():
     for r in (2, 3, 4):
         table, cnames, lam = odd_table(r)
-        fields = odd_fields(table, r, cnames, lam)
+        fields = Family(HALF, r).fields(table)
         coords = list(cnames) + [lam]
         zero = LaurentPoly.zero(table)
 
@@ -258,13 +250,13 @@ def test_odd_field_brackets():
 def test_odd_frame_determinant_closed_form():
     for r in (2, 3, 4, 5):
         table, cnames, lam = odd_table(r)
-        m = odd_frame_matrix(table, r, cnames, lam)
-        assert det_bareiss(m) == expected_odd_frame_det(table, r, cnames, lam)
+        m = Family(HALF, r).frame_matrix(table)
+        assert det_bareiss(m) == Family(HALF, r).expected_det(table)
 
 
 def test_odd_dual_operator_small_case():
     table, cnames, lam = odd_table(2)
-    op = odd_dual_operator(table, 2, cnames, lam)
+    op = Family(HALF, 2).dual_operator(table)
     c1 = LaurentPoly.var(table, "c1")
     assert op.orders[0] == {1: c1 * c1 * Fraction(2, 3)}
     assert op.orders[1] == {0: LaurentPoly.const(table, Fraction(1, 3))}
@@ -276,7 +268,7 @@ def test_odd_dual_lowest_order_profile():
     ratios = {}
     for r in (2, 3, 4):
         table, cnames, lam = odd_table(r)
-        profile = dict(odd_dual_operator(table, r, cnames, lam).orders[0])
+        profile = dict(Family(HALF, r).dual_operator(table).orders[0])
         assert set(profile) == {r - 1}
         base = LaurentPoly.var(table, cnames[r - 2], 2 * r - 2)
         ratios[r] = profile[r - 1].exact_div(base).as_rational()
@@ -289,8 +281,8 @@ def test_odd_dual_row_reproduces_top_eigenvalue_derivative():
     rng = random.Random(2718)
     for r in (2, 3):
         table, cnames, lam = odd_table(r)
-        fields = odd_fields(table, r, cnames, lam)
-        inv = inverse_exact(odd_frame_matrix(table, r, cnames, lam))
+        fields = Family(HALF, r).fields(table)
+        inv = inverse_exact(Family(HALF, r).frame_matrix(table))
         for _ in range(10):
             f = LaurentPoly.zero(table)
             for _ in range(4):

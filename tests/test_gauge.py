@@ -9,14 +9,7 @@ from functools import lru_cache
 
 import pytest
 
-from virasoro_irregular.frames import (
-    apply_field,
-    conformal_weight,
-    deformation_fields,
-    frame_matrix,
-    odd_fields,
-    quadratic_scalars,
-)
+from virasoro_irregular.frames import Family, apply_field, conformal_weight
 from virasoro_irregular.gauge import (
     ExpansionVariableLeak,
     GaugeError,
@@ -211,7 +204,7 @@ def _at(lam):
 
 
 def test_derive_series_matches_the_direct_derivative():
-    fields = deformation_fields(_TABLE, 2, ("c1", "c2"))
+    fields = Family(INTEGER, 2).fields(_TABLE)
     rng = random.Random(20240612)
     for field in fields:
         for _ in range(10):
@@ -276,8 +269,7 @@ def _fabricated(a_polys, r=2, lam=False) -> ObstructionSet:
         kind = INTEGER
     table = VarTable(names, weights)
     a = tuple(TruncatedSeries.from_poly(p(table), var) for p in a_polys)
-    return ObstructionSet(kind=kind, r=r, table=table, var=var, cnames=cnames,
-                          a=a)
+    return ObstructionSet(family=Family(kind, r), table=table, a=a)
 
 
 def test_integrate_recovers_a_known_potential():
@@ -298,20 +290,6 @@ def test_integrate_zero_obstructions_gives_a_trivial_potential():
     decomp = integrate_potential(obs)
     assert decomp.g0.is_zero()
     assert decomp.nu == {}
-
-
-def test_integrate_is_frame_row_order_invariant():
-    obs = _obstructions(INTEGER, 2, 4)
-    base = integrate_potential(obs)
-    permuted = integrate_potential(obs, order=[1, 0])
-    assert permuted.g0 == base.g0
-    assert permuted.nu == base.nu
-    explicit = integrate_potential(
-        obs, frame=frame_matrix(obs.table, 2, ("c1", "c2")), order=[1, 0])
-    assert explicit.g0 == base.g0
-    assert explicit.nu == base.nu
-    with pytest.raises(ValueError):
-        integrate_potential(obs, order=[0, 0])
 
 
 def test_integrate_detects_a_weight_zero_mode():
@@ -347,7 +325,7 @@ def test_integrate_detects_unclosed_forms():
 def test_integrate_requires_a_wide_enough_window():
     obs = _obstructions(INTEGER, 2, 4)
     narrow = copy.copy(obs)
-    narrow.a = tuple(TruncatedSeries(LaurentPoly.zero(obs.table), obs.var, {}, -1)
+    narrow.a = tuple(TruncatedSeries(LaurentPoly.zero(obs.table), obs.family.var, {}, -1)
                      for _ in obs.a)
     with pytest.raises(GaugeError):
         integrate_potential(narrow)
@@ -429,10 +407,10 @@ def test_completion_r3_requires_the_second_bound():
     report = completion_residuals(completion)
     assert report.all_ok
     # the bracket of the two nontrivial fields lands on the fixed quadratic
-    fields = odd_fields(t, 3, completion.cnames, "Lam")
+    fields = Family(HALF, 3).fields(t)
     lhs = (apply_field(fields[1], completion.sigma[2])
            - apply_field(fields[2], completion.sigma[1]))
-    assert lhs == quadratic_scalars(t, 3, completion.cnames, "Lam")[3]
+    assert lhs == Family(HALF, 3).mode_scalars(t)[3]
 
 
 def test_completion_gauge_row_rules_out_the_short_solution():
@@ -443,8 +421,7 @@ def test_completion_gauge_row_rules_out_the_short_solution():
     sigma = (LaurentPoly.zero(table),
              _v(table, "c1", 3, 2) * _v(table, "c2", -1),
              _v(table, "c1", 2, -1))
-    candidate = ScalarCompletion(r=3, table=table, cnames=cnames, var="Lam",
-                                 sigma=sigma, bound=1)
+    candidate = ScalarCompletion(r=3, table=table, sigma=sigma, bound=1)
     report = completion_residuals(candidate)
     assert not report.all_ok
     failures = [c.relation for c in report.checks if not c.ok]

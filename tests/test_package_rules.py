@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from virasoro_irregular import frames
 from virasoro_irregular.ring import LaurentPoly
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +35,27 @@ def test_traced_functions_exist(span):
     home = importlib.import_module(f"virasoro_irregular.{module}")
     for name in functions:
         assert callable(getattr(home, name, None)), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("kind, r, traced", [
+    (frames.INTEGER, 2, "dual_operator"), (frames.INTEGER, 3, "dual_operator"),
+    (frames.HALF, 2, "odd_dual_operator"), (frames.HALF, 3, "odd_dual_operator"),
+])
+def test_family_dual_operator_goes_through_the_traced_function(kind, r, traced,
+                                                               monkeypatch):
+    # the tracer replaces these module functions by name, so the dual operator
+    # of either family must reach its own traced function exactly once, or the
+    # traced dual-operator time silently reads zero
+    calls = {name: 0 for name in ("dual_operator", "odd_dual_operator")}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(frames, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(frames, name, counting)
+    family = frames.Family(kind, r)
+    op = family.dual_operator(family.frame_table())
+    assert calls == {name: int(name == traced) for name in calls}
+    assert op.var == family.var and len(op.row) == r
 
 
 def test_traced_ring_methods_exist():

@@ -12,6 +12,7 @@ import pytest
 from virasoro_irregular.frames import (
     DISPLAY,
     GENERAL,
+    Family,
     conformal_weight,
     default_central_charge,
     eigenvalue,
@@ -162,8 +163,8 @@ def test_construction_verifies_from_scratch(series):
 
 @pytest.mark.parametrize("series", [_integer(2, 2), _half(2, 2)])
 def test_arbitrary_central_charge_is_consistent(series):
-    rebuilt = {INTEGER: solve_integer, HALF: solve_half}[series.kind](
-        series.r, series.order, central=7)
+    rebuilt = {INTEGER: solve_integer, HALF: solve_half}[series.family.kind](
+        series.family.r, series.order, central=7)
     assert verify_canonical(rebuilt).all_ok
     assert rebuilt.constants[1] != series.constants[1]
 
@@ -222,8 +223,9 @@ def _relation_oracle(kind: str, r: int, table: VarTable,
 @pytest.mark.parametrize("kind,r", [(INTEGER, r) for r in range(2, 7)]
                          + [(HALF, r) for r in range(2, 6)])
 def test_relations_derived_from_the_mode_scalars_match_the_closed_forms(kind, r):
-    table = series_table(kind, r, 1)
-    recipe = series_recipe(kind, r, series_context(kind, r, table, None))
+    family = Family(kind, r)
+    table = series_table(family, 1)
+    recipe = series_recipe(family, series_context(family, table, None))
     expected = {}
     for part in range(-2 * r, 3 * r):
         rel = _relation_oracle(kind, r, table, part)
@@ -236,9 +238,9 @@ def test_relations_derived_from_the_mode_scalars_match_the_closed_forms(kind, r)
 @pytest.mark.parametrize("series", [
     _integer(2, 3), _integer(3, 2), _half(2, 3), _half(3, 2)])
 def test_support_bound_and_pole_location(series):
-    pole_var = f"c{series.r - 1}"
+    pole_var = f"c{series.family.r - 1}"
     for k, vk in enumerate(series.vectors):
-        assert vk.max_weight() <= series.r * k
+        assert vk.max_weight() <= series.family.r * k
         for lam, coeff in vk.items():
             for name in coeff.support_vars():
                 if name != pole_var:
@@ -248,8 +250,8 @@ def test_support_bound_and_pole_location(series):
 @pytest.mark.parametrize("series", [
     _integer(2, 3), _integer(3, 2), _half(2, 3), _half(3, 2)])
 def test_quasi_homogeneous_grading(series):
-    rho = series.r - 1
-    step = series.r if series.kind == INTEGER else 2 * series.r - 1
+    rho = series.family.r - 1
+    step = series.family.r if series.family.kind == INTEGER else 2 * series.family.r - 1
     for k, vk in enumerate(series.vectors):
         for lam, coeff in vk.items():
             want = (sum(lam) - rho * len(lam)) - step * k
@@ -262,12 +264,13 @@ def test_quasi_homogeneous_grading(series):
 @pytest.mark.parametrize("series", [
     _integer(2, 3), _integer(3, 2), _half(2, 3), _half(3, 2)])
 def test_scalars_and_tail_free_of_the_expansion_variable(series):
-    assert not series.nu.uses_var(series.var)
+    var = series.family.var
+    assert not series.nu.uses_var(var)
     for gj in series.g.values():
-        assert not gj.uses_var(series.var)
+        assert not gj.uses_var(var)
     for vk in series.vectors:
         for _, coeff in vk.items():
-            assert not coeff.uses_var(series.var)
+            assert not coeff.uses_var(var)
 
 
 def x_vectors(series: IrregularSeries) -> list[ModuleVector]:
@@ -341,11 +344,11 @@ def test_any_single_perturbation_breaks_verification(series):
         probes.append(_replaced(series, g=g))
     # shifting the cyclic coefficient of a tail vector in the solved range
     # contradicts the pinning equation that fixed it
-    solved_top = series.order - series.r + 1
+    solved_top = series.order - series.family.r + 1
     for k in range(1, solved_top + 1):
         bumped = series.vectors[k] + series.ctx.cyclic()
         probes.append(_with_vector(series, k, bumped))
-    rng = random.Random(20240521 + series.r + len(series.kind))
+    rng = random.Random(20240521 + series.family.r + len(series.family.kind))
     for _ in range(5):
         k = rng.randrange(1, series.order + 1)
         descendants = [lam for lam, _ in series.vectors[k].items() if lam]
@@ -373,10 +376,11 @@ def test_last_cyclic_coefficient_is_genuine_freedom(series):
 def test_corrupted_pairing_cache_never_yields_a_clean_series(mu, lam, fault):
     # exactness must not rest on the pairing cache: a wrong entry, diagonal
     # or off-diagonal, ends in an error or in a failing re-check
-    ctx = series_context(INTEGER, 2, series_table(INTEGER, 2, 3), None)
+    family = Family(INTEGER, 2)
+    ctx = series_context(family, series_table(family, 3), None)
     ctx._pairing_cache[mu][lam] = fault(gram_entry(ctx, mu, lam))
     try:
-        series = _run_recursion(series_recipe(INTEGER, 2, ctx), 3)
+        series = _run_recursion(series_recipe(family, ctx), 3)
     except (SolverError, GramError, RingError):
         return
     assert not verify_canonical(series).all_ok
