@@ -110,11 +110,11 @@ class DualOperator:
     row, the top row of the inverted frame.
     """
 
-    __slots__ = ("r", "var", "orders", "row")
+    __slots__ = ("var", "orders", "row")
 
-    def __init__(self, r: int, var: str, orders: list[dict[int, LaurentPoly]],
+    def __init__(self, var: str, orders: list[dict[int, LaurentPoly]],
                  row: list[LaurentPoly]) -> None:
-        self.r, self.var, self.orders, self.row = r, var, orders, row
+        self.var, self.orders, self.row = var, orders, row
 
 
 def _dual_from_frame(family: Family, table: VarTable) -> DualOperator:
@@ -132,7 +132,7 @@ def _dual_from_frame(family: Family, table: VarTable) -> DualOperator:
                     f"dual coefficient power {power} outside 0..{r - 1}")
             if not part.is_zero():
                 orders[power][n] = part
-    return DualOperator(r=r, var=var, orders=orders, row=row)
+    return DualOperator(var=var, orders=orders, row=row)
 
 
 # The two families' dual operators are separate functions so that a profiler

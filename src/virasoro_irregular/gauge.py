@@ -18,10 +18,10 @@ from typing import Sequence
 
 from .frames import Family, apply_field
 from .linalg import InconsistentSystem, inverse_exact, sparse_solve
-from .ring import LaurentPoly, TruncatedSeries, VarTable
+from .ring import LaurentPoly, TruncatedSeries, VarTable, dot
 from .solver import (HALF, INTEGER, IrregularSeries, ResidualNonZero,
                      VerificationReport, scheduled_unknown)
-from .virasoro import ModuleVector, apply_mode
+from .virasoro import ModuleVector, apply_mode, combine
 
 
 class GaugeError(Exception):
@@ -161,9 +161,8 @@ def _engine_state(series: IrregularSeries,
                             f"--order {series.order + 1 - order} makes order 1 clean")
     tail = TruncatedSeries(ModuleVector(series.ctx), var,
                            {k: series.vectors[k] for k in range(order + 1)}, order)
-    prefactor = LaurentPoly.zero(table)
-    for j, gj in series.g.items():
-        prefactor = prefactor + gj * LaurentPoly.var(table, var, -j)
+    prefactor = dot(table, [(gj, LaurentPoly.var(table, var, -j))
+                            for j, gj in series.g.items()])
 
     # The series lives over the completed module of one rank lower: the
     # fields also differentiate the cyclic vector, whose derivatives along
@@ -176,8 +175,8 @@ def _engine_state(series: IrregularSeries,
     beta = []
     for field in fields:
         h = [field.get(name, zero) for name in family.cnames]
-        beta.append([sum((h[k] * inv_base[k][j] for k in range(rho)),
-                         start=zero) for j in range(rho)])
+        beta.append([dot(table, [(h[k], inv_base[k][j]) for k in range(rho)])
+                     for j in range(rho)])
     base_modes = base.mode_scalars(table, family.base_c0)
     base_scalars = [base_modes[j] for j in range(rho)]
     return _EngineState(series=series, fields=fields, scalars=scalars, tail=tail,
@@ -203,19 +202,11 @@ def _cyclic_lift(state: _EngineState, lam: tuple[int, ...], j: int) -> ModuleVec
 def _lift_term(state: _EngineState, i: int, tail: TruncatedSeries) -> TruncatedSeries:
     """Field ``i`` applied to the cyclic vector inside every tail entry;
     the series constructor regrades the expansion-variable powers of ``beta``."""
-    parts = {}
-    for m, vec in tail.parts.items():
-        acc = tail.zero
-        for lam, coeff in vec.parts.items():
-            for j, b in enumerate(state.beta[i]):
-                if b.is_zero():
-                    continue
-                lift = state.lift_cache.get((lam, j))
-                if lift is None:
-                    lift = _cyclic_lift(state, lam, j)
-                if not lift.is_zero():
-                    acc = acc + lift * (coeff * b)
-        parts[m] = acc
+    ctx, beta = state.series.ctx, state.beta[i]
+    parts = {m: combine(ctx, [(coeff * b, _cyclic_lift(state, lam, j))
+                              for lam, coeff in vec.parts.items()
+                              for j, b in enumerate(beta) if not b.is_zero()])
+             for m, vec in tail.parts.items()}
     return TruncatedSeries(tail.zero, tail.var, parts, tail.hi)
 
 

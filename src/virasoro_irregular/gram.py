@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .linalg import det_bareiss
-from .ring import LaurentPoly, NotDivisible, RingError
+from .ring import LaurentPoly, NotDivisible, RingError, dot
 from .virasoro import (
     ModuleContext,
     ModuleVector,
@@ -62,27 +62,29 @@ class ProportionalityFailure(GramError):
 
 def gram_entry(ctx: ModuleContext, mu: Partition, lam: Partition) -> LaurentPoly:
     """Pairing of the shifted word of ``mu`` against the basis vector of ``lam``."""
+    if not (is_partition(mu) and is_partition(lam)):
+        raise ValueError(f"not a pair of partitions: {mu}, {lam}")
+    return _pairing(ctx, mu, lam)
+
+
+def _pairing(ctx: ModuleContext, mu: Partition, lam: Partition) -> LaurentPoly:
+    """``gram_entry`` for arguments known to be partitions, as the
+    recursion's ``mu[1:]`` and straightening keys are."""
     if sum(lam) < sum(mu):
         return ctx._zero
     row = ctx._pairing_cache.get(mu)
     entry = None if row is None else row.get(lam)
     if entry is not None:
         return entry
-    if not (is_partition(mu) and is_partition(lam)):
-        raise ValueError(f"not a pair of partitions: {mu}, {lam}")
     if not mu:
         entry = ctx._zero if lam else ctx._one
     else:
         n, rest = mu[0] + ctx.rho, mu[1:]
-        entry = ctx._zero
-        for nu, d in ctx._apply_basis(n, lam).items():
-            g = gram_entry(ctx, rest, nu)
-            if not g.is_zero():
-                entry = entry + d * g
-        ev = ctx.eigenvalue(n)
-        g = gram_entry(ctx, rest, lam)
-        if not (ev.is_zero() or g.is_zero()):
-            entry = entry - ev * g
+        pairs = [(d, _pairing(ctx, rest, nu)) for nu, d in ctx._apply_basis(n, lam).items()]
+        pairs.append((-ctx.eigenvalue(n), _pairing(ctx, rest, lam)))
+        entry = dot(ctx.table, pairs)
+        if entry.is_zero():
+            entry = ctx._zero   # most entries vanish; share one zero
     ctx._pairing_cache.setdefault(mu, {})[lam] = entry
     return entry
 
@@ -161,6 +163,8 @@ def solve_descendants(ctx: ModuleContext, targets: Mapping[Partition, LaurentPol
     the result and must match exactly.
     """
     for mu in targets:
+        if not is_partition(mu):
+            raise ValueError(f"target word {mu} is not a partition")
         w = sum(mu)
         if w < 1 or w > top_weight:
             raise ValueError(f"target word {mu} outside weight range 1..{top_weight}")
@@ -191,12 +195,12 @@ def solve_descendants(ctx: ModuleContext, targets: Mapping[Partition, LaurentPol
 
 
 def gram_entry_on(ctx: ModuleContext, mu: Partition, vec: ModuleVector) -> LaurentPoly:
-    """Value of ``{L~_mu vec}`` for an arbitrary vector."""
+    """Value of ``{L~_mu vec}`` for an arbitrary vector.
+
+    Only ``mu`` is checked: the keys of a vector are partitions.
+    """
+    if not is_partition(mu):
+        raise ValueError(f"not a partition: {mu}")
     w = sum(mu)
-    total = ctx._zero
-    for lam, c in vec.parts.items():
-        if sum(lam) >= w:
-            g = gram_entry(ctx, mu, lam)
-            if not g.is_zero():
-                total = total + c * g
-    return total
+    return dot(ctx.table, [(c, _pairing(ctx, mu, lam))
+                           for lam, c in vec.parts.items() if sum(lam) >= w])

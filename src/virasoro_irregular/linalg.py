@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .ring import LaurentPoly, NotDivisible
+from .ring import LaurentPoly, NotDivisible, dot
 
 
 class LinalgError(Exception):
@@ -44,7 +44,8 @@ def _bareiss(a: Matrix, n: int) -> int:
     ``a[n-1][n-1]`` is the determinant of the row-permuted square block.
     """
     width = len(a[0])
-    sign, prev = 1, LaurentPoly.const(a[0][0].table, 1)
+    table = a[0][0].table
+    sign, prev = 1, LaurentPoly.const(table, 1)
     for k in range(n - 1):
         if a[k][k].is_zero():
             swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
@@ -55,10 +56,11 @@ def _bareiss(a: Matrix, n: int) -> int:
         top, pivot = a[k], a[k][k]
         for row in a[k + 1:]:
             f = row[k]
+            neg_f = -f
             for j in range(k + 1, width):
                 if row[j].is_zero() and (f.is_zero() or top[j].is_zero()):
                     continue
-                row[j] = (pivot * row[j] - f * top[j]).exact_div(prev)
+                row[j] = dot(table, [(pivot, row[j]), (neg_f, top[j])]).exact_div(prev)
         prev = pivot
     return sign
 
@@ -106,16 +108,12 @@ def adjugate(rows: Sequence[Sequence[LaurentPoly]],
         return _cofactor_adjugate(rows, cols, out)
     det = a[n - 1][n - 1]
     for c, j in enumerate(cols, start=n):
-        x = [zero] * n
-        x[n - 1] = a[n - 1][c]
-        for i in range(n - 2, -1, -1):
-            acc = det * a[i][c]
-            for col in range(i + 1, n):
-                if not x[col].is_zero():
-                    acc = acc - a[i][col] * x[col]
-            x[i] = acc.exact_div(a[i][i])
-        for i in range(n):
-            out[i][j] = x[i] if sign == 1 else -x[i]
+        neg = [zero] * n   # -x, so that each row is one sum of products
+        for i in range(n - 1, -1, -1):
+            x = a[i][c] if i == n - 1 else dot(
+                table, [(det, a[i][c]), *zip(a[i][i + 1:n], neg[i + 1:])]).exact_div(a[i][i])
+            neg[i] = -x
+            out[i][j] = x if sign == 1 else neg[i]
     return out
 
 
@@ -135,8 +133,7 @@ def _cofactor_adjugate(rows: Sequence[Sequence[LaurentPoly]], cols: Sequence[int
 def det_from_adjugate(rows: Sequence[Sequence[LaurentPoly]], adj: Matrix,
                       j: int) -> LaurentPoly:
     """``det(A)`` as row ``j`` of ``A`` times column ``j`` of its adjugate."""
-    return sum((a * adj[i][j] for i, a in enumerate(rows[j])),
-               LaurentPoly.zero(rows[0][0].table))
+    return dot(rows[0][0].table, [(a, adj[i][j]) for i, a in enumerate(rows[j])])
 
 
 def inverse_exact(rows: Sequence[Sequence[LaurentPoly]]) -> Matrix:
@@ -152,13 +149,8 @@ def inverse_exact(rows: Sequence[Sequence[LaurentPoly]]) -> Matrix:
 
 
 def mat_vec(a: Sequence[Sequence[LaurentPoly]], v: Sequence[LaurentPoly]) -> list[LaurentPoly]:
-    out = []
-    for row in a:
-        acc = row[0] * v[0]
-        for entry, x in zip(row[1:], v[1:]):
-            acc = acc + entry * x
-        out.append(acc)
-    return out
+    table = v[0].table
+    return [dot(table, zip(row, v)) for row in a]
 
 
 def sparse_solve(rows: Sequence[dict[int, Fraction]], rhs: Sequence[Fraction],

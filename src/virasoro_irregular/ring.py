@@ -384,28 +384,7 @@ class LaurentPoly:
                 return _new(self.table, {})
             return _reduced(self.table, {k: c * num for k, c in self.terms.items()},
                             self.den * den)
-        self._check(other)
-        table = self.table
-        if not self.terms or not other.terms:
-            return _new(table, {})
-        if len(self.terms) > len(other.terms):
-            a, b = other.terms, self.terms
-        else:
-            a, b = self.terms, other.terms
-        pairs = iter(a.items())
-        k1, c1 = next(pairs)
-        k1 -= table._zero
-        out = {k1 + k2: c1 * c2 for k2, c2 in b.items()}
-        get = out.get
-        for k1, c1 in pairs:
-            k1 -= table._zero
-            for k2, c2 in b.items():
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        table._checked(out)
-        if 0 in out.values():
-            out = {k: c for k, c in out.items() if c}
-        return _reduced(table, out, self.den * other.den)
+        return dot(self.table, [(self, other)])
 
     __rmul__ = __mul__
 
@@ -616,6 +595,48 @@ class LaurentPoly:
         for body in pieces[1:]:
             text += f" - {body[1:]}" if body.startswith("-") else f" + {body}"
         return text
+
+
+def dot(table: VarTable, pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+    """Sum of ``a * b`` over ``pairs``, every operand over ``table``.
+
+    All products go into one integer-numerator dict over the lcm of the
+    pair denominators, so the sum is range-checked once and reduced once
+    instead of copying an accumulator per term.
+    """
+    live, den = [], 1
+    for a, b in pairs:
+        if (a.table is not table or b.table is not table) and (
+                a.table != table or b.table != table):
+            raise VariableMismatch("operands over different variable tables")
+        if a.terms and b.terms:
+            live.append((a, b))
+            if den % (a.den * b.den):
+                den = lcm(den, a.den * b.den)
+    base = table._zero
+    out: dict[int, int] = {}
+    get = out.get
+    for a, b in live:
+        ta, tb = a.terms, b.terms
+        if len(ta) > len(tb):
+            ta, tb = tb, ta
+        scale = den // (a.den * b.den)
+        for k1, c1 in ta.items():
+            k1 -= base
+            c1 *= scale
+            if not k1:
+                # a constant term keeps the other operand's key objects,
+                # which the caches then share instead of holding copies
+                for k2, c2 in tb.items():
+                    out[k2] = get(k2, 0) + c1 * c2
+                continue
+            for k2, c2 in tb.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    table._checked(out)
+    if 0 in out.values():
+        out = {k: c for k, c in out.items() if c}
+    return _reduced(table, out, den)
 
 
 def _poly_exact_div(table: VarTable, a: dict[int, int],

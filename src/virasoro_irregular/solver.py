@@ -20,8 +20,8 @@ from .frames import (CONVENTIONS, GENERAL, HALF, INTEGER, RANK_ONE, DualOperator
                      Family, conformal_weight, default_central_charge, eigenvalue)
 from .gram import gram_entry, gram_entry_on, solve_descendants
 from .linalg import adjugate, det_from_adjugate, mat_vec
-from .ring import LaurentPoly, NotDivisible, RationalFunction, VarTable
-from .virasoro import (ModuleContext, ModuleVector, apply_mode, apply_tilde,
+from .ring import LaurentPoly, NotDivisible, RationalFunction, VarTable, dot
+from .virasoro import (ModuleContext, ModuleVector, apply_mode, apply_tilde, combine,
                        partitions_of, verma_context)
 
 __all__ = [
@@ -208,18 +208,17 @@ def _restrict(vec: ModuleVector, cyclic: bool) -> ModuleVector:
     return ModuleVector(vec.ctx, {(): vec.constant_term()})
 
 
-def _dual_term(recipe: Recipe, i: int, vec: ModuleVector,
-               cyclic: bool = False) -> ModuleVector:
-    """Apply the order-``i`` slice of the canonical operator to a vector."""
-    out = ModuleVector(recipe.ctx)
+def _dual_terms(recipe: Recipe, i: int, vec: ModuleVector,
+                cyclic: bool = False) -> list[tuple[LaurentPoly, ModuleVector]]:
+    """The order-``i`` slice of the canonical operator applied to a vector,
+    as ``(scalar, vector)`` terms of a linear combination."""
     part = _restrict(vec, cyclic)
-    for n in sorted(recipe.dual.orders[i]):
-        weight = recipe.dual.orders[i][n]
-        acted = apply_mode(vec, n, cyclic_only=cyclic)
+    terms = []
+    for n, weight in sorted(recipe.dual.orders[i].items()):
+        terms.append((weight, apply_mode(vec, n, cyclic_only=cyclic)))
         if recipe.scalars is not None:
-            acted = acted - part.scale(recipe.scalars[n])
-        out = out + acted.scale(weight)
-    return out
+            terms.append((-weight * recipe.scalars[n], part))
+    return terms
 
 
 def _flow_residual(recipe: Recipe, vectors: list[ModuleVector],
@@ -231,21 +230,19 @@ def _flow_residual(recipe: Recipe, vectors: list[ModuleVector],
     all that pinning the order's unknown reads.
     """
     r = recipe.family.r
-    acc = ModuleVector(recipe.ctx)
+    terms = []
     for i in range(r - 1):
         j = k - i
-        if j < 0 or j >= len(vectors):
-            continue
-        v = vectors[j]
-        acc = acc + _dual_term(recipe, i, v, cyclic)
-        acc = acc + _restrict(v, cyclic).scale(g_polys[r - 1 - i] * Fraction(r - 1 - i))
+        if 0 <= j < len(vectors):
+            terms += _dual_terms(recipe, i, vectors[j], cyclic)
+            terms.append((g_polys[r - 1 - i] * Fraction(r - 1 - i),
+                          _restrict(vectors[j], cyclic)))
     j = k - r + 1
     if 0 <= j < len(vectors):
-        v = vectors[j]
-        acc = acc + _dual_term(recipe, r - 1, v, cyclic)
-        acc = acc - _restrict(v, cyclic).scale(
-            nu_poly + LaurentPoly.const(recipe.ctx.table, k - r + 1))
-    return acc
+        terms += _dual_terms(recipe, r - 1, vectors[j], cyclic)
+        terms.append((-nu_poly - LaurentPoly.const(recipe.ctx.table, k - r + 1),
+                      _restrict(vectors[j], cyclic)))
+    return combine(recipe.ctx, terms)
 
 
 def _order_targets(recipe: Recipe, vectors: list[ModuleVector],
@@ -397,13 +394,13 @@ def _reduced(p: LaurentPoly, factors: list[LaurentPoly]) -> RationalFunction:
 
 
 def _from_invariants(p: LaurentPoly, delta_powers: list[LaurentPoly],
-                     c_powers: list[LaurentPoly], zero: LaurentPoly) -> LaurentPoly:
+                     c_powers: list[LaurentPoly], table: VarTable) -> LaurentPoly:
     """Map a polynomial in (Delta, c) to the module table, given the powers
     of the images of Delta and c."""
-    groups: dict[int, LaurentPoly] = {}
+    groups: dict[int, list] = {}
     for (a, b), coeff in p.iter_terms():
-        groups[a] = groups.get(a, zero) + c_powers[b] * coeff
-    return sum((inner * delta_powers[a] for a, inner in groups.items()), start=zero)
+        groups.setdefault(a, []).append((c_powers[b], LaurentPoly.const(table, coeff)))
+    return dot(table, [(dot(table, pairs), delta_powers[a]) for a, pairs in groups.items()])
 
 
 def solve_rank1(vctx: ModuleContext, lam1: LaurentPoly, lam2: LaurentPoly,
@@ -464,18 +461,15 @@ def solve_rank1(vctx: ModuleContext, lam1: LaurentPoly, lam2: LaurentPoly,
             top = max(p.degree_in(name)[1] for p in entries)
             while len(pows) <= top:
                 pows.append(pows[-1] * base)
-        det = _from_invariants(det, *powers, zero)
+        det = _from_invariants(det, *powers, table)
         if det.is_zero():
             raise SingularShapovalov(f"level {k}: pairing determinant vanishes")
-        adj = [[_from_invariants(a, *powers, zero) for a in row] for row in adj]
+        adj = [[_from_invariants(a, *powers, table) for a in row] for row in adj]
         y1 = mat_vec(adj, drop)
-        y2 = mat_vec(adj, drop2) if any(not t.is_zero() for t in drop2) else None
+        y2 = mat_vec(adj, drop2)
         before1 = _product(table, denominators[k - 1])
         before2 = _product(table, denominators[k - 2]) if k >= 2 else one
-        if y2 is None:
-            nums = [a * before2 for a in y1]
-        else:
-            nums = [a * before2 + b * before1 for a, b in zip(y1, y2)]
+        nums = [dot(table, [(a, before2), (b, before1)]) for a, b in zip(y1, y2)]
         factors = [det] + denominators[k - 1] + (denominators[k - 2] if k >= 2 else [])
         nums, factors = _cancel_common(nums, factors)
         numerators.append(ModuleVector(vctx, dict(zip(lams, nums))))

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .ring import LaurentPoly, RationalFunction, VarTable
+from .ring import LaurentPoly, RationalFunction, VarTable, dot
 
 Partition = tuple[int, ...]
 
@@ -144,18 +144,39 @@ class ModuleContext:
             else:
                 rest = lam[1:]
                 # L_n L_{m1} = L_{m1} L_n + (n - m1) L_{n+m1} [+ central]
-                for mu, c in self._apply_basis(n, rest).items():
-                    for nu, d in self._apply_basis(m1, mu).items():
-                        _accumulate(out, nu, c * d)
-                k = n - m1
-                for mu, c in self._apply_basis(n + m1, rest).items():
-                    _accumulate(out, mu, c * k)
+                terms = [(c, self._apply_basis(m1, mu))
+                         for mu, c in self._apply_basis(n, rest).items()]
+                terms.append((LaurentPoly.const(self.table, n - m1),
+                              self._apply_basis(n + m1, rest)))
                 if n + m1 == 0:
-                    central = self.c_vir * Fraction(n ** 3 - n, 12)
-                    if not central.is_zero():
-                        _accumulate(out, rest, central)
+                    terms.append((self.c_vir * Fraction(n ** 3 - n, 12), {rest: self._one}))
+                out = _combine(self.table, terms)
         self._mode_cache[key] = out
         return out
+
+
+def _combine(table: VarTable, terms: Iterable[tuple[LaurentPoly, Mapping]]) -> dict:
+    """Coefficients of ``sum s * v`` over ``(s, v)`` terms, ``v`` a coefficient
+    map: one ``dot`` per partition, and a partition whose sum vanishes is
+    dropped."""
+    gathered: dict[Partition, list] = {}
+    for s, parts in terms:
+        for lam, c in parts.items():
+            gathered.setdefault(lam, []).append((s, c))
+    out = {}
+    for lam, pairs in gathered.items():
+        total = dot(table, pairs)
+        if total.terms:
+            out[lam] = total
+    return out
+
+
+def combine(ctx: "ModuleContext", terms: Iterable[tuple[LaurentPoly, "ModuleVector"]]
+            ) -> "ModuleVector":
+    """The vector ``sum s * v`` over ``(s, v)`` terms."""
+    v = ModuleVector(ctx)
+    v.parts = _combine(ctx.table, ((s, vec.parts) for s, vec in terms))
+    return v
 
 
 def _accumulate(store: dict, key, value) -> None:
@@ -185,7 +206,8 @@ class ModuleVector:
     Coefficients are LaurentPolys, except in rank-one series, whose vectors
     store RationalFunctions; those carry no arithmetic, so such vectors are
     only stored, read and serialized.  Zero coefficients are dropped on
-    construction.
+    construction.  Keys are partitions: the constructor does not check
+    them, but ``ModuleContext.basis`` and the report reader do.
     """
 
     __slots__ = ("ctx", "parts")
@@ -281,18 +303,11 @@ def apply_mode(vec: ModuleVector, n: int, cyclic_only: bool = False) -> ModuleVe
     formed; the other components are never straightened.
     """
     ctx = vec.ctx
-    out: dict[Partition, object] = {}
-    for lam, c in vec.parts.items():
-        images = ctx._apply_basis(n, lam)
-        if cyclic_only:
-            d = images.get(())
-            if d is not None:
-                _accumulate(out, (), c * d)
-            continue
-        for mu, d in images.items():
-            _accumulate(out, mu, c * d)
+    images = [(c, ctx._apply_basis(n, lam)) for lam, c in vec.parts.items()]
+    if cyclic_only:
+        images = [(c, {(): image[()]}) for c, image in images if () in image]
     v = ModuleVector(ctx)
-    v.parts = out
+    v.parts = _combine(ctx.table, images)
     return v
 
 

@@ -12,7 +12,6 @@ from virasoro_irregular.frames import (
     GENERAL,
     HALF,
     INTEGER,
-    DegreeOverflow,
     Family,
     apply_field,
     conformal_weight,

@@ -30,7 +30,6 @@ from virasoro_irregular.gauge import (
     obstructions,
     scalar_completion_half,
 )
-from virasoro_irregular.linalg import inverse_exact
 from virasoro_irregular.ring import LaurentPoly, TruncatedSeries, VarTable
 from virasoro_irregular.solver import (
     HALF,

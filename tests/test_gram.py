@@ -9,13 +9,11 @@ from fractions import Fraction
 import pytest
 
 from virasoro_irregular.gram import (
-    GramError,
     ProportionalityFailure,
     SingularGram,
     gram_det_report,
     gram_entry,
     gram_entry_on,
-    gram_matrix,
     pure_power_factor,
     solve_descendants,
     weight_range_partitions,
@@ -207,6 +205,11 @@ def test_solve_descendants_rejects_out_of_range_targets():
         solve_descendants(ctx, {(3,): one}, 2)
     with pytest.raises(ValueError):
         solve_descendants(ctx, {(): one}, 2)
+    # a word that is not a partition would otherwise be ignored silently
+    with pytest.raises(ValueError):
+        solve_descendants(ctx, {(1, 2): one}, 3)
+    with pytest.raises(ValueError):
+        gram_entry_on(ctx, (1, 2), ctx.cyclic())
 
 
 def test_singular_context_is_reported():

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import ring_oracle
 from virasoro_irregular.ring import (EXP_MAX, EXP_MIN, LaurentPoly, NotDivisible,
-                                     RingError, VarTable)
+                                     RingError, VariableMismatch, VarTable, dot)
 
 examples = settings(max_examples=60, deadline=None)
 
@@ -88,6 +88,62 @@ def test_ring_operations_match_the_oracle(data):
     assert a.homogeneous_weight() == a0.homogeneous_weight()
     assert a.support_vars() == a0.support_vars()
     assert sorted(a.iter_terms()) == sorted(a0.terms.items())
+
+
+@examples
+@given(st.data())
+def test_dot_matches_the_naive_sum_and_the_oracle(data):
+    table = data.draw(tables())
+    count = data.draw(st.integers(0, 5))
+    pairs = [(both(table, data.draw(term_maps(table))),
+              both(table, data.draw(term_maps(table)))) for _ in range(count)]
+    got = dot(table, [(a, b) for (a, _), (b, _) in pairs])
+    naive = sum((a * b for (a, _), (b, _) in pairs), LaurentPoly.zero(table))
+    oracle = sum((a0 * b0 for (_, a0), (_, b0) in pairs),
+                 ring_oracle.LaurentPoly.zero(table))
+    assert canon(got) == canon(naive) == canon(oracle)
+    assert_canonical(got)
+
+
+def test_dot_edge_cases():
+    table = VarTable(["x", "y"], [1, 1])
+    x, y = LaurentPoly.var(table, "x"), LaurentPoly.var(table, "y")
+    zero = LaurentPoly.zero(table)
+    empty = dot(table, [])
+    assert empty.is_zero() and empty.den == 1
+    assert dot(table, [(zero, x), (y, zero), (zero, zero)]).is_zero()
+    # two products over denominator 15 that cancel exactly
+    cancelled = dot(table, [(x * Fraction(1, 3), y * Fraction(1, 5)),
+                            (x * Fraction(-1, 5), y * Fraction(1, 3))])
+    assert cancelled.terms == {} and cancelled.den == 1
+    # products over 24 and 12: the sum x*y/12 + x*y/24 + 1/2 is reduced once
+    mixed = dot(table, [(x * Fraction(1, 6), y * Fraction(1, 4)),
+                        (x * Fraction(1, 4), y * Fraction(1, 3)), (x + y, zero),
+                        (LaurentPoly.const(table, Fraction(3, 4)), Fraction(2, 3) + zero)])
+    assert mixed == x * y * Fraction(1, 8) + Fraction(1, 2)
+    assert mixed.den == 8
+    assert_canonical(mixed)
+    # an equal table is accepted, a different one is not
+    twin = VarTable(["x", "y"], [1, 1])
+    assert dot(table, [(LaurentPoly.var(twin, "x"), y)]) == x * y
+    other = VarTable(["x", "z"], [1, 1])
+    for pairs in ([(LaurentPoly.var(other, "x"), y)], [(x, LaurentPoly.var(other, "z"))],
+                  [(x, y), (zero, LaurentPoly.zero(other))]):
+        with pytest.raises(VariableMismatch):
+            dot(table, pairs)
+    with pytest.raises(VariableMismatch):
+        dot(other, [(x, y)])
+
+
+def test_dot_keeps_the_packed_range_check():
+    table = VarTable(["x", "y"], [1, 1])
+    x = LaurentPoly.var(table, "x")
+    top = LaurentPoly.monomial(table, (EXP_MAX, 0))
+    assert dot(table, [(top, x ** -1)]).degree_in("x") == (EXP_MAX - 1, EXP_MAX - 1)
+    # one product leaves the range, even where the sum cancels it
+    for pairs in ([(top, x)], [(x, x), (top, x)], [(top, x), (-top, x)]):
+        with pytest.raises(RingError):
+            dot(table, pairs)
 
 
 @examples
