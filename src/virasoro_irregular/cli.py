@@ -32,15 +32,16 @@ from .virasoro import ModuleContext
 
 class RunConfig:
     """Validated invocation parameters shared by the subcommands.  ``family``
-    is ``None`` only for ``verify --input``; ``declared`` holds the input's
-    meta block once :func:`_build_series` has read the input."""
+    is ``None`` only for ``verify --input``; ``central`` is the parsed
+    ``--central`` over ``Q`` and ``c0``; ``declared`` holds the input's meta
+    block once :func:`_build_series` has read the input."""
 
     __slots__ = ("command", "family", "order", "central", "convention", "fmt",
                  "output", "bound", "input", "declared")
 
     def __init__(self, command: str, family: Family | None, order: int,
-                 central: str | None, convention: str, fmt: str, output: str | None,
-                 bound: int | None, input: str | None = None) -> None:
+                 central: LaurentPoly | None, convention: str, fmt: str,
+                 output: str | None, bound: int | None, input: str | None = None) -> None:
         self.command, self.family, self.order, self.central = command, family, order, central
         self.convention, self.fmt, self.output = convention, fmt, output
         self.bound, self.input, self.declared = bound, input, None
@@ -175,7 +176,7 @@ def _config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunCon
     central = getattr(args, "central", None)
     if central is not None:
         try:
-            _scalar_expression(central)
+            central = _scalar_expression(central)
         except ValueError as exc:
             parser.error(str(exc))
     if args.command == "gram" and kind == HALF:
@@ -191,15 +192,6 @@ def _config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunCon
 # ----- shared helpers -----------------------------------------------------------
 
 
-def _central_override(cfg: RunConfig) -> LaurentPoly | None:
-    if cfg.central is None:
-        return None
-    try:
-        return _scalar_expression(cfg.central)
-    except ValueError as exc:
-        raise SerializeError(str(exc)) from None
-
-
 def _build_series(cfg: RunConfig):
     """Solve the series the options declare, or rebuild the one ``--input``
     holds.  The input is read once; its meta block stays on ``cfg.declared``
@@ -209,11 +201,10 @@ def _build_series(cfg: RunConfig):
             source = json.load(handle)
         cfg.declared = source.get("meta") if isinstance(source, dict) else None
         return serialize.series_from_doc(source)
-    central = _central_override(cfg)
     if cfg.family.kind == RANK_ONE:
-        return rank1_series(cfg.order, cfg.convention, central)
+        return rank1_series(cfg.order, cfg.convention, cfg.central)
     solve = solve_integer if cfg.family.kind == INTEGER else solve_half
-    return solve(cfg.family.r, cfg.order, central)
+    return solve(cfg.family.r, cfg.order, cfg.central)
 
 
 def _meta(cfg: RunConfig, central: LaurentPoly | None = None) -> dict:
@@ -235,7 +226,7 @@ def _error_meta(cfg: RunConfig) -> dict:
     ``None`` where the input's meta block does not supply it or the input
     could not be read as JSON.
     """
-    meta = _meta(cfg, _central_override(cfg))
+    meta = _meta(cfg, cfg.central)
     if cfg.input is None:
         return meta
     declared = cfg.declared
@@ -364,22 +355,14 @@ def _cmd_gauge(cfg: RunConfig) -> tuple[int, dict]:
     completion = None
     residuals: list[dict] = []
     if cfg.family.kind == HALF:
-        top = cfg.bound if cfg.bound is not None else cfg.family.r
-        for bound in range(1, top + 1):
-            try:
-                completion = gauge.scalar_completion_half(cfg.family.r, bound)
-                break
-            except gauge.Infeasible:
-                continue
-        if completion is None:
-            raise gauge.Infeasible(f"no scalar completion within bound {top}")
+        completion = gauge.scalar_completion_half(cfg.family.r, cfg.bound or cfg.family.r)
         residuals.extend(serialize.report_doc(gauge.completion_residuals(completion)))
     obs = gauge.obstructions(series, completion)
     frob = gauge.frobenius_verify(obs)
     certificate = gauge.lstar_certificate(obs)
     cert_ok = certificate.is_zero_on_window()
     decomp = gauge.integrate_potential(obs)
-    applied = gauge.apply_gauge_and_verify(series, decomp, completion, obs=obs)
+    applied = gauge.apply_gauge_and_verify(obs, decomp)
     residuals.extend(serialize.report_doc(frob))
     residuals.append({"relation": "top frame row certificate",
                       "window": gauge.window_str(certificate),

@@ -190,6 +190,12 @@ class Family:
         """Zero-mode parameter of the rank ``r-1`` module under the series."""
         return "c0p" if self.kind == INTEGER else "c0"
 
+    @property
+    def passives(self) -> tuple[str, ...]:
+        """Zero-mode parameters the gauge potential leaves free: the base
+        module's, then ``c0`` (one name at half rank, where they coincide)."""
+        return tuple(dict.fromkeys((self.base_c0, "c0")))
+
     def frame_table(self) -> VarTable:
         """``Q``, ``c0``, the lower parameters and the expansion variable."""
         return VarTable(("Q", "c0") + self.coords,

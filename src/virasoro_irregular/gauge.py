@@ -19,8 +19,7 @@ from typing import Sequence
 from .frames import Family, apply_field
 from .linalg import InconsistentSystem, inverse_exact, sparse_solve
 from .ring import LaurentPoly, TruncatedSeries, VarTable, dot
-from .solver import (HALF, INTEGER, IrregularSeries, ResidualNonZero,
-                     VerificationReport, scheduled_unknown)
+from .solver import HALF, INTEGER, IrregularSeries, ResidualNonZero, VerificationReport
 from .virasoro import ModuleVector, apply_mode, combine
 
 
@@ -59,20 +58,16 @@ class ObstructionSet:
     """Scalar obstructions of the modes below the annihilating window.
 
     ``a[i]`` is the ratio of the mode-``i`` residual to the series, a
-    truncated series whose principal part never drops below ``-(r-1)``; the
-    residual vectors themselves are kept for audit.  Modes at or above the
-    window have no entry because their residuals vanish identically.
+    truncated series whose principal part never drops below ``-(r-1)``.
+    Modes at or above the window have no entry because their residuals
+    vanish identically.  ``order`` is the truncation order of the series.
     """
 
-    __slots__ = ("family", "table", "a", "residuals", "theta", "series", "completion")
+    __slots__ = ("family", "table", "a", "order")
 
     def __init__(self, family: Family, table: VarTable, a: tuple[TruncatedSeries, ...],
-                 residuals: tuple[TruncatedSeries, ...] | None = None,
-                 theta: TruncatedSeries | None = None,
-                 series: IrregularSeries | None = None,
-                 completion: ScalarCompletion | None = None) -> None:
-        self.family, self.table, self.a, self.residuals = family, table, a, residuals
-        self.theta, self.series, self.completion = theta, series, completion
+                 order: int) -> None:
+        self.family, self.table, self.a, self.order = family, table, a, order
 
 
 class PotentialDecomposition:
@@ -97,11 +92,11 @@ class ScalarCompletion:
     annihilates the tuple, which fixes the otherwise free conjugation gauge.
     """
 
-    __slots__ = ("r", "table", "sigma", "bound")
+    __slots__ = ("family", "table", "sigma", "bound")
 
-    def __init__(self, r: int, table: VarTable, sigma: tuple[LaurentPoly, ...],
+    def __init__(self, family: Family, table: VarTable, sigma: tuple[LaurentPoly, ...],
                  bound: int) -> None:
-        self.r, self.table, self.sigma, self.bound = r, table, sigma, bound
+        self.family, self.table, self.sigma, self.bound = family, table, sigma, bound
 
 
 class _EngineState:
@@ -120,7 +115,7 @@ class _EngineState:
 
 def _clean_order(series: IrregularSeries) -> int:
     """Largest order whose vectors are free of still-symbolic unknowns."""
-    known = {"Q", "c0", "c0p", *series.family.coords}
+    known = {"Q", "c0", series.family.base_c0, *series.family.coords}
     symbols = [n for n in series.table.names if n not in known]
     top = series.order
     for k, vec in enumerate(series.vectors):
@@ -138,21 +133,18 @@ def _engine_state(series: IrregularSeries,
         raise ValueError(f"no lower-mode analysis for kind {family.kind!r}")
     if any(not name.startswith("ce") for name in series.pending):
         # nu is the last of the exponent and singularity unknowns pinned
-        needed = next(k for k in range(r) if scheduled_unknown(r, k) == "nu")
         raise OrderTooSmall("series order too small: exponent or singularity "
-                            f"data still symbolic; --order {needed} pins it")
+                            f"data still symbolic; --order {r - 1} pins it")
     fields = family.fields(table)
-    if family.kind == INTEGER:
-        if completion is not None:
+    scalars = family.mode_scalars(table)
+    if completion is not None:
+        if family.kind == INTEGER:
             raise ValueError("scalar completion applies to the odd family only")
-        scalars = family.mode_scalars(table)
-    else:
-        if completion is None:
-            raise ValueError("the odd family needs a scalar completion")
-        if completion.r != r:
+        if completion.family.r != r:
             raise ValueError("scalar completion rank does not match the series")
-        scalars = {i: completion.sigma[i].migrate(table) for i in range(r)}
-        scalars.update(family.mode_scalars(table))
+        scalars.update((i, s.migrate(table)) for i, s in enumerate(completion.sigma))
+    elif family.kind == HALF:
+        raise ValueError("the odd family needs a scalar completion")
     order = _clean_order(series)
     if order < 1:
         # each further series order pins one more tail constant, so it
@@ -249,12 +241,12 @@ def obstructions(series: IrregularSeries,
     """Obstruction scalars of the modes below the annihilating window.
 
     Each residual must be parallel to the series itself; the returned set
-    holds the scalar ratios together with the audited residual vectors.
+    holds the scalar ratios.
     """
     state = _engine_state(series, completion)
-    residuals = tuple(_residual(state, i) for i in range(series.family.r))
     ratios = []
-    for i, res in enumerate(residuals):
+    for i in range(series.family.r):
+        res = _residual(state, i)
         a_i = res.map(ModuleVector.constant_term).divide(state.theta)
         diff = res - state.tail * a_i
         if not diff.is_zero_on_window():
@@ -263,8 +255,7 @@ def obstructions(series: IrregularSeries,
                 f"window {diff.window()}")
         ratios.append(a_i)
     return ObstructionSet(family=series.family, table=series.table, a=tuple(ratios),
-                          residuals=residuals, theta=state.theta, series=series,
-                          completion=completion)
+                          order=series.order)
 
 
 # ----- integrability and the potential ----------------------------------------
@@ -366,7 +357,7 @@ def integrate_potential(obs: ObstructionSet) -> PotentialDecomposition:
         what = ("read the expansion direction" if short_top == shortfall
                 else "isolate the parameter components")
         raise OrderTooSmall(f"window too narrow to {what}: the smallest order "
-                            f"that works is --order {obs.series.order + shortfall}")
+                            f"that works is --order {obs.order + shortfall}")
     bad = sorted(m for m in top.parts if m != -1)
     if bad:
         raise ExpansionVariableLeak(
@@ -412,23 +403,19 @@ def integrate_potential(obs: ObstructionSet) -> PotentialDecomposition:
         if rebuilt != components[j]:
             raise NotClosed(f"reconstructed derivative along {name} "
                             "does not match the one-form")
-    passives = ("c0p", "c0") if family.kind == INTEGER else ("c0",)
-    return PotentialDecomposition(g0=g0, nu=nu, passives=passives)
+    return PotentialDecomposition(g0=g0, nu=nu, passives=family.passives)
 
 
-def apply_gauge_and_verify(series: IrregularSeries,
-                           decomp: PotentialDecomposition,
-                           completion: ScalarCompletion | None = None,
-                           obs: ObstructionSet | None = None) -> VerificationReport:
+def apply_gauge_and_verify(obs: ObstructionSet,
+                           decomp: PotentialDecomposition) -> VerificationReport:
     """Verify that the potential correction removes every lower residual.
 
     Scaling the series by the exponential of the potential shifts each
     obstruction scalar by the field derivative of the potential, so the
     gauged residuals vanish exactly when those two agree order by order.
     Raises when any residual survives; the report carries the windows.
+    To gauge another series, pass its own :func:`obstructions`.
     """
-    if obs is None:
-        obs = obstructions(series, completion)
     table, cnames = obs.table, obs.family.cnames
     fields = obs.family.fields(table)
     g0 = decomp.g0.migrate(table)
@@ -493,12 +480,14 @@ def scalar_completion_half(r: int, bound: int = 1) -> ScalarCompletion:
 
     The unknowns are quasi-homogeneous Laurent combinations (weight ``n``
     for the mode-``n`` scalar, exponents of the last polynomial parameter
-    and the top eigenvalue bounded below by ``-bound``, coefficients affine
-    in the passive parameters).  The bracket relations with the fixed
-    scalars of the annihilating window plus the top-frame-row constraint
-    form a linear system; free coordinates are pinned to zero, making the
-    minimal-support answer deterministic.  Raises ``Infeasible`` when the
-    system has no solution within the bound.
+    and the top eigenvalue bounded below by a denominator bound,
+    coefficients affine in the passive parameters).  The bracket relations
+    with the fixed scalars of the annihilating window plus the
+    top-frame-row constraint form a linear system; free coordinates are
+    pinned to zero, making the minimal-support answer deterministic.
+    Denominator bounds ``1..bound`` are tried in turn, and the first whose
+    candidate passes :func:`completion_residuals` is returned.  Raises
+    ``Infeasible`` when none does.
     """
     if r < 2:
         raise ValueError("the odd family starts at rank descriptor 2")
@@ -508,53 +497,52 @@ def scalar_completion_half(r: int, bound: int = 1) -> ScalarCompletion:
     table = family.frame_table()
     fields = family.fields(table)
     fixed = family.mode_scalars(table)
+    inv_row = family.dual_operator(table).row
+    zero = LaurentPoly.zero(table)
     slots = [LaurentPoly.const(table, 1), LaurentPoly.var(table, "Q"),
              LaurentPoly.var(table, "c0")]
-    basis: list[tuple[int, LaurentPoly]] = []
-    for n in range(r):
-        for mono in _weighted_monomials(family, table, n, bound):
-            basis.extend((n, slot * mono) for slot in slots)
-
-    # one row per (relation, monomial); the last relation is the frame row
-    zero = LaurentPoly.zero(table)
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    inv_row = family.dual_operator(table).row
-    rows: dict[tuple, dict[int, Fraction]] = {}
-    rhs: dict[tuple, Fraction] = {}
-    for u, (n, b) in enumerate(basis):
-        polys = []
-        for i, j in pairs:
-            term = zero
-            if n == j:
-                term = term + apply_field(fields[i], b)
-            if n == i:
-                term = term - apply_field(fields[j], b)
-            if n == i + j:
-                term = term - (j - i) * b
-            polys.append(term)
-        polys.append(inv_row[n] * b)
-        for rel, poly in enumerate(polys):
-            for expo, coeff in poly.iter_terms():
-                rows.setdefault((rel, expo), {})[u] = coeff
-    for rel, (i, j) in enumerate(pairs):
-        for expo, coeff in ((j - i) * fixed.get(i + j, zero)).iter_terms():
-            rows.setdefault((rel, expo), {})
-            rhs[(rel, expo)] = coeff
-    try:
-        solution = sparse_solve(list(rows.values()),
-                                [rhs.get(k, Fraction(0)) for k in rows], len(basis))
-    except InconsistentSystem as exc:
-        raise Infeasible(f"no scalar completion within bound {bound}") from exc
-    sigma = [zero for _ in range(r)]
-    for x, (n, b) in zip(solution, basis):
-        if x:
-            sigma[n] = sigma[n] + b * x
-    completion = ScalarCompletion(r=r, table=table, sigma=tuple(sigma), bound=bound)
-    report = completion_residuals(completion)
-    if not report.all_ok:
-        raise Infeasible(f"completion candidate fails re-verification "
-                         f"within bound {bound}")
-    return completion
+    # one row per (relation, monomial); the last relation is the frame row,
+    # and only the bracket relations with a fixed scalar have a right side
+    rhs = {(rel, expo): coeff for rel, (i, j) in enumerate(pairs)
+           for expo, coeff in ((j - i) * fixed.get(i + j, zero)).iter_terms()}
+    for trial in range(1, bound + 1):
+        basis: list[tuple[int, LaurentPoly]] = []
+        for n in range(r):
+            for mono in _weighted_monomials(family, table, n, trial):
+                basis.extend((n, slot * mono) for slot in slots)
+        rows: dict[tuple, dict[int, Fraction]] = {}
+        for u, (n, b) in enumerate(basis):
+            polys = []
+            for i, j in pairs:
+                term = zero
+                if n == j:
+                    term = term + apply_field(fields[i], b)
+                if n == i:
+                    term = term - apply_field(fields[j], b)
+                if n == i + j:
+                    term = term - (j - i) * b
+                polys.append(term)
+            polys.append(inv_row[n] * b)
+            for rel, poly in enumerate(polys):
+                for expo, coeff in poly.iter_terms():
+                    rows.setdefault((rel, expo), {})[u] = coeff
+        for key in rhs:
+            rows.setdefault(key, {})
+        try:
+            solution = sparse_solve(list(rows.values()),
+                                    [rhs.get(k, Fraction(0)) for k in rows], len(basis))
+        except InconsistentSystem:
+            continue
+        sigma = [zero for _ in range(r)]
+        for x, (n, b) in zip(solution, basis):
+            if x:
+                sigma[n] = sigma[n] + b * x
+        completion = ScalarCompletion(family=family, table=table, sigma=tuple(sigma),
+                                      bound=trial)
+        if completion_residuals(completion).all_ok:
+            return completion
+    raise Infeasible(f"no scalar completion within bound {bound}")
 
 
 def completion_residuals(completion: ScalarCompletion) -> VerificationReport:
@@ -564,8 +552,8 @@ def completion_residuals(completion: ScalarCompletion) -> VerificationReport:
     bracket relations against both the unknown and the fixed window scalars,
     the top-frame-row constraint, and the weight grading of each scalar.
     """
-    r, table = completion.r, completion.table
-    family = Family(HALF, r)
+    family, table = completion.family, completion.table
+    r = family.r
     fields = family.fields(table)
     fixed = family.mode_scalars(table)
     zero = LaurentPoly.zero(table)

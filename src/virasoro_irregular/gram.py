@@ -20,9 +20,9 @@ diagonal entries
 
 where ``top_eigenvalue`` is the eigenvalue of the highest annihilating mode
 ``2 * rho``.  Determinants of weight ranges are therefore pure powers of the
-top eigenvalue up to a rational factor; ``gram_det_report`` computes the
-determinant honestly (fraction-free elimination, no use of the closed form)
-and factors it, so any deviation surfaces as an error.  Tests check the
+top eigenvalue up to a rational factor; ``pure_power_factor`` factors a
+determinant computed honestly (fraction-free elimination, no use of the
+closed form), so any deviation surfaces as an error.  Tests check the
 cached entries against whole-word application.
 
 ``solve_descendants`` inverts the pairing: given the values ``{L~_mu v}``
@@ -36,7 +36,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .linalg import det_bareiss
 from .ring import LaurentPoly, NotDivisible, RingError, dot
 from .virasoro import (
     ModuleContext,
@@ -131,26 +130,6 @@ def pure_power_factor(poly: LaurentPoly, base: LaurentPoly) -> tuple[int, Fracti
         raise ProportionalityFailure(
             f"cofactor of base power {exponent} is not rational")
     return exponent, ratio.as_rational()
-
-
-class GramDetReport:
-    """Factorized determinant of a weight-range pairing block."""
-
-    __slots__ = ("lo", "hi", "size", "det", "base", "exponent", "ratio")
-
-    def __init__(self, lo: int, hi: int, size: int, det: LaurentPoly, base: LaurentPoly,
-                 exponent: int, ratio: Fraction) -> None:
-        self.lo, self.hi, self.size, self.det = lo, hi, size, det
-        self.base, self.exponent, self.ratio = base, exponent, ratio
-
-
-def gram_det_report(ctx: ModuleContext, lo: int, hi: int) -> GramDetReport:
-    parts, rows = gram_matrix(ctx, lo, hi)
-    det = det_bareiss(rows)
-    base = ctx.eigenvalue(2 * ctx.rho)
-    exponent, ratio = pure_power_factor(det, base)
-    return GramDetReport(lo=lo, hi=hi, size=len(parts), det=det,
-                         base=base, exponent=exponent, ratio=ratio)
 
 
 def solve_descendants(ctx: ModuleContext, targets: Mapping[Partition, LaurentPoly],

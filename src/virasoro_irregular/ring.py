@@ -262,10 +262,6 @@ class LaurentPoly:
         exps[table.index(name)] = power
         return LaurentPoly(table, {tuple(exps): _as_fraction(coeff)})
 
-    @staticmethod
-    def monomial(table: VarTable, exps: Sequence[int], coeff=1) -> "LaurentPoly":
-        return LaurentPoly(table, {tuple(int(e) for e in exps): _as_fraction(coeff)})
-
     # ----- basic queries ------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -252,7 +252,7 @@ def series_from_doc(doc: object) -> IrregularSeries:
     vectors = [staged[k] for k in range(order + 1)]
     return IrregularSeries(
         family=family, order=order, table=table, ctx=ctx, vectors=vectors, nu=nu,
-        g=g, constants=constants, pending=tuple(pending_doc), ledger=None,
+        g=g, constants=constants, pending=tuple(pending_doc), pinned=None,
         convention=convention)
 
 

@@ -28,8 +28,7 @@ __all__ = [
     "INTEGER", "HALF", "RANK_ONE",
     "SolverError", "NonAffineElimination", "NonUnitPivot", "ResidualNonZero",
     "SingularShapovalov",
-    "LedgerEntry", "UnknownLedger", "IrregularSeries", "Recipe",
-    "RelationCheck", "VerificationReport",
+    "IrregularSeries", "Recipe", "RelationCheck", "VerificationReport",
     "series_table", "series_context", "series_recipe",
     "solve_integer", "solve_half", "solve_rank1", "rank1_series",
     "verify_canonical", "scheduled_unknown",
@@ -64,91 +63,44 @@ def scheduled_unknown(r: int, k: int) -> str:
     return f"ce{k - r + 1}"
 
 
-class LedgerEntry:
-    __slots__ = ("name", "order", "value", "equation")
-
-    def __init__(self, name: str, order: int | None, value: LaurentPoly | None = None,
-                 equation: LaurentPoly | None = None) -> None:
-        self.name, self.order, self.value, self.equation = name, order, value, equation
-
-    @property
-    def solved(self) -> bool:
-        return self.value is not None
-
-
-class UnknownLedger:
-    """Elimination schedule with the equation each unknown was pinned by.
-
-    Entries carry ``order = None`` for tail constants beyond the truncation
-    horizon; those stay symbolic in every stored coefficient.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: list[LedgerEntry]) -> None:
-        self.entries = entries
-
-    @classmethod
-    def plan(cls, r: int, order: int) -> "UnknownLedger":
-        entries = [LedgerEntry(scheduled_unknown(r, k), k)
-                   for k in range(order + 1)]
-        scheduled = {e.name for e in entries}
-        for j in range(1, order + 1):
-            name = f"ce{j}"
-            if name not in scheduled:
-                entries.append(LedgerEntry(name, None))
-        for j in range(r - 1, 0, -1):
-            if f"g{j}" not in scheduled:
-                entries.append(LedgerEntry(f"g{j}", None))
-        if "nu" not in scheduled:
-            entries.append(LedgerEntry("nu", None))
-        return cls(entries)
-
-    def entry_for_order(self, k: int) -> LedgerEntry:
-        for e in self.entries:
-            if e.order == k:
-                return e
-        raise KeyError(f"no unknown scheduled at order {k}")
-
-    def pending_names(self) -> set[str]:
-        return {e.name for e in self.entries if not e.solved}
-
-
 class IrregularSeries:
     """Truncated canonical series together with its construction record.
 
     ``vectors[k]`` is the order-``k`` tail coefficient over the base module
     context.  ``nu`` and ``g`` hold the solved exponent and
     essential-singularity data (still-symbolic slots keep their variable).
-    ``pending`` lists the tail constants the truncation cannot determine.
+    ``pending`` lists the unknowns the truncation cannot determine.
+    ``pinned`` maps each unknown an order pinned, in pin order, to the
+    constant-term equation, affine in that unknown, that pinned it; it is
+    ``None`` where no recursion ran (rank one, a re-ingested report).
     """
 
     __slots__ = ("family", "order", "table", "ctx", "vectors", "nu", "g", "constants",
-                 "pending", "ledger", "convention")
+                 "pending", "pinned", "convention")
 
     def __init__(self, family: Family, order: int, table: VarTable, ctx: ModuleContext,
                  vectors: list[ModuleVector], nu: LaurentPoly | None,
                  g: dict[int, LaurentPoly], constants: dict[int, LaurentPoly],
-                 pending: tuple[str, ...], ledger: UnknownLedger | None,
+                 pending: tuple[str, ...], pinned: dict[str, LaurentPoly] | None,
                  convention: str = GENERAL) -> None:
         self.family, self.order, self.table, self.ctx = family, order, table, ctx
         self.vectors, self.nu, self.g, self.constants = vectors, nu, g, constants
-        self.pending, self.ledger, self.convention = pending, ledger, convention
+        self.pending, self.pinned, self.convention = pending, pinned, convention
 
 
 # ----- shared elimination machinery -----------------------------------------
 
 
 def series_table(family: Family, order: int) -> VarTable:
-    """Variables of a series: the family's frame table (with the primed zero
-    mode ``c0p`` at integer rank), then ``nu``, ``g1..g{r-1}`` and the tail
-    constants ``ce1..ce{order}``.  Rank one keeps the frame table."""
+    """Variables of a series: the family's frame table (with the base zero
+    mode after ``c0`` where it differs), then ``nu``, ``g1..g{r-1}`` and the
+    tail constants ``ce1..ce{order}``.  Rank one keeps the frame table."""
     frame = family.frame_table()
     if family.kind == RANK_ONE:
         return frame
     names, weights = list(frame.names), list(frame.weights)
-    if family.kind == INTEGER:
-        names.insert(2, "c0p")
+    if family.base_c0 not in names:
+        names.insert(2, family.base_c0)
         weights.insert(2, 0)
     r, step = family.r, family.step
     names += ["nu"] + [f"g{j}" for j in range(1, r)]
@@ -176,15 +128,16 @@ def series_context(family: Family, table: VarTable, central) -> ModuleContext:
 
 class Recipe:
     """What the recursion and its re-check read of one family.  ``scalars``
-    maps each mode of the dual operator to the scalar it subtracts (at
-    integer rank only: the conformal weight, then the lower eigenvalues).
+    maps each mode of the dual operator that has a fixed scalar to it (at
+    integer rank the conformal weight, then the lower eigenvalues; at half
+    rank none).
     ``relations[part]`` is the scalar and order shift of the relation that
     trades the word factor ``part`` for a lower-order vector."""
 
     __slots__ = ("family", "ctx", "dual", "scalars", "relations")
 
     def __init__(self, family: Family, ctx: ModuleContext, dual: DualOperator,
-                 scalars: dict[int, LaurentPoly] | None,
+                 scalars: dict[int, LaurentPoly],
                  relations: dict[int, tuple[LaurentPoly, int]]) -> None:
         self.family, self.ctx, self.dual, self.scalars = family, ctx, dual, scalars
         self.relations = relations
@@ -195,7 +148,7 @@ def series_recipe(family: Family, ctx: ModuleContext) -> Recipe:
     mode-``n`` scalar's one positive power ``d`` of the expansion variable,
     with coefficient ``s``, is the relation ``(s, d)`` of part ``n - r + 1``."""
     r, modes = family.r, family.mode_scalars(ctx.table)
-    scalars = {n: modes[n] for n in range(r)} if family.kind == INTEGER else None
+    scalars = {n: modes[n] for n in range(r) if n in modes}
     relations = {n - r + 1: (s, d) for n, scalar in modes.items()
                  for d, s in scalar.split_by_var(family.var).items() if d > 0}
     return Recipe(family, ctx, family.dual_operator(ctx.table), scalars, relations)
@@ -216,7 +169,7 @@ def _dual_terms(recipe: Recipe, i: int, vec: ModuleVector,
     terms = []
     for n, weight in sorted(recipe.dual.orders[i].items()):
         terms.append((weight, apply_mode(vec, n, cyclic_only=cyclic)))
-        if recipe.scalars is not None:
+        if n in recipe.scalars:
             terms.append((-weight * recipe.scalars[n], part))
     return terms
 
@@ -279,12 +232,11 @@ def _substitute_state(vectors: list[ModuleVector], g_polys: dict[int, LaurentPol
     return nu_poly.subs(mapping)
 
 
-def _pin_unknown(recipe: Recipe, ledger: UnknownLedger,
+def _pin_unknown(recipe: Recipe, name: str, pending: set[str],
                  vectors: list[ModuleVector], g_polys: dict[int, LaurentPoly],
-                 nu_poly: LaurentPoly, k: int) -> LaurentPoly:
-    """Solve the scheduled unknown from the order-``k`` constant term."""
-    entry = ledger.entry_for_order(k)
-    name = entry.name
+                 nu_poly: LaurentPoly, k: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """Solve the unknown ``name`` from the order-``k`` constant term; return
+    its value and the pinning equation, affine in it."""
     equation = _flow_residual(recipe, vectors, g_polys, nu_poly, k,
                               cyclic=True).constant_term()
     lo, hi = equation.degree_in(name)
@@ -301,18 +253,19 @@ def _pin_unknown(recipe: Recipe, ledger: UnknownLedger,
         value = (-rest).exact_div(pivot)
     except NotDivisible as exc:
         raise NonUnitPivot(f"order {k}: {name} leaves the ring: {exc}") from exc
-    stray = value.support_vars() & ledger.pending_names()
+    stray = value.support_vars() & pending
     if stray:
         raise NonAffineElimination(
             f"order {k}: solved {name} still involves pending {sorted(stray)}")
-    entry.value = value
-    entry.equation = equation
-    return value
+    return value, equation
 
 
 def _run_recursion(recipe: Recipe, order: int) -> IrregularSeries:
     table, r = recipe.ctx.table, recipe.family.r
-    ledger = UnknownLedger.plan(r, order)
+    pending = {"nu", *(f"g{j}" for j in range(1, r)),
+               *(f"ce{k}" for k in range(1, order + 1))}
+    pinned: dict[str, LaurentPoly] = {}
+    constants: dict[int, LaurentPoly] = {}
     g_polys = {j: LaurentPoly.var(table, f"g{j}") for j in range(1, r)}
     nu_poly = LaurentPoly.var(table, "nu")
     vectors = [recipe.ctx.cyclic()]
@@ -322,23 +275,23 @@ def _run_recursion(recipe: Recipe, order: int) -> IrregularSeries:
             targets = _order_targets(recipe, vectors, k)
             vectors.append(solve_descendants(
                 recipe.ctx, targets, r * k, constant=slot))
-        name = ledger.entry_for_order(k).name
-        value = _pin_unknown(recipe, ledger, vectors, g_polys, nu_poly, k)
+        name = scheduled_unknown(r, k)
+        value, equation = _pin_unknown(recipe, name, pending, vectors, g_polys,
+                                       nu_poly, k)
+        pinned[name] = equation
+        pending.discard(name)
+        if name.startswith("ce"):
+            constants[int(name[2:])] = value
         nu_poly = _substitute_state(vectors, g_polys, nu_poly, name, value)
         residual = _flow_residual(recipe, vectors, g_polys, nu_poly, k)
         if not residual.is_zero():
             raise ResidualNonZero(
                 f"order {k}: flow recurrence left {residual!r}")
-    constants = {}
-    for entry in ledger.entries:
-        if entry.solved and entry.name.startswith("ce"):
-            constants[int(entry.name[2:])] = entry.value
-    pending = tuple(sorted(ledger.pending_names(),
-                           key=lambda s: (s[:2] != "ce", s)))
     return IrregularSeries(
         family=recipe.family, order=order, table=table, ctx=recipe.ctx,
         vectors=vectors, nu=nu_poly, g=g_polys, constants=constants,
-        pending=pending, ledger=ledger)
+        pending=tuple(sorted(pending, key=lambda s: (s[:2] != "ce", s))),
+        pinned=pinned)
 
 
 def _solve(family: Family, order: int, central) -> IrregularSeries:
@@ -480,7 +433,7 @@ def solve_rank1(vctx: ModuleContext, lam1: LaurentPoly, lam2: LaurentPoly,
     ]
     return IrregularSeries(
         family=Family(RANK_ONE, 1), order=order, table=table, ctx=vctx,
-        vectors=vectors, nu=None, g={}, constants={}, pending=(), ledger=None,
+        vectors=vectors, nu=None, g={}, constants={}, pending=(), pinned=None,
         convention=convention)
 
 

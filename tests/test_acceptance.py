@@ -12,6 +12,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from virasoro_irregular.frames import HALF, INTEGER, Family, apply_field
 from virasoro_irregular.gauge import (
@@ -25,7 +26,7 @@ from virasoro_irregular.gauge import (
     obstructions,
     scalar_completion_half,
 )
-from virasoro_irregular.gram import gram_det_report
+from virasoro_irregular.gram import gram_matrix, pure_power_factor
 from virasoro_irregular.linalg import det_bareiss, inverse_exact
 from virasoro_irregular.ring import LaurentPoly, VarTable
 from virasoro_irregular.solver import (
@@ -162,6 +163,15 @@ def _pairing_diagonal_ratio(lam: tuple[int, ...]) -> int:
     return ratio
 
 
+def _pairing_block(ctx: ModuleContext, lo: int, hi: int) -> SimpleNamespace:
+    """Determinant of a weight-range pairing block by fraction-free
+    elimination, factored as a rational times a power of the top eigenvalue."""
+    det = det_bareiss(gram_matrix(ctx, lo, hi)[1])
+    base = ctx.eigenvalue(2 * ctx.rho)
+    exponent, ratio = pure_power_factor(det, base)
+    return SimpleNamespace(det=det, base=base, exponent=exponent, ratio=ratio)
+
+
 def test_05_pairing_determinant_exponents():
     # Each part a of lam pairs through [L_{rho+a}, L_{rho-a}] = 2a L_{2 rho},
     # which has no central term for rho >= 1, so a window determinant is
@@ -180,7 +190,7 @@ def test_05_pairing_determinant_exponents():
         top = eigen[2 * rho]
         for lo in range(0, 4):
             for hi in range(lo, 4):
-                report = gram_det_report(ctx, lo, hi)
+                report = _pairing_block(ctx, lo, hi)
                 window = [lam for w in range(lo, hi + 1)
                           for lam in partitions_of(w)]
                 exponent = sum(len(lam) for lam in window)
@@ -283,7 +293,7 @@ def test_09_integer_gauge_pipeline():
     var = series.family.var
     clean = not decomp.g0.uses_var(var) \
         and all(not poly.uses_var(var) for poly in decomp.nu.values())
-    gauged = apply_gauge_and_verify(series, decomp, obs=obs)
+    gauged = apply_gauge_and_verify(obs, decomp)
     ok = (frob.all_ok and certificate.is_zero_on_window() and clean
           and gauged.all_ok)
     elapsed = time.monotonic() - started
@@ -310,7 +320,7 @@ def test_10_half_rank_scalar_completion_and_gauge():
     wide = solve_half(2, 4)
     decomp = integrate_potential(obstructions(wide, first))
     series = solve_half(2, 3)
-    gauged = apply_gauge_and_verify(series, decomp, first)
+    gauged = apply_gauge_and_verify(obstructions(series, first), decomp)
     ok = ok and gauged.all_ok
     elapsed = time.monotonic() - started
     _line(10, ok and elapsed < 900.0,

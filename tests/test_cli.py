@@ -98,7 +98,7 @@ def test_poly_terms_round_trip_random_laurent_polynomials():
         for _ in range(rng.randrange(0, 6)):
             exps = [rng.randrange(-2, 4) for _ in range(len(table))]
             coeff = Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
-            poly = poly + LaurentPoly.monomial(table, exps, coeff)
+            poly = poly + LaurentPoly(table, {tuple(exps): coeff})
         terms = poly_terms(poly)
         rebuilt = poly_from_terms(table, terms)
         assert rebuilt == poly
@@ -381,8 +381,7 @@ def test_frames_reports_the_odd_determinant(capsys):
     assert doc["frames"]["det_matches"] is True
     table = _table_of(doc)
     det = poly_from_terms(table, doc["frames"]["det"])
-    expected = LaurentPoly.monomial(
-        table, [0, 0, 0, 0, -3, 4], Fraction(-105, 8))
+    expected = LaurentPoly(table, {(0, 0, 0, 0, -3, 4): Fraction(-105, 8)})
     assert det == expected
 
 
@@ -448,6 +447,17 @@ def test_gauge_narrow_window_names_the_order_that_works(rank, order, works_at, c
     code, doc = _run_json(capsys, ["gauge", "--rank", rank, "--order", str(works_at)])
     assert code == 0
     assert all(entry["status"] == "ok" for entry in doc["residuals"])
+
+
+def test_gauge_bound_below_the_completion_reports_infeasible(capsys):
+    # rank 5/2 needs denominator bound 2; --bound 1 is the largest tried
+    code, doc = _run_json(capsys, ["gauge", "--rank", "5/2", "--order", "2",
+                                   "--bound", "1"])
+    assert code == 1
+    assert doc["error"] == {"type": "Infeasible",
+                            "message": "no scalar completion within bound 1"}
+    assert doc["meta"] == {"K": 2, "central": None, "convention": "general",
+                           "rank": "5/2"}
 
 
 def test_gauge_rank_seven_halves_names_its_working_order(capsys):

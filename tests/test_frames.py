@@ -166,7 +166,7 @@ def test_dual_row_reproduces_top_parameter_derivative():
             f = LaurentPoly.zero(table)
             for _ in range(4):
                 exps = tuple(rng.randint(0, 2) for _ in table.names)
-                f = f + LaurentPoly.monomial(table, exps, rng.randint(-3, 3))
+                f = f + LaurentPoly(table, {exps: rng.randint(-3, 3)})
             acc = LaurentPoly.zero(table)
             for n in range(r):
                 acc = acc + inv[r - 1][n] * apply_field(fields[n], f)
@@ -286,7 +286,7 @@ def test_odd_dual_row_reproduces_top_eigenvalue_derivative():
             f = LaurentPoly.zero(table)
             for _ in range(4):
                 exps = tuple(rng.randint(0, 2) for _ in table.names)
-                f = f + LaurentPoly.monomial(table, exps, rng.randint(-3, 3))
+                f = f + LaurentPoly(table, {exps: rng.randint(-3, 3)})
             acc = LaurentPoly.zero(table)
             for n in range(r):
                 acc = acc + inv[r - 1][n] * apply_field(fields[n], f)

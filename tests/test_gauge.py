@@ -267,8 +267,9 @@ def _fabricated(a_polys, r=2, lam=False) -> ObstructionSet:
         weights = (0, 0, 0, 0) + tuple(range(1, r + 1))
         kind = INTEGER
     table = VarTable(names, weights)
+    # exact (untruncated) ratios: no window is short, so the order is never read
     a = tuple(TruncatedSeries.from_poly(p(table), var) for p in a_polys)
-    return ObstructionSet(family=Family(kind, r), table=table, a=a)
+    return ObstructionSet(family=Family(kind, r), table=table, a=a, order=0)
 
 
 def test_integrate_recovers_a_known_potential():
@@ -334,7 +335,6 @@ def test_integrate_requires_a_wide_enough_window():
 
 
 def test_integer_r2_pipeline_gauges_all_lower_modes():
-    series = _integer(2, 4)
     obs = _obstructions(INTEGER, 2, 4)
     decomp = integrate_potential(obs)
     t = obs.table
@@ -343,7 +343,7 @@ def test_integer_r2_pipeline_gauges_all_lower_modes():
     assert decomp.nu == {1: q * c0 - q * c0p * Fraction(1, 2)
                          - c0 * c0p * Fraction(1, 2)
                          - c0p * c0p * Fraction(1, 4)}
-    report = apply_gauge_and_verify(series, decomp, obs=obs)
+    report = apply_gauge_and_verify(obs, decomp)
     assert report.all_ok
     assert [c.relation for c in report.checks] == [
         "gauged mode 0 residual", "gauged mode 1 residual"]
@@ -359,12 +359,11 @@ def test_half_r2_pipeline_gauges_all_lower_modes():
     assert decomp.nu == {1: q * q * 3 - q * c0 * 2 - c0 * c0 * Fraction(1, 4)}
     assert decomp.passives == ("c0",)
     # the potential is exact data, so it also gauges the shorter series
-    report = apply_gauge_and_verify(_half(2, 3), decomp, completion)
+    report = apply_gauge_and_verify(obstructions(_half(2, 3), completion), decomp)
     assert report.all_ok
 
 
 def test_gauge_perturbations_are_caught():
-    series = _integer(2, 4)
     obs = _obstructions(INTEGER, 2, 4)
     decomp = integrate_potential(obs)
     one = LaurentPoly.const(obs.table, 1)
@@ -380,7 +379,7 @@ def test_gauge_perturbations_are_caught():
                 nu={1: decomp.nu[1] + rng.randrange(1, 4) * one},
                 passives=decomp.passives)
         with pytest.raises(ResidualNonZero):
-            apply_gauge_and_verify(series, bad, obs=obs)
+            apply_gauge_and_verify(obs, bad)
 
 
 # ----- scalar completion of the odd family ---------------------------------------
@@ -420,11 +419,21 @@ def test_completion_gauge_row_rules_out_the_short_solution():
     sigma = (LaurentPoly.zero(table),
              _v(table, "c1", 3, 2) * _v(table, "c2", -1),
              _v(table, "c1", 2, -1))
-    candidate = ScalarCompletion(r=3, table=table, sigma=sigma, bound=1)
+    candidate = ScalarCompletion(family=Family(HALF, 3), table=table, sigma=sigma, bound=1)
     report = completion_residuals(candidate)
     assert not report.all_ok
     failures = [c.relation for c in report.checks if not c.ok]
     assert failures == ["top frame row annihilates the scalars"]
+
+
+def test_completion_search_returns_the_smallest_bound_that_works():
+    # bound 3 is an upper limit: the search stops at the first bound whose
+    # candidate passes the re-check
+    completion = scalar_completion_half(3, 3)
+    assert completion.bound == 2
+    assert completion.sigma == scalar_completion_half(3, 2).sigma
+    with pytest.raises(Infeasible, match="within bound 1$"):
+        scalar_completion_half(3, 1)
 
 
 def test_completion_r4_is_infeasible_below_the_third_bound():

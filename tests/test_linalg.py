@@ -41,7 +41,7 @@ def rand_poly(rng: random.Random, dense: bool = False) -> LaurentPoly:
     p = LaurentPoly.zero(T)
     for _ in range(rng.randrange(1, 3) if dense else rng.randrange(3)):
         exps = tuple(rng.randint(0, 2) for _ in T.names)
-        p = p + LaurentPoly.monomial(T, exps, Fraction(rng.randint(-4, 4)))
+        p = p + LaurentPoly(T, {exps: Fraction(rng.randint(-4, 4))})
     return p
 
 

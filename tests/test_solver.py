@@ -26,7 +26,6 @@ from virasoro_irregular.solver import (
     SingularShapovalov,
     SolverError,
     _run_recursion,
-    UnknownLedger,
     rank1_series,
     scheduled_unknown,
     series_context,
@@ -73,29 +72,34 @@ def test_scheduled_unknown_follows_the_elimination_order():
     assert [scheduled_unknown(4, k) for k in range(4)] == ["g3", "g2", "g1", "nu"]
 
 
-def test_ledger_plan_lists_tail_unknowns_without_an_order():
-    led = UnknownLedger.plan(3, 2)
-    assert [(e.name, e.order) for e in led.entries] == [
-        ("g2", 0), ("g1", 1), ("nu", 2), ("ce1", None), ("ce2", None)]
-    assert led.pending_names() == {"g2", "g1", "nu", "ce1", "ce2"}
-    with pytest.raises(KeyError):
-        led.entry_for_order(3)
+@pytest.mark.parametrize("kind, r, order", [
+    (INTEGER, 2, 3), (INTEGER, 3, 2), (HALF, 2, 3), (HALF, 3, 2)])
+def test_pinned_follows_the_schedule_and_leaves_the_rest_pending(kind, r, order):
+    # each order pins its scheduled unknown; the series unknowns of the table
+    # (nu, g1..g{r-1}, ce1..ce{order}) that no order reached stay pending
+    s = (_integer if kind == INTEGER else _half)(r, order)
+    assert list(s.pinned) == [scheduled_unknown(r, k) for k in range(order + 1)]
+    assert not set(s.pinned) & set(s.pending)
+    family = Family(kind, r)
+    known = set(family.frame_table().names) | {family.base_c0}
+    unknowns = {n for n in series_table(family, order).names if n not in known}
+    assert set(s.pinned) | set(s.pending) == unknowns == {
+        "nu", *(f"g{j}" for j in range(1, r)), *(f"ce{k}" for k in range(1, order + 1))}
 
 
-def test_solved_ledger_keeps_affine_pinning_equations():
+def test_pinned_keeps_affine_pinning_equations():
     s = _integer(2, 2)
-    for entry in s.ledger.entries:
-        if entry.order is None:
-            assert not entry.solved
-            continue
-        assert entry.solved
-        assert entry.equation is not None
-        lo, hi = entry.equation.degree_in(entry.name)
+    for name, equation in s.pinned.items():
+        lo, hi = equation.degree_in(name)
         assert (lo, hi) == (0, 1)
-        pivot = entry.equation.coeff_of_power(entry.name, 1)
+        pivot = equation.coeff_of_power(name, 1)
         assert pivot.is_unit_monomial()
+    assert list(s.pinned) == ["g1", "nu", "ce1"]
     assert s.pending == ("ce2",)
-    assert s.constants[1] == s.ledger.entries[2].value
+    # the stored constant solves the equation that pinned it
+    equation = s.pinned["ce1"]
+    assert s.constants[1] == (-equation.coeff_of_power("ce1", 0)).exact_div(
+        equation.coeff_of_power("ce1", 1))
 
 
 # ----- frozen values, integer kind at r = 2 ----------------------------------
@@ -453,7 +457,7 @@ def test_rank1_perturbations_are_caught():
 def _bump_lead(poly: LaurentPoly) -> LaurentPoly:
     """``poly`` with its leading coefficient moved by one, never to zero."""
     exps, coeff = poly.leading()
-    return poly + LaurentPoly.monomial(poly.table, exps, -1 if coeff == -1 else 1)
+    return poly + LaurentPoly(poly.table, {exps: -1 if coeff == -1 else 1})
 
 
 def _with_coeff(series: IrregularSeries, k: int, lam: tuple[int, ...],
