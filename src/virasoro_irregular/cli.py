@@ -351,12 +351,14 @@ def _cmd_gram(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def _cmd_gauge(cfg: RunConfig) -> tuple[int, dict]:
-    series = _build_series(cfg)
+    # the completion does not read the series, so an unreachable --bound
+    # fails before the solve
     completion = None
     residuals: list[dict] = []
     if cfg.family.kind == HALF:
         completion = gauge.scalar_completion_half(cfg.family.r, cfg.bound or cfg.family.r)
-        residuals.extend(serialize.report_doc(gauge.completion_residuals(completion)))
+        residuals.extend(serialize.report_doc(completion.checks))
+    series = _build_series(cfg)
     obs = gauge.obstructions(series, completion)
     frob = gauge.frobenius_verify(obs)
     certificate = gauge.lstar_certificate(obs)

@@ -90,13 +90,16 @@ class ScalarCompletion:
 
     ``sigma[n]`` is quasi-homogeneous of weight ``n``; the top frame row
     annihilates the tuple, which fixes the otherwise free conjugation gauge.
+    ``checks`` is the :func:`completion_residuals` report a search ran on it
+    (``None`` until one has).
     """
 
-    __slots__ = ("family", "table", "sigma", "bound")
+    __slots__ = ("family", "table", "sigma", "bound", "checks")
 
     def __init__(self, family: Family, table: VarTable, sigma: tuple[LaurentPoly, ...],
                  bound: int) -> None:
         self.family, self.table, self.sigma, self.bound = family, table, sigma, bound
+        self.checks = None
 
 
 class _EngineState:
@@ -486,8 +489,8 @@ def scalar_completion_half(r: int, bound: int = 1) -> ScalarCompletion:
     top-frame-row constraint form a linear system; free coordinates are
     pinned to zero, making the minimal-support answer deterministic.
     Denominator bounds ``1..bound`` are tried in turn, and the first whose
-    candidate passes :func:`completion_residuals` is returned.  Raises
-    ``Infeasible`` when none does.
+    candidate passes :func:`completion_residuals` is returned, with that
+    report as its ``checks``.  Raises ``Infeasible`` when none does.
     """
     if r < 2:
         raise ValueError("the odd family starts at rank descriptor 2")
@@ -540,7 +543,8 @@ def scalar_completion_half(r: int, bound: int = 1) -> ScalarCompletion:
                 sigma[n] = sigma[n] + b * x
         completion = ScalarCompletion(family=family, table=table, sigma=tuple(sigma),
                                       bound=trial)
-        if completion_residuals(completion).all_ok:
+        completion.checks = completion_residuals(completion)
+        if completion.checks.all_ok:
             return completion
     raise Infeasible(f"no scalar completion within bound {bound}")
 

@@ -323,27 +323,14 @@ def _product(table: VarTable, factors: list[LaurentPoly]) -> LaurentPoly:
     return out
 
 
-def _cancel_common(nums: list[LaurentPoly],
-                   factors: list[LaurentPoly]) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
-    """Strip denominator factors dividing every numerator at once."""
-    remaining: list[LaurentPoly] = []
-    for f in factors:
-        try:
-            nums = [p.exact_div(f) for p in nums]
-        except NotDivisible:
-            remaining.append(f)
-    return nums, remaining
-
-
-def _reduced(p: LaurentPoly, factors: list[LaurentPoly]) -> RationalFunction:
-    """Quotient by the factor list, cancelling whatever divides exactly."""
-    den = LaurentPoly.const(p.table, 1)
-    for f in factors:
-        try:
-            p = p.exact_div(f)
-        except NotDivisible:
-            den = den * f
-    return RationalFunction(p, den)
+def _pairing_target(mu: tuple[int, ...], s1: LaurentPoly,
+                    s2: LaurentPoly) -> LaurentPoly:
+    """{L_mu v_k} for a partition ``mu`` of ``k``: each ``L_1`` lowers the
+    level by one at the scalar ``s1``, each ``L_2`` by two at ``s2``, any
+    higher mode annihilates, and {v_0} = 1."""
+    if mu[0] > 2:
+        return LaurentPoly.zero(s1.table)
+    return s1 ** mu.count(1) * s2 ** mu.count(2)
 
 
 def _from_invariants(p: LaurentPoly, delta_powers: list[LaurentPoly],
@@ -363,8 +350,10 @@ def solve_rank1(vctx: ModuleContext, lam1: LaurentPoly, lam2: LaurentPoly,
     ``lam1`` must be linear and ``lam2`` quadratic in the expansion
     parameter ``c1``; all higher eigenvalues vanish identically, so the
     level-``k`` coefficients follow from the ``L_1`` and ``L_2`` relations
-    alone, solved against the level pairing matrix over the rational
-    function field.
+    alone.  Applied mode by mode, those relations fix every level-``k``
+    pairing in closed form (``_pairing_target``), with no reference to the
+    lower levels, so ``v_k = adj(G_k) t_k / det(G_k)`` for the level
+    pairing matrix ``G_k`` and that target vector ``t_k``.
     """
     if vctx.rho != 0:
         raise ValueError("rank-one construction needs a Verma context")
@@ -386,26 +375,18 @@ def solve_rank1(vctx: ModuleContext, lam1: LaurentPoly, lam2: LaurentPoly,
     # terms.  Only the adjugate columns where a right-hand side is nonzero
     # are computed (column 0 if none), and the determinant is read off the
     # first through A adj(A) = det(A) I.  All return to the module table by
-    # Delta -> eigenvalue(0) and c -> c_vir.  Each level carries one explicit
-    # factored denominator, so the solve stays in the ring and never builds
-    # unreduced rational intermediates; the two relation sources are solved
-    # separately against the adjugate and only then recombined.
+    # Delta -> eigenvalue(0) and c -> c_vir, and each coefficient is stored
+    # over det(G_k), cancelled where it divides exactly.
     inv_table = VarTable(("Delta", "c"), (0, 0))
     inv_ctx = verma_context(inv_table, LaurentPoly.var(inv_table, "Delta"),
                             LaurentPoly.var(inv_table, "c"))
     bases = (vctx.eigenvalue(0), vctx.c_vir)
     powers = ([one], [one])   # powers of the bases, extended once per level
-    numerators = [vctx.cyclic()]
-    denominators: list[list[LaurentPoly]] = [[]]
-    zero = LaurentPoly.zero(table)
+    vectors = [vctx.cyclic(RationalFunction(one))]
     for k in range(1, order + 1):
         lams = partitions_of(k)
-        drop = [gram_entry_on(vctx, mu[1:], numerators[k - 1]) * s1
-                if mu[0] == 1 else zero for mu in lams]
-        drop2 = [gram_entry_on(vctx, mu[1:], numerators[k - 2]) * s2
-                 if mu[0] == 2 and k >= 2 else zero for mu in lams]
-        cols = [j for j, (a, b) in enumerate(zip(drop, drop2))
-                if not (a.is_zero() and b.is_zero())] or [0]
+        rhs = [_pairing_target(mu, s1, s2) for mu in lams]
+        cols = [j for j, t in enumerate(rhs) if not t.is_zero()] or [0]
         rows = [[gram_entry(inv_ctx, mu, lam) for lam in lams] for mu in lams]
         adj = adjugate(rows, cols)
         det = det_from_adjugate(rows, adj, cols[0])
@@ -418,19 +399,9 @@ def solve_rank1(vctx: ModuleContext, lam1: LaurentPoly, lam2: LaurentPoly,
         if det.is_zero():
             raise SingularShapovalov(f"level {k}: pairing determinant vanishes")
         adj = [[_from_invariants(a, *powers, table) for a in row] for row in adj]
-        y1 = mat_vec(adj, drop)
-        y2 = mat_vec(adj, drop2)
-        before1 = _product(table, denominators[k - 1])
-        before2 = _product(table, denominators[k - 2]) if k >= 2 else one
-        nums = [dot(table, [(a, before2), (b, before1)]) for a, b in zip(y1, y2)]
-        factors = [det] + denominators[k - 1] + (denominators[k - 2] if k >= 2 else [])
-        nums, factors = _cancel_common(nums, factors)
-        numerators.append(ModuleVector(vctx, dict(zip(lams, nums))))
-        denominators.append(factors)
-    vectors = [
-        vec.map_coeffs(lambda p, fs=factors: _reduced(p, fs))
-        for vec, factors in zip(numerators, denominators)
-    ]
+        nums = mat_vec(adj, rhs)
+        vectors.append(ModuleVector(vctx, {lam: RationalFunction(p, det)
+                                           for lam, p in zip(lams, nums)}))
     return IrregularSeries(
         family=Family(RANK_ONE, 1), order=order, table=table, ctx=vctx,
         vectors=vectors, nu=None, g={}, constants={}, pending=(), pinned=None,

@@ -15,6 +15,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from virasoro_irregular import cli
 from virasoro_irregular.cli import main
 from virasoro_irregular.frames import GENERAL, Family, default_central_charge
 from virasoro_irregular.ring import LaurentPoly, RationalFunction, VarTable
@@ -458,6 +459,19 @@ def test_gauge_bound_below_the_completion_reports_infeasible(capsys):
                             "message": "no scalar completion within bound 1"}
     assert doc["meta"] == {"K": 2, "central": None, "convention": "general",
                            "rank": "5/2"}
+
+
+def test_gauge_unreachable_bound_fails_before_the_solve(capsys, monkeypatch):
+    # the completion reads no series, so it runs first and the rank-5/2
+    # order-5 solve is never started
+    solves = []
+    monkeypatch.setattr(cli, "solve_half", lambda *args: solves.append(args))
+    code, doc = _run_json(capsys, ["gauge", "--rank", "5/2", "--order", "5",
+                                   "--bound", "1"])
+    assert code == 1
+    assert doc["error"] == {"type": "Infeasible",
+                            "message": "no scalar completion within bound 1"}
+    assert solves == []
 
 
 def test_gauge_rank_seven_halves_names_its_working_order(capsys):

@@ -9,6 +9,7 @@ from functools import lru_cache
 
 import pytest
 
+from virasoro_irregular import solver
 from virasoro_irregular.frames import (
     DISPLAY,
     GENERAL,
@@ -17,7 +18,7 @@ from virasoro_irregular.frames import (
     default_central_charge,
     eigenvalue,
 )
-from virasoro_irregular.gram import GramError, gram_entry
+from virasoro_irregular.gram import GramError, gram_entry, gram_entry_on
 from virasoro_irregular.ring import LaurentPoly, RationalFunction, RingError, VarTable
 from virasoro_irregular.solver import (
     HALF,
@@ -40,6 +41,7 @@ from virasoro_irregular.virasoro import (
     ModuleContext,
     ModuleVector,
     apply_mode,
+    partitions_of,
     verma_context,
 )
 
@@ -452,6 +454,39 @@ def test_rank1_perturbations_are_caught():
     c = s.vectors[1].coeff((1,))
     in_level = _with_coeff(s, 1, (1,), RationalFunction(c.num + c.den, c.den))
     assert not verify_canonical(in_level).all_ok
+
+
+@pytest.mark.parametrize("convention", [GENERAL, DISPLAY])
+def test_rank1_pairings_take_their_closed_form(convention):
+    # the relations fix {L_mu v_k} = s1^a s2^b for mu with a ones and b twos,
+    # and 0 when mu has a part >= 3; read here off the solved vectors
+    s = _rank1(4, convention)
+    t = s.table
+    c1 = _v(t, "c1")
+    s1, s2 = (eigenvalue(t, n, ("c1",), convention=convention).exact_div(c1 ** n)
+              for n in (1, 2))
+    for k, (d, n_k) in enumerate(_cleared_levels(s)):
+        for mu in partitions_of(k):
+            expected = d * s1 ** mu.count(1) * s2 ** mu.count(2)
+            if mu and mu[0] >= 3:
+                expected = LaurentPoly.zero(t)
+            assert gram_entry_on(s.ctx, mu, n_k) == expected, (k, mu)
+
+
+@pytest.mark.parametrize("wrong", [(1, 1), (2,), (3,)])
+def test_rank1_wrong_pairing_target_fails_a_mode_relation(monkeypatch, wrong):
+    # one level-2 or level-3 target moved by one: the solve still succeeds,
+    # and the re-check, which never reads the targets, rejects it
+    exact = solver._pairing_target
+
+    def target(mu, s1, s2):
+        value = exact(mu, s1, s2)
+        return value + 1 if mu == wrong else value
+
+    monkeypatch.setattr(solver, "_pairing_target", target)
+    failed = {c.relation for c in verify_canonical(rank1_series(3)).failures()}
+    assert failed
+    assert all(name.startswith("mode ") for name in failed)
 
 
 def _bump_lead(poly: LaurentPoly) -> LaurentPoly:
