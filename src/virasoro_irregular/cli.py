@@ -183,10 +183,31 @@ def _config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunCon
         parser.error("gram blocks are indexed by an integer rank")
     if args.command == "gauge" and kind == RANK_ONE:
         parser.error("gauge requires rank at least 2 or a half rank")
+    if args.output:
+        _check_output(parser, args.output)
     return RunConfig(
         command=args.command, family=family, order=order,
         central=central, convention=convention,
         fmt=args.fmt, output=args.output, bound=bound, input=input_path)
+
+
+def _writes_in_place(path: str) -> bool:
+    """Whether ``--output`` is a device or FIFO, written without a rename."""
+    return os.path.exists(path) and not os.path.isfile(path)
+
+
+def _check_output(parser: argparse.ArgumentParser, path: str) -> None:
+    """Exit 2 before any solve if the report cannot be written to ``path``."""
+    if os.path.isdir(path):
+        parser.error(f"--output {path!r} is a directory")
+    if _writes_in_place(path):
+        ok = os.access(path, os.W_OK)
+    else:   # the folder takes the .part file
+        folder = os.path.dirname(os.path.realpath(path))
+        ok = os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)
+    if not ok:
+        parser.error(f"--output {path!r} is not writable "
+                     "(missing folder or no permission)")
 
 
 # ----- shared helpers -----------------------------------------------------------
@@ -273,6 +294,8 @@ def _dual_doc(op) -> dict:
 def _cmd_construct(cfg: RunConfig) -> tuple[int, dict]:
     series = _build_series(cfg)
     report = verify_canonical(series)
+    # the caches are dead from here on; the document tree reuses their memory
+    series.ctx.drop_caches()
     doc = serialize.series_to_doc(series)
     doc["residuals"] = serialize.report_doc(report)
     return (0 if report.all_ok else 1), doc
@@ -473,12 +496,32 @@ def render_text(doc: dict) -> str:
 
 
 def _emit(cfg: RunConfig, doc: dict) -> None:
-    text = serialize.dumps(doc) if cfg.fmt == "json" else render_text(doc)
-    if cfg.output:
+    """Write the report, JSON streamed.  A regular ``--output`` file is
+    written as ``<output>.part`` and renamed over the target when complete,
+    or removed on any failure; a device or FIFO is written in place."""
+    def write(handle) -> None:
+        if cfg.fmt == "json":
+            serialize.dumps(doc, handle)
+        else:
+            handle.write(render_text(doc))
+
+    if not cfg.output:
+        write(sys.stdout)
+        return
+    if _writes_in_place(cfg.output):
         with open(cfg.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+            write(handle)
+        return
+    target = os.path.realpath(cfg.output)   # a symlink keeps pointing at the report
+    part = target + ".part"
+    try:
+        with open(part, "w", encoding="utf-8") as handle:
+            write(handle)
+        os.replace(part, target)
+    except BaseException:
+        if os.path.exists(part):
+            os.remove(part)
+        raise
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -10,6 +10,7 @@ re-verified from scratch.
 
 from __future__ import annotations
 
+import io
 from json.encoder import encode_basestring_ascii as quote
 
 from .frames import CONVENTIONS, GENERAL, HALF, INTEGER, RANK_ONE, Family
@@ -277,11 +278,15 @@ def truncated_doc(series: TruncatedSeries) -> dict:
 
 _TERM_KEYS = {"d", "e", "n"}
 _INT = {int}
+# pieces a streaming dumps buffers before it writes them out
+_CHUNK = 64
 
 
-def _write(node: object, nl: str, out: list[str]) -> None:
+def _write(node: object, nl: str, out: list[str], flush) -> None:
     """Append the indent-2, sorted-key JSON text of ``node`` to ``out``;
-    ``nl`` is the newline plus the indentation of the line ``node`` is on."""
+    ``nl`` is the newline plus the indentation of the line ``node`` is on.
+    ``flush`` is called with ``out`` whenever it holds ``_CHUNK`` pieces,
+    and must empty it."""
     if isinstance(node, dict):
         if not node:
             out.append("{}")
@@ -290,8 +295,10 @@ def _write(node: object, nl: str, out: list[str]) -> None:
         sep = "{" + inner
         for key in sorted(node):
             out.append(sep + quote(key) + ": ")   # quote raises on a non-str key
-            _write(node[key], inner, out)
+            _write(node[key], inner, out, flush)
             sep = "," + inner
+            if len(out) >= _CHUNK:
+                flush(out)
         out.append(nl + "}")
     elif isinstance(node, (list, tuple)):
         if not node:
@@ -307,13 +314,15 @@ def _write(node: object, nl: str, out: list[str]) -> None:
         for item in node:
             out.append(sep)
             sep = "," + inner
+            if len(out) >= _CHUNK:
+                flush(out)
             if type(item) is dict and item.keys() == _TERM_KEYS:
                 d, e, n = item["d"], item["e"], item["n"]
                 if (type(d) is int and type(n) is int and type(e) is list
                         and set(map(type, e)) == _INT):
                     out.append(term % (d, exp_sep.join(map(int.__repr__, e)), n))
                     continue
-            _write(item, inner, out)
+            _write(item, inner, out, flush)
         out.append(nl + "]")
     elif isinstance(node, str):
         out.append(quote(node))
@@ -329,15 +338,28 @@ def _write(node: object, nl: str, out: list[str]) -> None:
         raise TypeError(f"{type(node).__name__} {node!r} cannot appear in a report")
 
 
-def dumps(doc: dict) -> str:
+def dumps(doc: dict, handle=None) -> str | None:
     """Byte-deterministic rendering: sorted keys, exact integers, no floats.
 
     The text is exactly ``json.dumps(doc, indent=2, sort_keys=True)`` plus a
     final newline, written without ``json``'s pure-Python indenting encoder.
     Dict keys must be strings; a float or any other non-JSON value raises
     :class:`TypeError`.
+
+    With a text ``handle`` the text is written there a few dozen pieces at
+    a time, so neither the whole piece list nor the whole string is ever
+    held, and ``None`` is returned; on a :class:`TypeError` the text before
+    the bad value has already been written.  Without one the text is
+    returned.
     """
+    stream = io.StringIO() if handle is None else handle
     out: list[str] = []
-    _write(doc, "\n", out)
+
+    def flush(pieces: list[str]) -> None:
+        stream.write("".join(pieces))
+        pieces.clear()
+
+    _write(doc, "\n", out, flush)
     out.append("\n")
-    return "".join(out)
+    flush(out)
+    return stream.getvalue() if handle is None else None

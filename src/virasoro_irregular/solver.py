@@ -507,7 +507,10 @@ def _check_rank_one(series: IrregularSeries, report: VerificationReport) -> None
         report.add("grading", f"k = {k}", graded.is_zero(),
                    "" if graded.is_zero() else repr(graded))
     # L_n v_k = s_n v_{k-n} for n = 1, 2 and k >= n, with s_n the eigenvalue
-    # over c1^n, else L_n v_k = 0; cleared: D_{k-n} L_n N_k = s_n D_k N_{k-n}
+    # over c1^n, else L_n v_k = 0.  Cleared, L_n N_k = s_n (D_k / D_{k-n})
+    # N_{k-n} where D_{k-n} divides D_k (the ring is an integral domain and
+    # D_{k-n} != 0, so this is exact), and D_{k-n} L_n N_k = s_n D_k N_{k-n}
+    # where it does not
     c1 = LaurentPoly.var(table, "c1")
     lowered = {n: eigenvalue(table, n, ("c1",), convention=series.convention)
                .exact_div(c1 ** n) for n in (1, 2)}
@@ -516,8 +519,13 @@ def _check_rank_one(series: IrregularSeries, report: VerificationReport) -> None
         for k, nk in enumerate(nums):
             lhs = apply_mode(nk, n)
             if n in lowered and k >= n:
-                lhs = (lhs.scale(dens[k - n])
-                       - nums[k - n].scale(lowered[n] * dens[k]))
+                try:
+                    ratio = dens[k].exact_div(dens[k - n])
+                except NotDivisible:
+                    lhs = (lhs.scale(dens[k - n])
+                           - nums[k - n].scale(lowered[n] * dens[k]))
+                else:
+                    lhs = lhs - nums[k - n].scale(lowered[n] * ratio)
             if not lhs.is_zero():
                 bad = f"k={k}: {lhs!r}"
                 break

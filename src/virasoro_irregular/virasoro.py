@@ -74,7 +74,8 @@ class ModuleContext:
 
     ``eigen`` must assign a scalar to every mode index from ``rho`` to
     ``2*rho`` inclusive.  The straightening and pairing caches live on the
-    context, so contexts are cheap to query repeatedly and should be shared.
+    context, so contexts are cheap to query repeatedly and should be shared;
+    :meth:`drop_caches` frees them once they are no longer needed.
     """
 
     __slots__ = ("table", "rho", "eigen", "c_vir", "_zero", "_one", "_mode_cache",
@@ -97,6 +98,12 @@ class ModuleContext:
         self._mode_cache: dict[tuple[int, Partition], dict[Partition, LaurentPoly]] = {}
         # pairing entries {L~_mu b_lam} as [mu][lam], filled by gram.gram_entry
         self._pairing_cache: dict[Partition, dict[Partition, LaurentPoly]] = {}
+
+    def drop_caches(self) -> None:
+        """Release the straightening and pairing caches once a caller is done
+        with them; both refill on demand if the context is used again."""
+        self._mode_cache.clear()
+        self._pairing_cache.clear()
 
     @staticmethod
     def _scalar(table: VarTable, v) -> LaurentPoly:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import random
 import re
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -41,6 +43,7 @@ from virasoro_irregular.solver import (
     solve_integer,
     verify_canonical,
 )
+from virasoro_irregular.virasoro import ModuleContext
 
 
 @lru_cache(maxsize=None)
@@ -360,6 +363,91 @@ def test_verify_input_takes_no_series_options(option, tmp_path, capsys):
         main(["verify", "--input", str(report), *option])
     assert err.value.code == 2
     assert f"{option[0]} cannot be given with --input" in capsys.readouterr().err
+
+
+# ----- writing the report --------------------------------------------------------
+
+
+@pytest.mark.parametrize("target", ["no/such/dir/r.json", "."])
+def test_unwritable_output_fails_before_the_solve(target, tmp_path, capsys, monkeypatch):
+    solves = []
+    monkeypatch.setattr(cli, "rank1_series", lambda *args: solves.append(args))
+    with pytest.raises(SystemExit) as err:
+        main(["construct", "--rank", "1", "--order", "1", "--format", "json",
+              "--output", str(tmp_path / target)])
+    assert err.value.code == 2
+    assert "--output" in capsys.readouterr().err
+    assert solves == []
+
+
+@pytest.mark.parametrize("rank", ["1", "2", "3/2"])
+def test_construct_drops_the_caches_before_building_the_report(rank, monkeypatch, capsys):
+    events = []
+    drop, to_doc = ModuleContext.drop_caches, cli.serialize.series_to_doc
+
+    def recording_drop(ctx):
+        events.append(("drop", bool(ctx._mode_cache)))
+        drop(ctx)
+
+    def recording_to_doc(series):
+        events.append(("to_doc", bool(series.ctx._mode_cache)))
+        return to_doc(series)
+
+    monkeypatch.setattr(ModuleContext, "drop_caches", recording_drop)
+    monkeypatch.setattr(cli.serialize, "series_to_doc", recording_to_doc)
+    assert main(["construct", "--rank", rank, "--order", "2", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert events == [("drop", True), ("to_doc", False)]
+
+
+def test_a_failed_write_keeps_the_previous_report(tmp_path, monkeypatch):
+    report = tmp_path / "r.json"
+    argv = ["construct", "--rank", "2", "--order", "1", "--format", "json",
+            "--output", str(report)]
+    assert main(argv) == 0
+    before = report.read_bytes()
+
+    def failing_dumps(doc, handle=None):
+        handle.write("{\n  ")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.serialize, "dumps", failing_dumps)
+    with pytest.raises(OSError, match="disk full"):
+        main(argv)
+    assert report.read_bytes() == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["r.json"]
+
+
+def test_report_is_written_through_a_symlink(tmp_path):
+    report, link = tmp_path / "r.json", tmp_path / "link.json"
+    report.write_text("old")
+    link.symlink_to(report)
+    assert main(["frames", "--rank", "2", "--format", "json",
+                 "--output", str(link)]) == 0
+    assert link.is_symlink()
+    assert json.loads(report.read_text())["meta"]["rank"] == "2"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.json", "r.json"]
+
+
+def test_devices_and_fifos_are_written_in_place(tmp_path):
+    argv = ["construct", "--rank", "2", "--order", "1", "--format", "json", "--output"]
+    assert main(argv + [os.devnull]) == 0
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()))
+    reader.start()
+    try:
+        assert main(argv + [str(fifo)]) == 0
+    finally:
+        reader.join(timeout=10)
+        if reader.is_alive():   # main never opened the FIFO: release the reader
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert json.loads(received[0])["meta"]["rank"] == "2"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["pipe"]
 
 
 # ----- frames and gram ------------------------------------------------------------

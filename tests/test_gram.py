@@ -25,6 +25,7 @@ from virasoro_irregular.virasoro import (
     ModuleVector,
     apply_tilde_word,
     partitions_of,
+    verma_context,
 )
 
 T1 = VarTable(["E1", "E2", "cv"], [1, 2, 0])
@@ -222,3 +223,39 @@ def test_singular_context_is_reported():
     ctx = ModuleContext(table, 1, {1: LaurentPoly.var(table, "E1"), 2: 0}, 0)
     with pytest.raises(SingularGram):
         solve_descendants(ctx, {(1,): LaurentPoly.const(table, 1)}, 1)
+
+
+# ----- Kac determinant of the Verma pairing ---------------------------------------
+
+# (b, Delta) points away from every Kac zero; Q = b + 1/b and c = 1 + 6 Q^2
+KAC_POINTS = [(Fraction(2), Fraction(1, 3)), (Fraction(3, 2), Fraction(-5, 7)),
+              (Fraction(1, 3), Fraction(11, 4)), (Fraction(-5, 4), Fraction(2, 9))]
+
+
+def _kac_product(level: int, b: Fraction, delta: Fraction) -> Fraction:
+    """prod over r s <= level of (Delta - Delta_{r,s})^p(level - r s), with
+    Delta_{r,s} = Q^2/4 - (r b + s/b)^2/4."""
+    q = b + 1 / b
+    value = Fraction(1)
+    for r in range(1, level + 1):
+        for s in range(1, level // r + 1):
+            zero = q * q / 4 - (r * b + s / b) ** 2 / 4
+            value *= (delta - zero) ** len(partitions_of(level - r * s))
+    return value
+
+
+@pytest.mark.parametrize("level, constant", [
+    (1, 2), (2, 32), (3, 2304), (4, 37748736), (5, 8697308774400)])
+def test_verma_pairing_determinant_is_kac(level, constant):
+    # det_bareiss of the level pairing matrix over the Kac product is one
+    # constant C_k, the same at every point; the rank-one re-check divides
+    # D_k by D_{k-n} because these determinants nest
+    table = VarTable(["x"], [0])
+    ratios = set()
+    for b, delta in KAC_POINTS:
+        q = b + 1 / b
+        ctx = verma_context(table, delta, 1 + 6 * q * q)
+        lams = partitions_of(level)
+        det = det_bareiss([[gram_entry(ctx, mu, lam) for lam in lams] for mu in lams])
+        ratios.add(det.as_rational() / _kac_product(level, b, delta))
+    assert ratios == {constant}

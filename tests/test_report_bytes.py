@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from virasoro_irregular import serialize
+from virasoro_irregular import cli, serialize
 from virasoro_irregular.cli import main
 
 
@@ -72,7 +75,7 @@ def test_dumps_rejects_floats_and_non_string_keys(doc):
         serialize.dumps(doc)
 
 
-@pytest.mark.parametrize("argv", [
+COMMAND_ARGVS = [
     ["construct", "--rank", "2", "--order", "2"],
     ["construct", "--rank", "3/2", "--order", "2"],
     ["construct", "--rank", "1", "--order", "3"],
@@ -83,19 +86,66 @@ def test_dumps_rejects_floats_and_non_string_keys(doc):
     ["frames", "--rank", "3"],
     ["frames", "--rank", "5/2"],
     ["gauge", "--rank", "2", "--order", "1"],     # an error record
-])
-def test_dumps_matches_json_on_every_command_document(argv, monkeypatch, capsys):
+]
+
+
+def _recording(monkeypatch) -> list:
+    """Make ``serialize.dumps`` record each document it is given."""
     docs = []
     real_dumps = serialize.dumps
 
-    def recording_dumps(doc):
+    def recording_dumps(doc, handle=None):
         docs.append(doc)
-        return real_dumps(doc)
+        return real_dumps(doc, handle)
 
     monkeypatch.setattr(serialize, "dumps", recording_dumps)
+    return docs
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGVS)
+def test_dumps_matches_json_on_every_command_document(argv, monkeypatch, capsys):
+    docs = _recording(monkeypatch)
     main(argv + ["--format", "json"])
     (doc,) = docs
     assert capsys.readouterr().out == _reference(doc)
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGVS)
+def test_streamed_report_file_matches_json(argv, monkeypatch, tmp_path):
+    docs = _recording(monkeypatch)
+    report = tmp_path / "report.json"
+    main(argv + ["--format", "json", "--output", str(report)])
+    (doc,) = docs
+    assert report.read_bytes() == _reference(doc).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TREES)
+def test_dumps_streams_the_same_text_in_any_chunks(doc):
+    with mock.patch.object(serialize, "_CHUNK", 1):
+        handle = io.StringIO()
+        assert serialize.dumps(doc, handle) is None
+    assert handle.getvalue() == _reference(doc)
+
+
+def test_streamed_report_is_never_held_whole(tmp_path):
+    # the writer holds a few dozen pieces at a time, never the whole text or
+    # its piece list, each about the report's size
+    report = tmp_path / "report.json"
+    parser = cli.build_parser()
+    cfg = cli._config(parser, parser.parse_args(
+        ["construct", "--rank", "2", "--order", "4", "--format", "json",
+         "--output", str(report)]))
+    _, doc = cli.HANDLERS["construct"](cfg)
+    tracemalloc.start()
+    try:
+        cli._emit(cfg, doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = report.stat().st_size
+    assert size == PINNED_REPORTS[0][1]
+    assert peak < size / 4, (peak, size)
 
 
 # ----- byte contract --------------------------------------------------------------

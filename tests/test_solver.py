@@ -19,7 +19,8 @@ from virasoro_irregular.frames import (
     eigenvalue,
 )
 from virasoro_irregular.gram import GramError, gram_entry, gram_entry_on
-from virasoro_irregular.ring import LaurentPoly, RationalFunction, RingError, VarTable
+from virasoro_irregular.ring import (LaurentPoly, NotDivisible, RationalFunction, RingError,
+                                     VarTable)
 from virasoro_irregular.solver import (
     HALF,
     INTEGER,
@@ -539,6 +540,27 @@ def test_rank1_check_catches_a_changed_term(convention, k, side):
     failed = {check.relation for check in report.failures()}
     assert failed & {"mode 1 relation", "mode 2 relation"}
     assert all(name.startswith("mode ") for name in failed)
+
+
+@pytest.mark.parametrize("convention", [GENERAL, DISPLAY])
+def test_rank1_check_without_nested_denominators(convention):
+    # every coefficient of v_2 rewritten as (num f) / (den f): D_2 gains the
+    # factor f, which D_3 lacks, so the re-check cannot divide D_3 by D_2 and
+    # cross-multiplies L_1 v_3 = s_1 v_2 instead; it still accepts the
+    # series, and that relation still catches a changed coefficient of v_3
+    s = _rank1(3, convention)
+    f = _v(s.table, "Q") + _v(s.table, "c0", 2) + 1
+    v2 = s.vectors[2]
+    s = _with_vector(s, 2, ModuleVector(v2.ctx, {
+        lam: RationalFunction(c.num * f, c.den * f) for lam, c in v2.parts.items()}))
+    with pytest.raises(NotDivisible):
+        solver._cleared(s.vectors[3])[0].exact_div(solver._cleared(s.vectors[2])[0])
+    assert verify_canonical(s).all_ok
+    lam, c = max(s.vectors[3].parts.items())
+    report = verify_canonical(
+        _with_coeff(s, 3, lam, RationalFunction(_bump_lead(c.num), c.den)))
+    (mode1,) = [check for check in report.checks if check.relation == "mode 1 relation"]
+    assert not mode1.ok and mode1.detail.startswith("k=3:")
 
 
 @pytest.mark.parametrize("convention", [GENERAL, DISPLAY])

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from virasoro_irregular.gram import gram_entry
 from virasoro_irregular.ring import LaurentPoly, VarTable
 from virasoro_irregular.virasoro import (
     ModuleContext,
@@ -263,3 +264,21 @@ def test_vector_arithmetic_drops_zeros():
     assert set(w.parts) == {(2,)}
     assert (w - ctx.basis((2,))).is_zero()
     assert v.scale(0).is_zero()
+
+
+@pytest.mark.parametrize("ctx_builder", [rank1_ctx, lambda: rank2_table()[1]])
+def test_dropped_caches_refill_with_the_same_values(ctx_builder):
+    ctx = ctx_builder()
+    rng = random.Random(7)
+    vectors = [random_vector(rng, ctx, 4) for _ in range(3)]
+    lams = [lam for w in range(4) for lam in partitions_of(w)]
+
+    def values():
+        return ([apply_mode(v, n) for v in vectors for n in range(-2, 2 * ctx.rho + 3)],
+                [gram_entry(ctx, mu, lam) for mu in lams for lam in lams])
+
+    before = values()
+    ctx.drop_caches()
+    assert not ctx._mode_cache and not ctx._pairing_cache
+    assert values() == before
+    assert ctx._mode_cache and ctx._pairing_cache
