@@ -365,8 +365,7 @@ def _cmd_gram(cfg: RunConfig) -> tuple[int, dict]:
                 record["detail"] = str(exc)
             blocks.append(record)
     doc = {
-        "meta": {"rank": str(rho), "K": cfg.order,
-                 "convention": cfg.convention, "central": None},
+        "meta": _meta(cfg),
         "variables": serialize.variables_doc(table),
         "gram": {"base": poly_terms(base), "blocks": blocks},
     }
@@ -408,12 +407,9 @@ def _cmd_gauge(cfg: RunConfig) -> tuple[int, dict]:
                         for sigma in completion.sigma],
         }
     ok = frob.all_ok and cert_ok and applied.all_ok
-    doc = {
-        "meta": _meta(cfg, series.ctx.c_vir),
-        "variables": serialize.variables_doc(table),
-        "gauge": gauge_doc,
-        "residuals": residuals,
-    }
+    doc = serialize.series_header(series)
+    doc["gauge"] = gauge_doc
+    doc["residuals"] = residuals
     return (0 if ok else 1), doc
 
 

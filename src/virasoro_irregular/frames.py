@@ -45,14 +45,14 @@ class DegreeOverflow(FrameError):
 # ----- scalar tables --------------------------------------------------------
 
 
-def default_central_charge(table: VarTable, qname: str = "Q") -> LaurentPoly:
-    q = LaurentPoly.var(table, qname)
+def default_central_charge(table: VarTable) -> LaurentPoly:
+    q = LaurentPoly.var(table, "Q")
     return 1 + 6 * q * q
 
 
-def conformal_weight(table: VarTable, c0name: str, qname: str = "Q") -> LaurentPoly:
+def conformal_weight(table: VarTable, c0name: str) -> LaurentPoly:
     c0 = LaurentPoly.var(table, c0name)
-    return c0 * (LaurentPoly.var(table, qname) - c0)
+    return c0 * (LaurentPoly.var(table, "Q") - c0)
 
 
 def _cvar(table: VarTable, cnames: Sequence[str], j: int) -> LaurentPoly:
@@ -71,8 +71,7 @@ def _quadratic(table: VarTable, cnames: Sequence[str], n: int) -> LaurentPoly:
 
 
 def eigenvalue(table: VarTable, n: int, cnames: Sequence[str],
-               c0name: str = "c0", qname: str = "Q",
-               convention: str = GENERAL) -> LaurentPoly:
+               c0name: str = "c0", convention: str = GENERAL) -> LaurentPoly:
     """Mode-n eigenvalue of the family with top parameter index len(cnames).
 
     The linear part is ``((n+1) Q - kappa c_0) c_n`` with ``kappa = 1`` in
@@ -84,7 +83,7 @@ def eigenvalue(table: VarTable, n: int, cnames: Sequence[str],
     if n < 1:
         raise ValueError("eigenvalues are indexed by positive modes")
     kappa = 1 if convention == GENERAL else 2
-    q = LaurentPoly.var(table, qname)
+    q = LaurentPoly.var(table, "Q")
     c0 = LaurentPoly.var(table, c0name)
     return ((n + 1) * q - kappa * c0) * _cvar(table, cnames, n) \
         + _quadratic(table, cnames, n)

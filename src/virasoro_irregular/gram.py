@@ -3,8 +3,9 @@
 The scalar ``{X}`` denotes the coefficient of the cyclic vector in ``X``.
 The pairing matrix ``G(mu, lam) = {L~_mu b_lam}`` pairs the shifted word of
 ``mu`` against the basis vector of ``lam``.  Every pairing in the package is
-read from this one matrix, cached per module context and filled lazily by
-peeling the innermost (largest) word factor off ``mu``:
+read from this one matrix, which :meth:`ModuleContext.pairing` caches per
+module context and fills lazily by peeling the innermost (largest) word
+factor off ``mu``:
 
 * ``G((), lam) = [lam == ()]``;
 * ``G(mu, lam) = 0`` whenever ``|lam| < |mu|``: a shifted mode
@@ -63,29 +64,7 @@ def gram_entry(ctx: ModuleContext, mu: Partition, lam: Partition) -> LaurentPoly
     """Pairing of the shifted word of ``mu`` against the basis vector of ``lam``."""
     if not (is_partition(mu) and is_partition(lam)):
         raise ValueError(f"not a pair of partitions: {mu}, {lam}")
-    return _pairing(ctx, mu, lam)
-
-
-def _pairing(ctx: ModuleContext, mu: Partition, lam: Partition) -> LaurentPoly:
-    """``gram_entry`` for arguments known to be partitions, as the
-    recursion's ``mu[1:]`` and straightening keys are."""
-    if sum(lam) < sum(mu):
-        return ctx._zero
-    row = ctx._pairing_cache.get(mu)
-    entry = None if row is None else row.get(lam)
-    if entry is not None:
-        return entry
-    if not mu:
-        entry = ctx._zero if lam else ctx._one
-    else:
-        n, rest = mu[0] + ctx.rho, mu[1:]
-        pairs = [(d, _pairing(ctx, rest, nu)) for nu, d in ctx._apply_basis(n, lam).items()]
-        pairs.append((-ctx.eigenvalue(n), _pairing(ctx, rest, lam)))
-        entry = dot(ctx.table, pairs)
-        if entry.is_zero():
-            entry = ctx._zero   # most entries vanish; share one zero
-    ctx._pairing_cache.setdefault(mu, {})[lam] = entry
-    return entry
+    return ctx.pairing(mu, lam)
 
 
 def weight_range_partitions(lo: int, hi: int) -> list[Partition]:
@@ -181,5 +160,5 @@ def gram_entry_on(ctx: ModuleContext, mu: Partition, vec: ModuleVector) -> Laure
     if not is_partition(mu):
         raise ValueError(f"not a partition: {mu}")
     w = sum(mu)
-    return dot(ctx.table, [(c, _pairing(ctx, mu, lam))
+    return dot(ctx.table, [(c, ctx.pairing(mu, lam))
                            for lam, c in vec.parts.items() if sum(lam) >= w])

@@ -252,7 +252,7 @@ def series_from_doc(doc: object) -> IrregularSeries:
         raise SerializeError(f"tail must cover orders 0..{order} exactly once")
     vectors = [staged[k] for k in range(order + 1)]
     return IrregularSeries(
-        family=family, order=order, table=table, ctx=ctx, vectors=vectors, nu=nu,
+        family=family, order=order, ctx=ctx, vectors=vectors, nu=nu,
         g=g, constants=constants, pending=tuple(pending_doc), pinned=None,
         convention=convention)
 

@@ -7,9 +7,10 @@ expanded in the top eigenvalue slot ``Lam``.  Rank one is solved inside the
 Verma module with rational-function coefficients.
 
 Each order performs three steps: the descendant coefficients are solved
-from the shifted-word pairings, the constant term of the flow recurrence
-pins the next unknown on the elimination schedule, and the full recurrence
-residual is recomputed and must vanish identically.
+from the shifted-word pairings, the flow-recurrence residual is formed once
+with the order's unknown still symbolic and its constant term pins that
+unknown on the elimination schedule, and the residual with the pinned value
+substituted must vanish identically.
 """
 
 from __future__ import annotations
@@ -75,17 +76,21 @@ class IrregularSeries:
     ``None`` where no recursion ran (rank one, a re-ingested report).
     """
 
-    __slots__ = ("family", "order", "table", "ctx", "vectors", "nu", "g", "constants",
+    __slots__ = ("family", "order", "ctx", "vectors", "nu", "g", "constants",
                  "pending", "pinned", "convention")
 
-    def __init__(self, family: Family, order: int, table: VarTable, ctx: ModuleContext,
+    def __init__(self, family: Family, order: int, ctx: ModuleContext,
                  vectors: list[ModuleVector], nu: LaurentPoly | None,
                  g: dict[int, LaurentPoly], constants: dict[int, LaurentPoly],
                  pending: tuple[str, ...], pinned: dict[str, LaurentPoly] | None,
                  convention: str = GENERAL) -> None:
-        self.family, self.order, self.table, self.ctx = family, order, table, ctx
+        self.family, self.order, self.ctx = family, order, ctx
         self.vectors, self.nu, self.g, self.constants = vectors, nu, g, constants
         self.pending, self.pinned, self.convention = pending, pinned, convention
+
+    @property
+    def table(self) -> VarTable:
+        return self.ctx.table
 
 
 # ----- shared elimination machinery -----------------------------------------
@@ -154,47 +159,25 @@ def series_recipe(family: Family, ctx: ModuleContext) -> Recipe:
     return Recipe(family, ctx, family.dual_operator(ctx.table), scalars, relations)
 
 
-def _restrict(vec: ModuleVector, cyclic: bool) -> ModuleVector:
-    """The vector itself, or with ``cyclic`` only its cyclic component."""
-    if not cyclic:
-        return vec
-    return ModuleVector(vec.ctx, {(): vec.constant_term()})
-
-
-def _dual_terms(recipe: Recipe, i: int, vec: ModuleVector,
-                cyclic: bool = False) -> list[tuple[LaurentPoly, ModuleVector]]:
-    """The order-``i`` slice of the canonical operator applied to a vector,
-    as ``(scalar, vector)`` terms of a linear combination."""
-    part = _restrict(vec, cyclic)
-    terms = []
-    for n, weight in sorted(recipe.dual.orders[i].items()):
-        terms.append((weight, apply_mode(vec, n, cyclic_only=cyclic)))
-        if n in recipe.scalars:
-            terms.append((-weight * recipe.scalars[n], part))
-    return terms
-
-
 def _flow_residual(recipe: Recipe, vectors: list[ModuleVector],
                    g_polys: dict[int, LaurentPoly], nu_poly: LaurentPoly,
-                   k: int, cyclic: bool = False) -> ModuleVector:
-    """Left side of the order-``k`` flow recurrence (must vanish).
-
-    With ``cyclic`` only its cyclic-vector component is formed, which is
-    all that pinning the order's unknown reads.
-    """
-    r = recipe.family.r
-    terms = []
-    for i in range(r - 1):
+                   k: int) -> ModuleVector:
+    """Left side of the order-``k`` flow recurrence (must vanish): for each
+    order ``i`` of the canonical operator, its slice applied to ``v_{k-i}``
+    plus that vector's ``g`` shift, or at the top order its ``nu`` shift."""
+    r, terms = recipe.family.r, []
+    for i in range(r):
         j = k - i
-        if 0 <= j < len(vectors):
-            terms += _dual_terms(recipe, i, vectors[j], cyclic)
-            terms.append((g_polys[r - 1 - i] * Fraction(r - 1 - i),
-                          _restrict(vectors[j], cyclic)))
-    j = k - r + 1
-    if 0 <= j < len(vectors):
-        terms += _dual_terms(recipe, r - 1, vectors[j], cyclic)
-        terms.append((-nu_poly - LaurentPoly.const(recipe.ctx.table, k - r + 1),
-                      _restrict(vectors[j], cyclic)))
+        if not 0 <= j < len(vectors):
+            continue
+        vec = vectors[j]
+        for n, weight in sorted(recipe.dual.orders[i].items()):
+            terms.append((weight, apply_mode(vec, n)))
+            if n in recipe.scalars:
+                terms.append((-weight * recipe.scalars[n], vec))
+        shift = (g_polys[r - 1 - i] * Fraction(r - 1 - i) if i < r - 1
+                 else -nu_poly - LaurentPoly.const(recipe.ctx.table, j))
+        terms.append((shift, vec))
     return combine(recipe.ctx, terms)
 
 
@@ -232,13 +215,10 @@ def _substitute_state(vectors: list[ModuleVector], g_polys: dict[int, LaurentPol
     return nu_poly.subs(mapping)
 
 
-def _pin_unknown(recipe: Recipe, name: str, pending: set[str],
-                 vectors: list[ModuleVector], g_polys: dict[int, LaurentPoly],
-                 nu_poly: LaurentPoly, k: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """Solve the unknown ``name`` from the order-``k`` constant term; return
-    its value and the pinning equation, affine in it."""
-    equation = _flow_residual(recipe, vectors, g_polys, nu_poly, k,
-                              cyclic=True).constant_term()
+def _pin_unknown(equation: LaurentPoly, name: str, pending: set[str],
+                 k: int) -> LaurentPoly:
+    """Solve the unknown ``name`` from the order-``k`` constant term
+    ``equation``, which must be affine in it."""
     lo, hi = equation.degree_in(name)
     if lo < 0 or hi > 1:
         raise NonAffineElimination(
@@ -257,10 +237,12 @@ def _pin_unknown(recipe: Recipe, name: str, pending: set[str],
     if stray:
         raise NonAffineElimination(
             f"order {k}: solved {name} still involves pending {sorted(stray)}")
-    return value, equation
+    return value
 
 
 def _run_recursion(recipe: Recipe, order: int) -> IrregularSeries:
+    # substituting an unknown commutes with every mode action (no module or
+    # recipe scalar holds one), so the substituted residual is the new state's
     table, r = recipe.ctx.table, recipe.family.r
     pending = {"nu", *(f"g{j}" for j in range(1, r)),
                *(f"ce{k}" for k in range(1, order + 1))}
@@ -276,19 +258,20 @@ def _run_recursion(recipe: Recipe, order: int) -> IrregularSeries:
             vectors.append(solve_descendants(
                 recipe.ctx, targets, r * k, constant=slot))
         name = scheduled_unknown(r, k)
-        value, equation = _pin_unknown(recipe, name, pending, vectors, g_polys,
-                                       nu_poly, k)
+        residual = _flow_residual(recipe, vectors, g_polys, nu_poly, k)
+        equation = residual.constant_term()
+        value = _pin_unknown(equation, name, pending, k)
         pinned[name] = equation
         pending.discard(name)
         if name.startswith("ce"):
             constants[int(name[2:])] = value
         nu_poly = _substitute_state(vectors, g_polys, nu_poly, name, value)
-        residual = _flow_residual(recipe, vectors, g_polys, nu_poly, k)
+        residual = residual.map_coeffs(lambda p: p.subs({name: value}))
         if not residual.is_zero():
             raise ResidualNonZero(
                 f"order {k}: flow recurrence left {residual!r}")
     return IrregularSeries(
-        family=recipe.family, order=order, table=table, ctx=recipe.ctx,
+        family=recipe.family, order=order, ctx=recipe.ctx,
         vectors=vectors, nu=nu_poly, g=g_polys, constants=constants,
         pending=tuple(sorted(pending, key=lambda s: (s[:2] != "ce", s))),
         pinned=pinned)
@@ -403,7 +386,7 @@ def solve_rank1(vctx: ModuleContext, lam1: LaurentPoly, lam2: LaurentPoly,
         vectors.append(ModuleVector(vctx, {lam: RationalFunction(p, det)
                                            for lam, p in zip(lams, nums)}))
     return IrregularSeries(
-        family=Family(RANK_ONE, 1), order=order, table=table, ctx=vctx,
+        family=Family(RANK_ONE, 1), order=order, ctx=vctx,
         vectors=vectors, nu=None, g={}, constants={}, pending=(), pinned=None,
         convention=convention)
 
@@ -456,7 +439,7 @@ def _check_mode_relations(series: IrregularSeries, recipe: Recipe,
         scalar, shift = recipe.relations.get(n - rho, (None, 0))
         bad = ""
         for k, vk in enumerate(series.vectors):
-            lhs = apply_tilde(vk, n) if n <= 2 * rho else apply_mode(vk, n)
+            lhs = apply_tilde(vk, n)
             if scalar is not None and k - shift >= 0:
                 lhs = lhs - series.vectors[k - shift].scale(scalar)
             if not lhs.is_zero():

@@ -16,7 +16,8 @@ Straightening uses the commutation rule
 
     [L_m, L_n] = (m - n) L_{m+n} + (c/12) (m^3 - m) delta_{m+n,0}
 
-and memoizes the action of each mode on each basis element per context.
+and memoizes the action of each mode on each basis element per context,
+and with it the pairing of each shifted word against each basis element.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class ModuleContext:
         self._zero = LaurentPoly.zero(table)
         self._one = LaurentPoly.const(table, 1)
         self._mode_cache: dict[tuple[int, Partition], dict[Partition, LaurentPoly]] = {}
-        # pairing entries {L~_mu b_lam} as [mu][lam], filled by gram.gram_entry
+        # pairing entries {L~_mu b_lam} as [mu][lam], filled by :meth:`pairing`
         self._pairing_cache: dict[Partition, dict[Partition, LaurentPoly]] = {}
 
     def drop_caches(self) -> None:
@@ -160,6 +161,30 @@ class ModuleContext:
                 out = _combine(self.table, terms)
         self._mode_cache[key] = out
         return out
+
+    # cached pairing on basis elements --------------------------------------
+
+    def pairing(self, mu: Partition, lam: Partition) -> LaurentPoly:
+        """``{L~_mu b_lam}`` for partitions ``mu`` and ``lam`` (unchecked):
+        zero when ``|lam| < |mu|``, else the innermost word factor is peeled
+        off ``mu`` and paired through one cached mode action."""
+        if sum(lam) < sum(mu):
+            return self._zero
+        row = self._pairing_cache.get(mu)
+        entry = None if row is None else row.get(lam)
+        if entry is not None:
+            return entry
+        if not mu:
+            entry = self._zero if lam else self._one
+        else:
+            n, rest = mu[0] + self.rho, mu[1:]
+            pairs = [(d, self.pairing(rest, nu)) for nu, d in self._apply_basis(n, lam).items()]
+            pairs.append((-self.eigenvalue(n), self.pairing(rest, lam)))
+            entry = dot(self.table, pairs)
+            if entry.is_zero():
+                entry = self._zero   # most entries vanish; share one zero
+        self._pairing_cache.setdefault(mu, {})[lam] = entry
+        return entry
 
 
 def _combine(table: VarTable, terms: Iterable[tuple[LaurentPoly, Mapping]]) -> dict:
@@ -303,16 +328,10 @@ class ModuleVector:
 # ----- mode application -----------------------------------------------------
 
 
-def apply_mode(vec: ModuleVector, n: int, cyclic_only: bool = False) -> ModuleVector:
-    """Act with L_n, straightening back onto the partition basis.
-
-    With ``cyclic_only`` only the cyclic-vector component of the result is
-    formed; the other components are never straightened.
-    """
+def apply_mode(vec: ModuleVector, n: int) -> ModuleVector:
+    """Act with L_n, straightening back onto the partition basis."""
     ctx = vec.ctx
     images = [(c, ctx._apply_basis(n, lam)) for lam, c in vec.parts.items()]
-    if cyclic_only:
-        images = [(c, {(): image[()]}) for c, image in images if () in image]
     v = ModuleVector(ctx)
     v.parts = _combine(ctx.table, images)
     return v

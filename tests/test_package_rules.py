@@ -74,3 +74,34 @@ def test_no_private_imports_across_modules():
                               f"import {alias.name}"
                               for alias in node.names if alias.name.startswith("_")]
     assert not offending, offending
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    """Names a module defines itself: functions and classes, attribute
+    stores and ``__slots__`` strings."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+            names.update(c.value for c in ast.walk(node.value)
+                         if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    return names
+
+
+def test_no_private_attribute_reads_across_modules():
+    # a module reads ``x._name`` only where it defines ``_name`` itself, so
+    # another module's private state is reached through a public method
+    offending = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = _defined_names(tree)
+        offending += [f"{path.name}:{node.lineno}: .{node.attr}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                      and node.attr.startswith("_") and not node.attr.endswith("__")
+                      and node.attr not in own]
+    assert not offending, offending

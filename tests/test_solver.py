@@ -25,6 +25,7 @@ from virasoro_irregular.solver import (
     HALF,
     INTEGER,
     IrregularSeries,
+    ResidualNonZero,
     SingularShapovalov,
     SolverError,
     _run_recursion,
@@ -391,6 +392,40 @@ def test_corrupted_pairing_cache_never_yields_a_clean_series(mu, lam, fault):
     except (SolverError, GramError, RingError):
         return
     assert not verify_canonical(series).all_ok
+
+
+@pytest.mark.parametrize("solve, r", [
+    (solve_integer, 2), (solve_integer, 3), (solve_half, 2), (solve_half, 3)])
+def test_in_solve_residual_check_rejects_a_wrong_descendant(solve, r, monkeypatch):
+    # one extra non-cyclic basis vector in the order-1 coefficient leaves the
+    # pinning equation solvable, so only the residual check can catch it
+    exact = solver.solve_descendants
+
+    def bumped(ctx, targets, top_weight, constant=None):
+        vec = exact(ctx, targets, top_weight, constant=constant)
+        return vec + ctx.basis((1, 1)) if top_weight == r else vec
+
+    monkeypatch.setattr(solver, "solve_descendants", bumped)
+    with pytest.raises(ResidualNonZero, match="order 1:"):
+        solve(r, 3)
+
+
+@pytest.mark.parametrize("solve, r", [
+    (solve_integer, 2), (solve_integer, 3), (solve_half, 2), (solve_half, 3)])
+def test_in_solve_residual_check_rejects_a_stale_substitution(solve, r, monkeypatch):
+    # a pinned value that never reaches the newest vector must surface as a
+    # residual failure inside the solve, not as a series that looks solved
+    exact = solver._substitute_state
+
+    def stale(vectors, g_polys, nu_poly, name, value):
+        newest = vectors[-1]
+        nu_poly = exact(vectors, g_polys, nu_poly, name, value)
+        vectors[-1] = newest
+        return nu_poly
+
+    monkeypatch.setattr(solver, "_substitute_state", stale)
+    with pytest.raises(ResidualNonZero):
+        solve(r, 4)
 
 
 # ----- rank one ----------------------------------------------------------------

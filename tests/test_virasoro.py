@@ -194,18 +194,6 @@ def test_commutation_relation_on_random_vectors(ctx_builder):
 
 
 @pytest.mark.parametrize("ctx_builder", [rank1_ctx, lambda: rank2_table()[1]])
-def test_cyclic_only_mode_is_the_cyclic_component(ctx_builder):
-    ctx = ctx_builder()
-    rng = random.Random(99)
-    for _ in range(60):
-        n = rng.randint(-4, 6)
-        v = random_vector(rng, ctx)
-        cyclic = apply_mode(v, n, cyclic_only=True)
-        assert set(cyclic.parts) <= {()}
-        assert cyclic.constant_term() == apply_mode(v, n).constant_term()
-
-
-@pytest.mark.parametrize("ctx_builder", [rank1_ctx, lambda: rank2_table()[1]])
 def test_matches_word_rewriting_oracle(ctx_builder):
     ctx = ctx_builder()
     rng = random.Random(7)
