@@ -17,7 +17,6 @@ from .gauge import (
     frobenius_verify,
     integrate_potential,
     lstar_certificate,
-    mode_residual,
     obstructions,
     scalar_completion_half,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "frobenius_verify",
     "integrate_potential",
     "lstar_certificate",
-    "mode_residual",
     "obstructions",
     "rank1_series",
     "scalar_completion_half",

@@ -225,20 +225,6 @@ def _residual(state: _EngineState, n: int) -> TruncatedSeries:
     return out
 
 
-def mode_residual(series: IrregularSeries, n: int,
-                  completion: ScalarCompletion | None = None) -> TruncatedSeries:
-    """Residual of mode ``n`` against its completed deformation operator.
-
-    Below the annihilating window the operator combines the mode scalar,
-    the deformation field (acting on coefficients and prefactor alike) and
-    the grading; at the window and above only the scalar remains, so the
-    residual restates the canonical relations and must vanish.
-    """
-    if n < 0:
-        raise ValueError("modes are indexed by nonnegative integers")
-    return _residual(_engine_state(series, completion), n)
-
-
 def obstructions(series: IrregularSeries,
                  completion: ScalarCompletion | None = None) -> ObstructionSet:
     """Obstruction scalars of the modes below the annihilating window.

@@ -28,12 +28,13 @@ cached entries against whole-word application.
 
 ``solve_descendants`` inverts the pairing: given the values ``{L~_mu v}``
 for every word up to a weight bound, it reconstructs the descendant part of
-``v`` one weight at a time from the top, dividing by the diagonal entries,
-and then recomputes every prescribed pairing on the result.
+``v`` one weight at a time from the top, dividing by the closed-form
+diagonal, and re-checks each layer through its cached equal-weight block.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping
 
@@ -111,14 +112,34 @@ def pure_power_factor(poly: LaurentPoly, base: LaurentPoly) -> tuple[int, Fracti
     return exponent, ratio.as_rational()
 
 
+def _diagonal_factor(mu: Partition) -> int:
+    """``2^len * prod(parts) * prod(multiplicity!)``, the closed-form diagonal
+    entry at ``mu`` over its power of the top eigenvalue."""
+    return (2 ** len(mu) * math.prod(mu)
+            * math.prod(math.factorial(mu.count(p)) for p in set(mu)))
+
+
+def _check_layer(ctx: ModuleContext, rests: Mapping[Partition, LaurentPoly],
+                 layer: ModuleVector) -> None:
+    """Raise GramError unless each word ``mu`` pairs ``layer`` to ``rests[mu]``."""
+    for mu, rest in rests.items():
+        got = gram_entry_on(ctx, mu, layer)
+        if got != rest:
+            raise GramError(f"pairing mismatch at {mu}: {got} != {rest}")
+
+
 def solve_descendants(ctx: ModuleContext, targets: Mapping[Partition, LaurentPoly],
                       top_weight: int, constant: LaurentPoly | None = None) -> ModuleVector:
     """Reconstruct a vector from its pairings against all words up to a weight.
 
     ``targets[mu]`` is the required value of ``{L~_mu v}``; missing words
     default to zero.  The constant term of the result is ``constant`` (the
-    pairing never constrains it).  Every prescribed pairing is recomputed on
-    the result and must match exactly.
+    pairing never constrains it).  Layer ``w`` divides ``rest_mu = t_mu -
+    {L~_mu (heavier layers)}`` by the closed-form diagonal, then must pair
+    back to every ``rest_mu`` through the cached equal-weight block.  As
+    lighter layers pair to zero with these words, that is exactly the check
+    that every prescribed pairing holds on the result, and it re-derives
+    each diagonal entry it divided by.  Needs rank ``rho >= 1``.
     """
     for mu in targets:
         if not is_partition(mu):
@@ -126,29 +147,25 @@ def solve_descendants(ctx: ModuleContext, targets: Mapping[Partition, LaurentPol
         w = sum(mu)
         if w < 1 or w > top_weight:
             raise ValueError(f"target word {mu} outside weight range 1..{top_weight}")
+    if ctx.rho == 0:
+        raise ValueError("rank 0: the pairing blocks of a Verma module are not diagonal")
+    top = ctx.eigenvalue(2 * ctx.rho)
+    if top.is_zero():
+        raise SingularGram("every diagonal pairing entry vanishes with the top eigenvalue")
+    powers = [top ** n for n in range(top_weight + 1)]
     zero = LaurentPoly.zero(ctx.table)
     solved = ModuleVector(ctx, {} if constant is None else {(): constant})
     for w in range(top_weight, 0, -1):
+        rests: dict[Partition, LaurentPoly] = {}
         layer: dict[Partition, LaurentPoly] = {}
         for mu in partitions_of(w):
-            t_mu = targets.get(mu, zero) - gram_entry_on(ctx, mu, solved)
-            diag = gram_entry(ctx, mu, mu)
-            if diag.is_zero():
-                raise SingularGram(f"diagonal pairing entry vanished at {mu}")
-            if t_mu.is_zero():
+            rest = rests[mu] = targets.get(mu, zero) - gram_entry_on(ctx, mu, solved)
+            if rest.is_zero():
                 continue
-            try:
-                layer[mu] = t_mu.exact_div(diag)
-            except NotDivisible as exc:
-                raise NotDivisible(
-                    f"pairing solve at {mu} leaves the ring: {exc}") from exc
-        solved = solved + ModuleVector(ctx, layer)
-    for w in range(1, top_weight + 1):
-        for mu in partitions_of(w):
-            got = gram_entry_on(ctx, mu, solved)
-            want = targets.get(mu, zero)
-            if got != want:
-                raise GramError(f"pairing mismatch at {mu}: {got} != {want}")
+            layer[mu] = rest.exact_div(powers[len(mu)] * _diagonal_factor(mu))
+        vec = ModuleVector(ctx, layer)
+        _check_layer(ctx, rests, vec)
+        solved = solved + vec
     return solved
 
 

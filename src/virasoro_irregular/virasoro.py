@@ -60,9 +60,7 @@ def is_partition(lam: Iterable[int]) -> bool:
 
 
 def _coeff_is_zero(c) -> bool:
-    if isinstance(c, LaurentPoly):
-        return c.is_zero()
-    if isinstance(c, RationalFunction):
+    if isinstance(c, (LaurentPoly, RationalFunction)):
         return c.is_zero()
     return c == 0
 

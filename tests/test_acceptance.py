@@ -14,6 +14,7 @@ import time
 from fractions import Fraction
 from types import SimpleNamespace
 
+from gauge_residual import mode_residual
 from virasoro_irregular.frames import HALF, INTEGER, Family, apply_field
 from virasoro_irregular.gauge import (
     Infeasible,
@@ -22,7 +23,6 @@ from virasoro_irregular.gauge import (
     frobenius_verify,
     integrate_potential,
     lstar_certificate,
-    mode_residual,
     obstructions,
     scalar_completion_half,
 )

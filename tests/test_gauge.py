@@ -9,6 +9,7 @@ from functools import lru_cache
 
 import pytest
 
+from gauge_residual import mode_residual
 from virasoro_irregular.frames import Family, apply_field, conformal_weight
 from virasoro_irregular.gauge import (
     ExpansionVariableLeak,
@@ -26,7 +27,6 @@ from virasoro_irregular.gauge import (
     frobenius_verify,
     integrate_potential,
     lstar_certificate,
-    mode_residual,
     obstructions,
     scalar_completion_half,
 )

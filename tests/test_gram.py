@@ -11,6 +11,7 @@ import pytest
 from virasoro_irregular.gram import (
     ProportionalityFailure,
     SingularGram,
+    _diagonal_factor,
     gram_entry,
     gram_entry_on,
     gram_matrix,
@@ -92,6 +93,7 @@ def test_cached_entries_match_whole_word_application(ctx_builder):
 @pytest.mark.parametrize("ctx_builder", [ctx_rank1, ctx_rank2])
 def test_equal_weight_blocks_are_diagonal(ctx_builder):
     ctx = ctx_builder()
+    top = ctx.eigenvalue(2 * ctx.rho)
     for w in range(1, 6):
         parts = partitions_of(w)
         for mu in parts:
@@ -99,6 +101,8 @@ def test_equal_weight_blocks_are_diagonal(ctx_builder):
                 entry = gram_entry(ctx, mu, lam)
                 if mu == lam:
                     assert entry == expected_diagonal(ctx, lam)
+                    # the divisor solve_descendants uses in place of the entry
+                    assert entry == top ** len(lam) * _diagonal_factor(lam)
                 else:
                     assert entry.is_zero(), (mu, lam)
 
@@ -216,6 +220,14 @@ def test_solve_descendants_rejects_out_of_range_targets():
         solve_descendants(ctx, {(1, 2): one}, 3)
     with pytest.raises(ValueError):
         gram_entry_on(ctx, (1, 2), ctx.cyclic())
+
+
+def test_solve_descendants_needs_diagonal_blocks():
+    # rank 0 is a Verma module, whose equal-weight blocks are not diagonal
+    table = VarTable(["D", "cv"], [1, 0])
+    ctx = verma_context(table, LaurentPoly.var(table, "D"), LaurentPoly.var(table, "cv"))
+    with pytest.raises(ValueError):
+        solve_descendants(ctx, {(1,): LaurentPoly.const(table, 1)}, 1)
 
 
 def test_singular_context_is_reported():

@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import pytest
 
-from virasoro_irregular import solver
+from virasoro_irregular import gram, solver
 from virasoro_irregular.frames import (
     DISPLAY,
     GENERAL,
@@ -380,6 +380,8 @@ def test_last_cyclic_coefficient_is_genuine_freedom(series):
 @pytest.mark.parametrize("mu, lam, fault", [
     ((1,), (1,), lambda g: g * 2),
     ((1,), (2,), lambda g: g + 1),
+    ((2,), (1, 1), lambda g: g + 1),
+    ((1, 1), (1, 1), lambda g: g * 2),
 ])
 def test_corrupted_pairing_cache_never_yields_a_clean_series(mu, lam, fault):
     # exactness must not rest on the pairing cache: a wrong entry, diagonal
@@ -392,6 +394,32 @@ def test_corrupted_pairing_cache_never_yields_a_clean_series(mu, lam, fault):
     except (SolverError, GramError, RingError):
         return
     assert not verify_canonical(series).all_ok
+
+
+def test_wrong_closed_form_diagonal_fails_the_layer_check(monkeypatch):
+    # the solve divides by the closed form, so the layer re-check, which
+    # re-derives the diagonal by the pairing recursion, must catch a wrong one
+    exact = gram._diagonal_factor
+    monkeypatch.setattr(gram, "_diagonal_factor",
+                        lambda mu: exact(mu) * (2 if mu == (2, 1) else 1))
+    with pytest.raises(GramError, match=r"pairing mismatch at \(2, 1\)"):
+        solve_integer(2, 3)
+
+
+def test_corrupted_equal_weight_entry_is_caught_by_each_check(monkeypatch):
+    # a wrong equal-weight off-diagonal entry fails the in-solve layer check;
+    # with that check patched out, the vector it yields fails verify_canonical
+    series = solve_integer(2, 3)
+    ctx, k = series.ctx, series.order
+    ctx._pairing_cache[(2,)][(1, 1)] = gram_entry(ctx, (2,), (1, 1)) + 1
+    targets = solver._order_targets(series_recipe(series.family, ctx), series.vectors, k)
+    constant = series.vectors[k].constant_term()
+    with pytest.raises(GramError, match="pairing mismatch"):
+        solver.solve_descendants(ctx, targets, 2 * k, constant=constant)
+    monkeypatch.setattr(gram, "_check_layer", lambda ctx, rests, layer: None)
+    vec = solver.solve_descendants(ctx, targets, 2 * k, constant=constant)
+    assert vec != series.vectors[k]
+    assert not verify_canonical(_with_vector(series, k, vec)).all_ok
 
 
 @pytest.mark.parametrize("solve, r", [
