@@ -12,6 +12,9 @@ factor off ``mu``:
   ``L~_{a + rho}`` lowers the partition weight by at least ``a``;
 * otherwise ``G(mu, lam) = sum_nu [L~_{mu_1 + rho} b_lam]_nu G(mu[1:], nu)``,
   where the one-mode action comes from the context's straightening cache.
+  The sum skips what vanishes, which changes no value: zero sub-entries,
+  and the eigenvalue term of a mode with eigenvalue zero (every mode above
+  ``2 * rho``), whose sub-entry is then not computed.
 
 The pairing of a word with any vector is then ``sum_lam v_lam G(mu, lam)``
 over ``|lam| >= |mu|``.  Equal-weight blocks are diagonal, with closed-form
@@ -177,5 +180,5 @@ def gram_entry_on(ctx: ModuleContext, mu: Partition, vec: ModuleVector) -> Laure
     if not is_partition(mu):
         raise ValueError(f"not a partition: {mu}")
     w = sum(mu)
-    return dot(ctx.table, [(c, ctx.pairing(mu, lam))
-                           for lam, c in vec.parts.items() if sum(lam) >= w])
+    return dot(ctx.table, [(c, g) for lam, c in vec.parts.items()
+                           if sum(lam) >= w and (g := ctx.pairing(mu, lam)).terms])

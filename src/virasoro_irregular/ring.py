@@ -459,6 +459,11 @@ class LaurentPoly:
         table = self.table
         slots = [(table._shifts[i], table._units[i], poly) for i, poly in
                  ((table.index(name), poly) for name, poly in assignments.items())]
+        # no assigned variable occurs when each of its fields holds the bias
+        mask = sum(_MASK << s for s, _, _ in slots)
+        bias = table._zero & mask
+        if all(key & mask == bias for key in self.terms):
+            return self
         # group the terms by their powers of the substituted variables
         groups: dict[tuple[int, ...], dict[int, int]] = {}
         for key, c in self.terms.items():

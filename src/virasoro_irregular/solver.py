@@ -209,7 +209,9 @@ def _substitute_state(vectors: list[ModuleVector], g_polys: dict[int, LaurentPol
                       value: LaurentPoly) -> LaurentPoly:
     mapping = {name: value}
     for i, vec in enumerate(vectors):
-        vectors[i] = vec.map_coeffs(lambda p: p.subs(mapping))
+        parts = {lam: p.subs(mapping) for lam, p in vec.parts.items()}
+        if any(parts[lam] is not p for lam, p in vec.parts.items()):
+            vectors[i] = ModuleVector(vec.ctx, parts)
     for j in list(g_polys):
         g_polys[j] = g_polys[j].subs(mapping)
     return nu_poly.subs(mapping)

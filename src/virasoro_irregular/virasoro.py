@@ -165,20 +165,26 @@ class ModuleContext:
     def pairing(self, mu: Partition, lam: Partition) -> LaurentPoly:
         """``{L~_mu b_lam}`` for partitions ``mu`` and ``lam`` (unchecked):
         zero when ``|lam| < |mu|``, else the innermost word factor is peeled
-        off ``mu`` and paired through one cached mode action."""
-        if sum(lam) < sum(mu):
-            return self._zero
+        off ``mu`` and paired through one cached mode action.  Terms known
+        to vanish are skipped, not summed: zero sub-entries, and the
+        eigenvalue term of a mode whose eigenvalue is zero (every mode above
+        ``2 * rho``), whose sub-entry is then not computed."""
         row = self._pairing_cache.get(mu)
         entry = None if row is None else row.get(lam)
         if entry is not None:
             return entry
+        if sum(lam) < sum(mu):
+            return self._zero
         if not mu:
             entry = self._zero if lam else self._one
         else:
             n, rest = mu[0] + self.rho, mu[1:]
-            pairs = [(d, self.pairing(rest, nu)) for nu, d in self._apply_basis(n, lam).items()]
-            pairs.append((-self.eigenvalue(n), self.pairing(rest, lam)))
-            entry = dot(self.table, pairs)
+            pairs = [(d, sub) for nu, d in self._apply_basis(n, lam).items()
+                     if (sub := self.pairing(rest, nu)).terms]
+            ev = self.eigenvalue(n)
+            if ev.terms and (sub := self.pairing(rest, lam)).terms:
+                pairs.append((-ev, sub))
+            entry = dot(self.table, pairs) if pairs else self._zero
             if entry.is_zero():
                 entry = self._zero   # most entries vanish; share one zero
         self._pairing_cache.setdefault(mu, {})[lam] = entry

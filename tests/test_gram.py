@@ -31,6 +31,7 @@ from virasoro_irregular.virasoro import (
 
 T1 = VarTable(["E1", "E2", "cv"], [1, 2, 0])
 T2 = VarTable(["E2", "E3", "E4", "cv"], [2, 3, 4, 0])
+T3 = VarTable(["E3", "E5", "E6", "cv"], [3, 5, 6, 0])
 
 
 def ctx_rank1() -> ModuleContext:
@@ -42,6 +43,18 @@ def ctx_rank1() -> ModuleContext:
 def ctx_rank2() -> ModuleContext:
     return ModuleContext(T2, 2, {n: LaurentPoly.var(T2, f"E{n}") for n in (2, 3, 4)},
                          LaurentPoly.var(T2, "cv"))
+
+
+def ctx_verma() -> ModuleContext:
+    # rho = 0: every shifted mode of a word lies above 2*rho
+    return verma_context(T1, LaurentPoly.var(T1, "E1"), LaurentPoly.var(T1, "cv"))
+
+
+def ctx_rank3_gap() -> ModuleContext:
+    # rho = 3 with a zero eigenvalue inside the window (e_4 = 0)
+    return ModuleContext(T3, 3, {3: LaurentPoly.var(T3, "E3"), 4: 0,
+                                 5: LaurentPoly.var(T3, "E5"), 6: LaurentPoly.var(T3, "E6")},
+                         LaurentPoly.var(T3, "cv"))
 
 
 def test_weight_range_partitions_order():
@@ -79,8 +92,11 @@ def test_entries_vanish_above_the_diagonal_weight(ctx_builder):
                     assert word_entry(ctx, mu, lam).is_zero(), (mu, lam)
 
 
-@pytest.mark.parametrize("ctx_builder", [ctx_rank1, ctx_rank2])
+@pytest.mark.parametrize("ctx_builder", [ctx_rank1, ctx_rank2, ctx_verma, ctx_rank3_gap])
 def test_cached_entries_match_whole_word_application(ctx_builder):
+    # with the Verma and rank-3 contexts, every kind of term the recursion
+    # skips is reached: zero sub-entries, a zero eigenvalue inside the
+    # window, modes above 2*rho, and entries where no term survives
     ctx = ctx_builder()
     parts = weight_range_partitions(0, 4)
     for mu in parts:

@@ -131,6 +131,17 @@ def test_subs_is_ring_homomorphism():
         assert (a * b).subs(target) == a.subs(target) * b.subs(target)
 
 
+def test_subs_returns_its_operand_when_no_assigned_variable_occurs():
+    q, c1 = LaurentPoly.var(TABLE, "Q"), LaurentPoly.var(TABLE, "c1")
+    p = 3 * q ** 2 * c1 ** -1 - 5
+    assert p.subs({"c2": q + 1}) is p
+    assert p.subs({"c0": c1, "c2": q}) is p
+    zero = LaurentPoly.zero(TABLE)
+    assert zero.subs({"Q": c1}) is zero
+    # one occurring variable among the assigned ones gives the substituted value
+    assert p.subs({"c2": q, "c1": q}) == 3 * q - 5
+
+
 def test_weighted_degrees():
     # weight(Q)=0, the c_k carry weight 1 in this table
     p = LaurentPoly.var(TABLE, "Q") * LaurentPoly.var(TABLE, "c1") ** 3
