@@ -302,6 +302,17 @@ class LaurentPoly:
         return [(unpack(key), Fraction(terms[key], den))
                 for key in sorted(terms, reverse=True)]
 
+    def term_records(self) -> list[tuple[list[int], int, int]]:
+        """``sorted_terms`` as ``(exponents, numerator, denominator)``, each
+        fraction reduced by one gcd instead of built as a ``Fraction``."""
+        unpack, terms, den = self.table.unpack, self.terms, self.den
+        out = []
+        for key in sorted(terms, reverse=True):
+            c = terms[key]
+            g = gcd(c, den)
+            out.append((list(unpack(key)), c // g, den // g))
+        return out
+
     def _exponents_of(self, name: str) -> list[int]:
         s = self.table._shifts[self.table.index(name)]
         return [(key >> s & _MASK) - _BIAS for key in self.terms]
@@ -700,7 +711,9 @@ class RationalFunction:
     denominators itself.  There is no multivariate gcd here: the quotient
     is reduced when the denominator divides the numerator exactly or is a
     unit monomial, and a surviving denominator is normalised to leading
-    coefficient one.  Equality cross-multiplies.
+    coefficient one.  A denominator that is already monic is kept as the
+    same object, so the coefficients of one rank-one level share theirs.
+    Equality cross-multiplies.
     """
 
     __slots__ = ("num", "den")
@@ -719,10 +732,10 @@ class RationalFunction:
                 den = LaurentPoly.const(num.table, 1)
             except NotDivisible:
                 pass
-        if not den.is_constant() or den.as_rational() != 1:
-            _, lead = den.leading()
-            num = num * (Fraction(1) / lead)
-            den = den * (Fraction(1) / lead)
+        _, lead = den.leading()
+        if lead != 1:
+            num = num * (1 / lead)
+            den = den * (1 / lead)
         self.num = num
         self.den = den
 

@@ -11,7 +11,9 @@ re-verified from scratch.
 from __future__ import annotations
 
 import io
+from itertools import chain
 from json.encoder import encode_basestring_ascii as quote
+from operator import itemgetter
 
 from .frames import CONVENTIONS, GENERAL, HALF, INTEGER, RANK_ONE, Family
 from .ring import LaurentPoly, RationalFunction, TruncatedSeries, VarTable
@@ -60,11 +62,13 @@ def parse_rank(text: str) -> Family:
 
 # ----- polynomial and coefficient terms ---------------------------------------
 
+_INT = {int}
+_D, _E, _N = itemgetter("d"), itemgetter("e"), itemgetter("n")
+
 
 def poly_terms(poly: LaurentPoly) -> list[dict]:
     """Canonical term list: exponent vector plus exact numerator/denominator."""
-    return [{"e": list(exps), "n": coeff.numerator, "d": coeff.denominator}
-            for exps, coeff in poly.sorted_terms()]
+    return [{"e": e, "n": n, "d": d} for e, n, d in poly.term_records()]
 
 
 def poly_from_terms(table: VarTable, terms: object) -> LaurentPoly:
@@ -87,24 +91,49 @@ def poly_from_terms(table: VarTable, terms: object) -> LaurentPoly:
     return LaurentPoly.from_triples(table, triples)
 
 
-def coeff_doc(coeff) -> dict:
-    """Encode a coefficient, polynomial or quotient, as a num/den pair."""
-    if isinstance(coeff, RationalFunction):
-        return {"num": poly_terms(coeff.num), "den": poly_terms(coeff.den)}
-    return {"num": poly_terms(coeff),
-            "den": poly_terms(LaurentPoly.const(coeff.table, 1))}
+def coeff_doc(coeff, last: list | None = None) -> dict:
+    """Encode a coefficient, polynomial or quotient, as a num/den pair.
+    ``last``, if given, holds the previous quotient's denominator and its
+    records, reused for the same denominator object."""
+    if not isinstance(coeff, RationalFunction):
+        return {"num": poly_terms(coeff),
+                "den": poly_terms(LaurentPoly.const(coeff.table, 1))}
+    if last and last[0] is coeff.den:
+        records = last[1]
+    else:
+        records = poly_terms(coeff.den)
+        if last is not None:
+            last[:] = coeff.den, records
+    return {"num": poly_terms(coeff.num), "den": records}
 
 
-def coeff_from_doc(table: VarTable, doc: object, rational: bool):
+def coeff_from_doc(table: VarTable, doc: object, rational: bool,
+                   last: list | None = None):
+    """Rebuild a coefficient record.  ``last``, if given, holds the previous
+    ``"den"`` records and their polynomial, reused for equal records."""
     if not isinstance(doc, dict) or set(doc) != {"num", "den"}:
         raise SerializeError(f"malformed coefficient record {doc!r}")
     num = poly_from_terms(table, doc["num"])
-    den = poly_from_terms(table, doc["den"])
+    if last and _same_records(doc["den"], last[0]):
+        den = last[1]
+    else:
+        den = poly_from_terms(table, doc["den"])
+        if den.is_zero():
+            raise SerializeError("coefficient has a zero denominator")
+        if last is not None:
+            last[:] = doc["den"], den
     if rational:
         return RationalFunction(num, den)
     if den != LaurentPoly.const(table, 1):
         raise SerializeError("polynomial coefficient carries a denominator")
     return num
+
+
+def _same_records(records: object, seen: list) -> bool:
+    """``records == seen``, records already read, down to each number's
+    type (``==`` alone takes ``true`` or ``1.0`` for 1)."""
+    return records == seen and set(map(type, chain(
+        map(_N, records), map(_D, records), *map(_E, records)))) <= _INT
 
 
 # ----- module vectors ----------------------------------------------------------
@@ -127,14 +156,21 @@ def partition_from_key(key: str) -> tuple[int, ...]:
 
 
 def vector_doc(vec: ModuleVector) -> dict:
-    ordered = sorted(vec.parts, key=partition_sort_key)
-    return {partition_key(lam): coeff_doc(vec.parts[lam]) for lam in ordered}
+    """Coefficient records by partition key.  A run of quotients over one
+    denominator object (a rank-one level) renders it once, and their
+    ``"den"`` fields hold that one list: copy before editing in place."""
+    last: list = []
+    return {partition_key(lam): coeff_doc(vec.parts[lam], last)
+            for lam in sorted(vec.parts, key=partition_sort_key)}
 
 
 def vector_from_doc(ctx, doc: object, rational: bool) -> ModuleVector:
+    """Rebuild a vector; a ``"den"`` record equal to the one before it
+    reuses its polynomial, so a rank-one level shares one denominator."""
     if not isinstance(doc, dict):
         raise SerializeError("vector terms must be a partition-to-coefficient map")
-    parts = {partition_from_key(key): coeff_from_doc(ctx.table, value, rational)
+    last: list = []
+    parts = {partition_from_key(key): coeff_from_doc(ctx.table, value, rational, last)
              for key, value in doc.items()}
     return ModuleVector(ctx, parts)
 
@@ -277,7 +313,6 @@ def truncated_doc(series: TruncatedSeries) -> dict:
 # ----- JSON text ------------------------------------------------------------------
 
 _TERM_KEYS = {"d", "e", "n"}
-_INT = {int}
 # pieces a streaming dumps buffers before it writes them out
 _CHUNK = 64
 

@@ -16,6 +16,8 @@ substituted must vanish identically.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .frames import (CONVENTIONS, GENERAL, HALF, INTEGER, RANK_ONE, DualOperator,
                      Family, conformal_weight, default_central_charge, eigenvalue)
@@ -302,10 +304,7 @@ def solve_half(r: int, order: int, central=None) -> IrregularSeries:
 
 
 def _product(table: VarTable, factors: list[LaurentPoly]) -> LaurentPoly:
-    out = LaurentPoly.const(table, 1)
-    for f in factors:
-        out = out * f
-    return out
+    return reduce(mul, factors) if factors else LaurentPoly.const(table, 1)
 
 
 def _pairing_target(mu: tuple[int, ...], s1: LaurentPoly,
@@ -338,7 +337,10 @@ def solve_rank1(vctx: ModuleContext, lam1: LaurentPoly, lam2: LaurentPoly,
     alone.  Applied mode by mode, those relations fix every level-``k``
     pairing in closed form (``_pairing_target``), with no reference to the
     lower levels, so ``v_k = adj(G_k) t_k / det(G_k)`` for the level
-    pairing matrix ``G_k`` and that target vector ``t_k``.
+    pairing matrix ``G_k`` and that target vector ``t_k``.  Both are
+    divided by the leading coefficient of ``det(G_k)`` once per level, so
+    every coefficient of ``v_k`` that keeps a denominator holds that one
+    monic polynomial object.
     """
     if vctx.rho != 0:
         raise ValueError("rank-one construction needs a Verma context")
@@ -361,7 +363,7 @@ def solve_rank1(vctx: ModuleContext, lam1: LaurentPoly, lam2: LaurentPoly,
     # are computed (column 0 if none), and the determinant is read off the
     # first through A adj(A) = det(A) I.  All return to the module table by
     # Delta -> eigenvalue(0) and c -> c_vir, and each coefficient is stored
-    # over det(G_k), cancelled where it divides exactly.
+    # over the monic det(G_k), cancelled where it divides exactly.
     inv_table = VarTable(("Delta", "c"), (0, 0))
     inv_ctx = verma_context(inv_table, LaurentPoly.var(inv_table, "Delta"),
                             LaurentPoly.var(inv_table, "c"))
@@ -384,7 +386,9 @@ def solve_rank1(vctx: ModuleContext, lam1: LaurentPoly, lam2: LaurentPoly,
         if det.is_zero():
             raise SingularShapovalov(f"level {k}: pairing determinant vanishes")
         adj = [[_from_invariants(a, *powers, table) for a in row] for row in adj]
-        nums = mat_vec(adj, rhs)
+        scale = 1 / det.leading()[1]
+        det = det * scale
+        nums = mat_vec(adj, [t * scale for t in rhs])
         vectors.append(ModuleVector(vctx, {lam: RationalFunction(p, det)
                                            for lam, p in zip(lams, nums)}))
     return IrregularSeries(
@@ -463,16 +467,18 @@ def _cleared(vec: ModuleVector) -> tuple[LaurentPoly, ModuleVector]:
 
     ``D`` is the product of the distinct coefficient denominators, so each
     numerator is multiplied by the product of the others, its exact
-    quotient ``D / den``.
+    quotient ``D / den``; over one shared denominator object the
+    numerators are taken as they are.
     """
     table = vec.ctx.table
     fracs = {lam: (c.num, c.den) if isinstance(c, RationalFunction)
              else (c, LaurentPoly.const(table, 1)) for lam, c in vec.parts.items()}
     dens: list[LaurentPoly] = []
     for _, den in fracs.values():
-        if all(den != d for d in dens):
+        if all(den is not d and den != d for d in dens):
             dens.append(den)
-    parts = {lam: num * _product(table, [d for d in dens if d != den])
+    parts = {lam: _product(table, [num, *(d for d in dens
+                                          if d is not den and d != den)])
              for lam, (num, den) in fracs.items()}
     return _product(table, dens), ModuleVector(vec.ctx, parts)
 

@@ -301,6 +301,56 @@ def test_verify_flags_a_tampered_document(tmp_path, capsys):
     assert any(entry["status"] == "fail" for entry in checked["residuals"])
 
 
+def _rank1_report(capsys, path, order: int) -> dict:
+    code, _ = _run(capsys, ["construct", "--rank", "1", "--order", str(order),
+                            "--format", "json", "--output", str(path)])
+    assert code == 0
+    return json.loads(path.read_text())
+
+
+def test_unequal_den_records_of_one_level_ingest_to_the_same_values():
+    # the middle coefficient of level 3 carries its quotient scaled by 2, so
+    # the third one's record equals the first's but not the one before it
+    series = rank1_series(3)
+    doc = json.loads(json.dumps(series_to_doc(series)))   # unshare the records
+    level = doc["series"]["tail"][3]["terms"]
+    first, middle, last = level.values()
+    for record in middle["num"] + middle["den"]:
+        record["n"] *= 2
+    assert first["den"] == last["den"] != middle["den"]
+    rebuilt = series_from_doc(doc)
+    assert rebuilt.vectors[3].parts == series.vectors[3].parts
+    assert verify_canonical(rebuilt).all_ok
+
+
+@pytest.mark.parametrize("position", [0, 1])
+def test_verify_input_fails_when_one_shared_den_record_changes(position, tmp_path,
+                                                               capsys):
+    report = tmp_path / "series.json"
+    doc = _rank1_report(capsys, report, 3)
+    coeffs = list(doc["series"]["tail"][3]["terms"].values())
+    assert all(c["den"] == coeffs[0]["den"] for c in coeffs)
+    coeffs[position]["den"][0]["n"] += 1
+    report.write_text(json.dumps(doc))
+    code, out = _run_json(capsys, ["verify", "--input", str(report)])
+    assert code == 1
+    assert any(entry["status"] == "fail" for entry in out["residuals"])
+
+
+@pytest.mark.parametrize("zero", ["empty", "zero term"])
+def test_verify_input_refuses_a_zero_den_record(zero, tmp_path, capsys):
+    # a zero denominator once ended verify --input in a ZeroDivisionError
+    report = tmp_path / "series.json"
+    doc = _rank1_report(capsys, report, 2)
+    coeff = doc["series"]["tail"][2]["terms"]["1,1"]
+    coeff["den"] = [] if zero == "empty" else [dict(coeff["den"][0], n=0)]
+    report.write_text(json.dumps(doc))
+    code, out = _run_json(capsys, ["verify", "--input", str(report)])
+    assert code == 1
+    assert out["error"] == {"type": "SerializeError",
+                            "message": "coefficient has a zero denominator"}
+
+
 def test_verify_spot_checks_the_half_rank(capsys):
     code, doc = _run_json(capsys, ["verify", "--rank", "3/2", "--order", "3"])
     assert code == 0
@@ -662,6 +712,9 @@ def test_error_record_carries_the_input_meta_and_central(tmp_path, capsys):
     (("meta", "K"), True),
     (("series", "tail", 1, "k"), True),
     (("variables", "weights", 3), True),
+    # a den record equal in value to the one before it, which is reused
+    (("series", "tail", 1, "terms", "2", "den", 0, "n"), True),
+    (("series", "tail", 1, "terms", "2", "den", 0, "e", 0), False),
 ])
 def test_verify_input_rejects_booleans_where_integers_belong(path, value, tmp_path,
                                                              capsys):

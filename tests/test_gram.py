@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from virasoro_irregular.frames import HALF, INTEGER, Family
 from virasoro_irregular.gram import (
     ProportionalityFailure,
     SingularGram,
@@ -21,6 +22,7 @@ from virasoro_irregular.gram import (
 )
 from virasoro_irregular.linalg import det_bareiss
 from virasoro_irregular.ring import LaurentPoly, VarTable
+from virasoro_irregular.solver import series_context, series_table
 from virasoro_irregular.virasoro import (
     ModuleContext,
     ModuleVector,
@@ -287,3 +289,23 @@ def test_verma_pairing_determinant_is_kac(level, constant):
         det = det_bareiss([[gram_entry(ctx, mu, lam) for lam in lams] for mu in lams])
         ratios.add(det.as_rational() / _kac_product(level, b, delta))
     assert ratios == {constant}
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_integer_and_half_rank_modules_pair_alike(r):
+    # integer rank r and half rank r build the rank r-1 module, on the zero
+    # mode c0p and on c0; with both renamed to one name, their pairing
+    # entries agree at every weight up to 6
+    def entries(kind: str):
+        family = Family(kind, r)
+        table = series_table(family, 1)
+        ctx = series_context(family, table, None)
+        names = ["c0*" if name == family.base_c0 else name for name in table.names]
+        parts, rows = gram_matrix(ctx, 0, 6)
+        return parts, [[{tuple((n, e) for n, e in zip(names, exps) if e): c
+                         for exps, c in entry.iter_terms()} for entry in row]
+                       for row in rows]
+
+    integer, half = entries(INTEGER), entries(HALF)
+    assert integer == half
+    assert sum(bool(entry) for row in half[1] for entry in row) > len(half[0])

@@ -208,6 +208,24 @@ def test_rational_function_constructor_normalises():
         RationalFunction(q, zero)
 
 
+def test_rational_function_keeps_a_monic_denominator_object():
+    # a rank-one level stores all its coefficients over one monic object
+    c1 = LaurentPoly.var(TABLE, "c1")
+    q = LaurentPoly.var(TABLE, "Q")
+    den = q * q + c1 * 3
+    assert den.leading()[1] == 1
+    nums = [q + c1, q * c1 - 2, c1 * Fraction(1, 5)]
+    kept = [RationalFunction(num, den) for num in nums]
+    assert all(r.den is den and r.num is num for r, num in zip(kept, nums))
+    # a denominator with another leading coefficient is divided by it,
+    # together with the numerator
+    scaled = RationalFunction(nums[0], den * Fraction(-2, 3))
+    assert (scaled.num, scaled.den) == (nums[0] * Fraction(-3, 2), den)
+    # an exact quotient still collapses to denominator one
+    exact = RationalFunction(den * (q + 1), den)
+    assert (exact.num, exact.den) == (q + 1, LaurentPoly.const(TABLE, 1))
+
+
 def dense(lo: int, coeffs: list[LaurentPoly], hi: int | None) -> TruncatedSeries:
     """Series in c2 with ``coeffs[k]`` at order ``lo + k``."""
     return TruncatedSeries(LaurentPoly.zero(TABLE), "c2",

@@ -241,6 +241,25 @@ def test_packed_key_order_is_graded_lex(data):
     assert (table.pack(u) < table.pack(v)) == ((sum(u), u) < (sum(v), v))
 
 
+@examples
+@given(st.data())
+def test_term_records_are_the_sorted_terms_in_integers(data):
+    table = data.draw(tables())
+    p = LaurentPoly(table, data.draw(term_maps(table)))
+    assert p.term_records() == [(list(e), c.numerator, c.denominator)
+                                for e, c in p.sorted_terms()]
+
+
+def test_term_records_reduce_each_coefficient():
+    table = VarTable(["x", "y"], [0, 1])
+    p = LaurentPoly(table, {(1, -2): Fraction(-3, 4), (0, 0): Fraction(5, 6),
+                            (2, 0): Fraction(-1), (0, 1): Fraction(1, 2)})
+    assert p.den == 12
+    assert p.term_records() == [([2, 0], -1, 1), ([0, 1], 1, 2), ([0, 0], 5, 6),
+                                ([1, -2], -3, 4)]
+    assert LaurentPoly.zero(table).term_records() == []
+
+
 def test_exponents_beyond_the_field_raise_instead_of_wrapping():
     table = VarTable(["x", "y"], [1, 1])
     top = LaurentPoly(table, {(EXP_MAX, 0): 1})

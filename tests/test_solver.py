@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -21,6 +22,7 @@ from virasoro_irregular.frames import (
 from virasoro_irregular.gram import GramError, gram_entry, gram_entry_on
 from virasoro_irregular.ring import (LaurentPoly, NotDivisible, RationalFunction, RingError,
                                      VarTable)
+from virasoro_irregular.serialize import dumps, series_from_doc, series_to_doc
 from virasoro_irregular.solver import (
     HALF,
     INTEGER,
@@ -473,6 +475,21 @@ def test_rank1_level_one_vector_display_convention():
     t = s.table
     assert s.vectors[1].coeff((1,)) == RationalFunction(
         LaurentPoly.const(t, 1), _v(t, "c0"))
+
+
+@pytest.mark.parametrize("convention", [GENERAL, DISPLAY])
+def test_rank1_levels_share_one_monic_denominator(convention):
+    # every coefficient of v_k is stored over the one monic det(G_k) object,
+    # after the solve and again after a report round trip
+    solved = _rank1(5, convention)
+    rebuilt = series_from_doc(json.loads(dumps(series_to_doc(solved))))
+    for series in (solved, rebuilt):
+        for vk in series.vectors:
+            dens = [c.den for c in vk.parts.values()]
+            assert all(den is dens[0] for den in dens)
+            assert dens[0].leading()[1] == 1
+    assert [len(vk.parts) for vk in solved.vectors] == [1, 1, 2, 3, 5, 7]
+    assert all(a.parts == b.parts for a, b in zip(solved.vectors, rebuilt.vectors))
 
 
 def _cleared_levels(series: IrregularSeries) -> list[tuple[LaurentPoly, ModuleVector]]:
