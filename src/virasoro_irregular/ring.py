@@ -561,6 +561,11 @@ class LaurentPoly:
         # the contents divided out, Gauss's lemma makes that quotient a
         # primitive integer polynomial.
         shift_a, shift_b = self._lowest_shift(), divisor._lowest_shift()
+        # _poly_exact_div's leading-term test, made before the copies: a
+        # shift keeps the key order, so the shifted leads are max - shift
+        lead = max(self.terms) - shift_a - max(divisor.terms) + shift_b
+        if lead < 0 or (lead + table._zero) & (table._nonneg | table._guard) != table._nonneg:
+            raise NotDivisible("quotient does not lie in the Laurent ring")
         content_a, content_b = gcd(*self.terms.values()), gcd(*divisor.terms.values())
         a = {key - shift_a: c // content_a for key, c in self.terms.items()}
         b = {key - shift_b: c // content_b for key, c in divisor.terms.items()}

@@ -756,3 +756,36 @@ def test_module_entry_point_runs_verify():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "ok" in result.stdout
+
+
+# ----- process exit ---------------------------------------------------------------
+
+
+def test_the_first_main_call_freezes_the_heap_and_later_calls_leave_it():
+    # importing the CLI leaves a caller's collector alone; the first command
+    # freezes what is loaded, and a second one freezes nothing more
+    code = ("import contextlib, gc, io\n"
+            "from virasoro_irregular.cli import main\n"
+            "counts = [gc.get_freeze_count()]\n"
+            "for _ in range(2):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(['verify', '--rank', '1', '--order', '2']) == 0\n"
+            "    counts.append(gc.get_freeze_count())\n"
+            "print(*counts)\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    before, first, second = map(int, result.stdout.split())
+    assert before == 0 < first == second
+
+
+def test_a_text_report_on_stdout_equals_the_written_file(tmp_path):
+    command = [sys.executable, "-m", "virasoro_irregular.cli",
+               "construct", "--rank", "5/2", "--order", "3", "--format", "text"]
+    piped = subprocess.run(command, capture_output=True)
+    assert piped.returncode == 0, piped.stderr
+    report = tmp_path / "report.txt"
+    written = subprocess.run(command + ["--output", str(report)], capture_output=True)
+    assert written.returncode == 0, written.stderr
+    assert written.stdout == b""
+    assert piped.stdout == report.read_bytes()
+    assert piped.stdout.count(b"\n") > 100

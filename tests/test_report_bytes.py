@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -169,6 +171,17 @@ PINNED_REPORTS = [
     ("gauge --rank 3 --order 4", 10954,
      "183a32ce457253b0b34285fa1a545afb7b5803e758169d2f290c95c85d9deffd"),
 ]
+
+
+def test_a_report_on_stdout_keeps_its_bytes_through_process_exit():
+    # a fresh process writing to a pipe, with no --output: nothing the
+    # report flushed may be lost when the interpreter exits
+    command, size, sha256 = PINNED_REPORTS[0]
+    result = subprocess.run([sys.executable, "-m", "virasoro_irregular.cli",
+                             *command.split(), "--format", "json"], capture_output=True)
+    assert result.returncode == 0, result.stderr
+    data = result.stdout
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, sha256)
 
 
 @pytest.mark.parametrize("command, size, sha256", PINNED_REPORTS,

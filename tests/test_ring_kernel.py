@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ring_oracle
+from virasoro_irregular import ring
 from virasoro_irregular.ring import (EXP_MAX, EXP_MIN, LaurentPoly, NotDivisible,
                                      RingError, VariableMismatch, VarTable, dot)
 
@@ -171,6 +172,19 @@ def test_exact_division_matches_the_oracle(data):
         shifted0 = b0 * ring_oracle.LaurentPoly.var(table, "x0", 1) + 1
         assert outcome(lambda: (a * b).exact_div(shifted)) \
             == outcome(lambda: (a0 * b0).exact_div(shifted0))
+    if not a.is_zero() and len(b.terms) > 1:
+        # pairs that do not divide: a term below the lead of a*b keeps that
+        # lead, which b's lead divides, and no b of two terms divides a
+        # monomial; b over a*b leaves 1/a, whose leading terms need not divide
+        below = (LaurentPoly(table, {(a * b).leading()[0]: 1})
+                 * LaurentPoly.var(table, "x0", -1))
+        below0 = (ring_oracle.LaurentPoly.monomial(table, (a0 * b0).leading()[0], 1)
+                  * ring_oracle.LaurentPoly.var(table, "x0", -1))
+        assert outcome(lambda: (a * b + below).exact_div(b)) \
+            == outcome(lambda: (a0 * b0 + below0).exact_div(b0)) == ("raised", NotDivisible)
+        if len(a.terms) > 1:
+            assert outcome(lambda: b.exact_div(a * b)) \
+                == outcome(lambda: b0.exact_div(a0 * b0)) == ("raised", NotDivisible)
 
 
 def test_exact_division_rejects_non_integer_quotient_steps():
@@ -185,6 +199,27 @@ def test_exact_division_rejects_non_integer_quotient_steps():
     assert (x * x * 4 - y * y).exact_div(2 * x + y) == 2 * x - y
     assert (x * Fraction(1, 3) + y * Fraction(1, 6)).exact_div(2 * x + y) \
         == LaurentPoly.const(table, Fraction(1, 6))
+
+
+def test_exact_division_refuses_leads_that_do_not_divide_before_dividing(monkeypatch):
+    table = VarTable(["x", "y"], [1, 1])
+    x, y = LaurentPoly.var(table, "x"), LaurentPoly.var(table, "y")
+
+    def unreachable(*args):
+        raise AssertionError("the leading-term test should have refused this pair")
+
+    # shifted to exponents >= 0, no dividend's lead is a multiple of its divisor's
+    monkeypatch.setattr(ring, "_poly_exact_div", unreachable)
+    for a, b in [(x * x + y, x + y * y), (x ** -2 * y + x ** -1, x ** -1 + y),
+                 (x + 1, x * x + 1)]:
+        with pytest.raises(NotDivisible):
+            a.exact_div(b)
+    # leads that divide still reach the division, which refuses the rest
+    monkeypatch.undo()
+    with pytest.raises(NotDivisible):
+        (x * x * y + 1).exact_div(x * y + 1)
+    assert (x ** -2 * y * y - x ** -2).exact_div(x ** -1 * y + x ** -1) \
+        == x ** -1 * y - x ** -1
 
 
 @examples

@@ -379,6 +379,30 @@ def test_last_cyclic_coefficient_is_genuine_freedom(series):
     assert verify_canonical(probe).all_ok
 
 
+@pytest.mark.parametrize("solve, r, low, high", [
+    (solve_integer, 2, 3, 5), (solve_integer, 2, 2, 4),
+    (solve_integer, 3, 2, 4), (solve_integer, 3, 1, 3),
+    (solve_integer, 4, 1, 4), (solve_integer, 4, 2, 4),
+    (solve_half, 2, 2, 4), (solve_half, 2, 1, 3),
+    (solve_half, 3, 2, 4), (solve_half, 3, 1, 3),
+])
+def test_a_longer_solve_pins_what_a_shorter_one_leaves_pending(solve, r, low, high):
+    # uniqueness as an oracle: the order-`low` vectors, with the order-`high`
+    # solve's values put in for the unknowns the short truncation cannot
+    # reach, are the order-`high` solve's first vectors
+    short, long = solve(r, low), solve(r, high)
+    values = {f"ce{k}": value for k, value in long.constants.items()}
+    values["nu"] = long.nu
+    values.update((f"g{j}", value) for j, value in long.g.items())
+    assert set(short.pending) - set(values) <= set(long.pending)
+    put = {name: values[name] for name in short.pending if name in values}
+    assert put, "the longer solve pins none of the shorter one's pending unknowns"
+    for k in range(low + 1):
+        parts = {lam: p.migrate(long.table).subs(put)
+                 for lam, p in short.vectors[k].parts.items()}
+        assert ModuleVector(long.ctx, parts) == long.vectors[k], k
+
+
 @pytest.mark.parametrize("mu, lam, fault", [
     ((1,), (1,), lambda g: g * 2),
     ((1,), (2,), lambda g: g + 1),
