@@ -13,12 +13,13 @@ errors.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
+import re
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from . import gauge, serialize
 from .frames import CONVENTIONS, GENERAL, Family
@@ -48,10 +49,45 @@ class RunConfig:
         self.bound, self.input, self.declared = bound, input, None
 
 
-# ----- argument handling --------------------------------------------------------
+# ----- the command line --------------------------------------------------------
 
-# truncation order of the subcommands that take ``--order``, when it is not given
-ORDER_DEFAULTS = {"construct": 3, "verify": 3, "gram": 3, "gauge": 4}
+PROG = "virasoro-irregular"
+REQUIRED = object()     # the default of an option that must be given
+
+# each option's conversion (str, int or a tuple of its choices) and help
+OPTIONS = {
+    "rank": (str, "integer rank like 3 or a half rank like 5/2"),
+    "order": (int, "truncation order"),
+    "format": (("json", "text"), "report rendering"),
+    "output": (str, "write the report to this path"),
+    "input": (str, "re-ingest a JSON report written by construct "
+                   "(excludes --rank, --order, --central and --convention)"),
+    "bound": (int, "denominator bound for the scalar completion (half ranks only)"),
+    "central": (str, "central charge expression in Q and c0"),
+    "convention": (CONVENTIONS, "eigenvalue convention, rank one only"),
+}
+
+# each command's summary and its options with their defaults, in help order;
+# verify takes its series from --input when no --rank is given
+COMMANDS = {
+    "construct": ("solve a series and write it out",
+                  {"rank": REQUIRED, "order": 3, "format": "text", "output": None,
+                   "central": None, "convention": GENERAL}),
+    "verify": ("re-check a series from scratch",
+               {"rank": None, "order": 3, "format": "text", "output": None,
+                "input": None, "central": None, "convention": GENERAL}),
+    "frames": ("frame matrix, determinants, and dual operator",
+               {"rank": REQUIRED, "format": "text", "output": None}),
+    "gram": ("pairing blocks and determinant ratios",
+             {"rank": REQUIRED, "order": 3, "format": "text", "output": None}),
+    "gauge": ("obstruction scalars and their potential",
+              {"rank": REQUIRED, "order": 4, "format": "text", "output": None,
+               "bound": None, "central": None}),
+}
+
+USAGE = f"usage: {PROG} {{{','.join(COMMANDS)}}} [--option value ...] [-h]"
+# a negative number, which is an option's value rather than an option
+_NEGATIVE = r"-\d+$|-\d*\.\d+$"
 
 
 def _scalar_expression(text: str) -> LaurentPoly:
@@ -59,15 +95,13 @@ def _scalar_expression(text: str) -> LaurentPoly:
 
     Supports integer literals, the two symbols, ``+ - * /`` and ``**`` with
     literal non-negative integer exponents; division only by nonzero
-    constants, so no decimals can sneak in.
+    constants, so no decimals can sneak in.  Any other text, one nested past
+    the interpreter's recursion limit, or one whose exponents leave the
+    packed range raises ``ValueError``.
     """
     import ast  # only --central needs it; a top-level import slows every start-up
 
     table = VarTable(("Q", "c0"), (0, 0))
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError:
-        raise ValueError(f"cannot parse central charge {text!r}") from None
 
     def walk(node: ast.AST) -> LaurentPoly:
         if isinstance(node, ast.Expression):
@@ -101,95 +135,167 @@ def _scalar_expression(text: str) -> LaurentPoly:
                 raise ValueError("division is only allowed by nonzero constants")
         raise ValueError(f"unsupported syntax in central charge {text!r}")
 
-    return walk(tree)
+    try:
+        return walk(ast.parse(text, mode="eval"))
+    except SyntaxError:
+        raise ValueError(f"cannot parse central charge {text!r}") from None
+    except RecursionError:
+        raise ValueError("the central charge is nested too deeply") from None
+    except RingError as exc:
+        raise ValueError(f"the central charge is out of range: {exc}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="virasoro-irregular",
-        description="Construct and check irregular Virasoro series.")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name: str, help_text: str,
-            rank_required: bool = True) -> argparse.ArgumentParser:
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--rank", required=rank_required,
-                         help="integer rank like 3 or a half rank like 5/2")
-        if name in ORDER_DEFAULTS:
-            cmd.add_argument("--order", type=int,
-                             help=f"truncation order (default {ORDER_DEFAULTS[name]})")
-        cmd.add_argument("--format", choices=("json", "text"), default="text",
-                         dest="fmt", help="report rendering (default text)")
-        cmd.add_argument("--output", help="write the report to this path")
-        return cmd
-
-    construct = add("construct", "solve a series and write it out")
-    verify = add("verify", "re-check a series from scratch", rank_required=False)
-    verify.add_argument("--input", help="re-ingest a JSON report written by construct "
-                                        "(excludes --rank, --order, --central and "
-                                        "--convention)")
-    add("frames", "frame matrix, determinants, and dual operator")
-    add("gram", "pairing blocks and determinant ratios")
-    gauge_cmd = add("gauge", "obstruction scalars and their potential")
-    gauge_cmd.add_argument("--bound", type=int,
-                           help="denominator bound for the scalar completion "
-                                "(half ranks only)")
-    for cmd in (construct, verify, gauge_cmd):
-        cmd.add_argument("--central", help="central charge expression in Q and c0")
-    for cmd in (construct, verify):
-        cmd.add_argument("--convention", choices=CONVENTIONS,
-                         help=f"eigenvalue convention, rank one only (default {GENERAL})")
-    return parser
+def _token(token: str, names) -> tuple[str | None, str | None] | None:
+    """What ``token`` is where ``names`` are the options: ``None`` for a
+    value, else the option it names (``None`` for an unknown one) and the
+    value joined to it (``None`` for none).  ``-h`` is ``--help``, and so is
+    ``-hh…``; a long option may be cut to any prefix that names it alone."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token[1] != "-":
+        if token[1] != "h":
+            return None if re.match(_NEGATIVE, token) or " " in token else (None, None)
+        joined = token[3:] if token.startswith("-h=") else token[2:]
+        repeated = token == "-h" or joined and not joined.strip("h")    # -hh, -h=h
+        return "help", None if repeated else joined
+    name, eq, joined = token[2:].partition("=")
+    matches = [name] if name in names else [n for n in names if n.startswith(name)]
+    if len(matches) > 1:
+        _usage_error(f"ambiguous option: --{name} could match --{', --'.join(matches)}")
+    if matches:
+        return matches[0], joined if eq else None
+    return None if " " in token else (None, None)
 
 
-def _config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
+def _parse(argv: list[str]) -> tuple[str, dict]:
+    """Read ``argv`` against COMMANDS: the command and the options given to
+    it, converted, the last occurrence of each winning.  An option's value
+    follows it as the next argument or joined by ``=``; a next argument that
+    starts with ``-`` is a value only if it reads as a negative number or
+    holds a space.  ``-h`` or ``--help`` prints the help and exits 0; every
+    other malformed argv is a usage error."""
+    extra = []
+    for index, token in enumerate(argv):
+        kind = None if token == "--" else _token(token, ("help",))
+        if kind is None:
+            break
+        if kind[0] == "help":
+            _help(None, kind[1])
+        extra.append(token)
+    else:
+        _usage_error("a command is required")
+    command, tokens = argv[index], argv[index + 1:]
+    if command not in COMMANDS:
+        _usage_error(f"invalid command {command!r} (choose from {', '.join(COMMANDS)})")
+    options = COMMANDS[command][1]
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_token(token, ("help", *options)) for token in tokens[:end]]
+    given, index = {}, 0
+    while index < end:
+        (name, value), index = kinds[index] or (None, None), index + 1
+        if name is None:    # a value no option takes, or an unknown option
+            extra.append(tokens[index - 1])
+            continue
+        if name == "help":
+            _help(command, value)
+        if value is None:
+            if index == end or kinds[index] is not None:
+                _usage_error(f"--{name} expects a value")
+            value, index = tokens[index], index + 1
+        convert = OPTIONS[name][0]
+        if convert is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"--{name} takes an integer, not {value!r}")
+        elif convert is not str and value not in convert:
+            _usage_error(f"--{name} takes one of {', '.join(convert)}, not {value!r}")
+        given[name] = value
+    missing = [f"--{name}" for name, default in options.items()
+               if default is REQUIRED and name not in given]
+    if missing:
+        _usage_error(f"{command} requires {', '.join(missing)}")
+    if extra or end < len(tokens):
+        _usage_error(f"unrecognized arguments: {' '.join(extra + tokens[end:])}")
+    return command, given
+
+
+def _help(command: str | None, joined: str | None) -> NoReturn:
+    """Print the help of ``command``, or of the program, and exit 0; a value
+    joined to ``--help`` is a usage error instead."""
+    if joined is not None:
+        _usage_error(f"--help takes no value, not {joined!r}")
+    if command is None:
+        lines = [USAGE, "", "Construct and check irregular Virasoro series.", ""]
+        lines += [f"  {name:10} {summary}" for name, (summary, _) in COMMANDS.items()]
+    else:
+        summary, options = COMMANDS[command]
+        lines = [f"usage: {PROG} {command} [--option value ...] [-h]", "", summary, ""]
+        for name, default in options.items():
+            convert, text = OPTIONS[name]
+            value = "{%s}" % ",".join(convert) if isinstance(convert, tuple) else name.upper()
+            note = ("" if default is None else " (required)" if default is REQUIRED
+                    else f" (default {default})")
+            lines.append(f"  --{name} {value}\n        {text}{note}")
+    print(*lines, sep="\n")
+    sys.exit(0)
+
+
+def _usage_error(message: str) -> NoReturn:
+    """Print the usage line and ``message`` to stderr and exit 2."""
+    print(USAGE, f"{PROG}: error: {message}", sep="\n", file=sys.stderr)
+    sys.exit(2)
+
+
+def _config(argv: list[str]) -> RunConfig:
+    """Read ``argv`` and check its options against each other."""
+    command, given = _parse(argv)
+    args = {**COMMANDS[command][1], **given}
     family: Family | None = None
-    input_path = getattr(args, "input", None)
+    input_path = args.get("input")
     if input_path is not None and not os.path.exists(input_path):
-        parser.error(f"input file {input_path!r} does not exist")
-    if args.rank is None and input_path is None:
-        parser.error("either --rank or --input is required")
+        _usage_error(f"input file {input_path!r} does not exist")
+    if args["rank"] is None and input_path is None:
+        _usage_error("either --rank or --input is required")
     if input_path is not None:
-        given = [f"--{name}" for name in ("rank", "order", "central", "convention")
-                 if getattr(args, name) is not None]
-        if given:
-            parser.error(f"{', '.join(given)} cannot be given with --input, "
+        declared = [f"--{name}" for name in ("rank", "order", "central", "convention")
+                    if name in given]
+        if declared:
+            _usage_error(f"{', '.join(declared)} cannot be given with --input, "
                          "whose report declares the series")
-    if args.rank is not None:
+    if args["rank"] is not None:
         try:
-            family = parse_rank(args.rank)
+            family = parse_rank(args["rank"])
         except SerializeError as exc:
-            parser.error(str(exc))
+            _usage_error(str(exc))
     kind = None if family is None else family.kind
-    order = getattr(args, "order", None)
-    if order is None:
-        order = ORDER_DEFAULTS.get(args.command, 0)
+    order = args.get("order", 0)
     if order < 0:
-        parser.error("order must be non-negative")
-    bound = getattr(args, "bound", None)
+        _usage_error("order must be non-negative")
+    bound = args.get("bound")
     if bound is not None and bound < 1:
-        parser.error("bound must be at least 1")
+        _usage_error("bound must be at least 1")
     if bound is not None and kind != HALF:
-        parser.error("--bound applies to half ranks only")
-    convention = getattr(args, "convention", None) or GENERAL
+        _usage_error("--bound applies to half ranks only")
+    convention = args.get("convention", GENERAL)
     if convention != GENERAL and kind in (INTEGER, HALF):
-        parser.error("the section2-display convention applies to rank one only")
-    central = getattr(args, "central", None)
+        _usage_error("the section2-display convention applies to rank one only")
+    central = args.get("central")
     if central is not None:
         try:
             central = _scalar_expression(central)
         except ValueError as exc:
-            parser.error(str(exc))
-    if args.command == "gram" and kind == HALF:
-        parser.error("gram blocks are indexed by an integer rank")
-    if args.command == "gauge" and kind == RANK_ONE:
-        parser.error("gauge requires rank at least 2 or a half rank")
-    if args.output:
-        _check_output(parser, args.output)
+            _usage_error(str(exc))
+    if command == "gram" and kind == HALF:
+        _usage_error("gram blocks are indexed by an integer rank")
+    if command == "gauge" and kind == RANK_ONE:
+        _usage_error("gauge requires rank at least 2 or a half rank")
+    if args["output"]:
+        _check_output(args["output"])
     return RunConfig(
-        command=args.command, family=family, order=order,
+        command=command, family=family, order=order,
         central=central, convention=convention,
-        fmt=args.fmt, output=args.output, bound=bound, input=input_path)
+        fmt=args["format"], output=args["output"], bound=bound, input=input_path)
 
 
 def _writes_in_place(path: str) -> bool:
@@ -197,17 +303,17 @@ def _writes_in_place(path: str) -> bool:
     return os.path.exists(path) and not os.path.isfile(path)
 
 
-def _check_output(parser: argparse.ArgumentParser, path: str) -> None:
+def _check_output(path: str) -> None:
     """Exit 2 before any solve if the report cannot be written to ``path``."""
     if os.path.isdir(path):
-        parser.error(f"--output {path!r} is a directory")
+        _usage_error(f"--output {path!r} is a directory")
     if _writes_in_place(path):
         ok = os.access(path, os.W_OK)
     else:   # the folder takes the .part file
         folder = os.path.dirname(os.path.realpath(path))
         ok = os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)
     if not ok:
-        parser.error(f"--output {path!r} is not writable "
+        _usage_error(f"--output {path!r} is not writable "
                      "(missing folder or no permission)")
 
 
@@ -305,6 +411,8 @@ def _cmd_construct(cfg: RunConfig) -> tuple[int, dict]:
 def _cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     series = _build_series(cfg)
     report = verify_canonical(series)
+    if report.all_ok:   # the relations hold, so a record that disagrees was edited
+        serialize.check_unknowns(series)
     doc = serialize.series_header(series)
     doc["residuals"] = serialize.report_doc(report)
     return (0 if report.all_ok else 1), doc
@@ -530,9 +638,7 @@ def main(argv: list[str] | None = None) -> int:
     """
     if not gc.get_freeze_count():
         gc.freeze()     # once per process: a second freeze would pin a caller's garbage
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config(parser, args)
+    cfg = _config(sys.argv[1:] if argv is None else list(argv))
     try:
         code, doc = HANDLERS[cfg.command](cfg)
     except (RingError, SolverError, gauge.GaugeError, SerializeError,

@@ -263,9 +263,13 @@ def series_from_doc(doc: object) -> IrregularSeries:
     ctx = series_context(family, table, central)
 
     body = _require(doc, "series", "document")
+    rational = family.kind == RANK_ONE
     nu_doc = _require(body, "nu", "series block")
     nu = None if nu_doc is None else poly_from_terms(table, nu_doc)
     g = _polys_indexed(table, _require(body, "g", "series block"), "j")
+    # nu and g1..g{r-1} are solved for every rank but one, which has none
+    if (nu is None) != rational or set(g) != set(range(1, family.r)):
+        raise SerializeError(f"the nu and g records do not fit rank {rank_text}")
     constants = _polys_indexed(table, _require(body, "constants", "series block"), "k")
     pending_doc = _require(body, "pending", "series block")
     if (not isinstance(pending_doc, list)
@@ -276,7 +280,6 @@ def series_from_doc(doc: object) -> IrregularSeries:
     tail = _require(body, "tail", "series block")
     if not isinstance(tail, list):
         raise SerializeError("tail must be a list of order records")
-    rational = family.kind == RANK_ONE
     staged: dict[int, ModuleVector] = {}
     for record in tail:
         k = _require(record, "k", "tail record")
@@ -291,6 +294,26 @@ def series_from_doc(doc: object) -> IrregularSeries:
         family=family, order=order, ctx=ctx, vectors=vectors, nu=nu,
         g=g, constants=constants, pending=tuple(pending_doc), pinned=None,
         convention=convention)
+
+
+def check_unknowns(series: IrregularSeries) -> None:
+    """Refuse a series whose ``pending`` and ``constants`` records disagree
+    with its tail, which no relation re-checks: an unknown is pending
+    exactly where its slot (``nu``, its ``g`` entry or the cyclic
+    coefficient of its order) is still its own variable, and ``constants``
+    holds that coefficient for every order that pinned one.  Rank one
+    solves no unknowns."""
+    if series.family.kind == RANK_ONE:
+        ok = not series.constants and not series.pending
+    else:
+        table, vectors = series.table, series.vectors
+        slots = {"nu": series.nu, **{f"g{j}": poly for j, poly in series.g.items()},
+                 **{f"ce{k}": vectors[k].constant_term() for k in range(1, len(vectors))}}
+        free = [name for name, slot in slots.items() if slot == LaurentPoly.var(table, name)]
+        ok = sorted(series.pending) == sorted(free) and series.constants == {
+            k: slots[f"ce{k}"] for k in range(1, len(vectors)) if f"ce{k}" not in free}
+    if not ok:
+        raise SerializeError("pending and constants do not match the tail")
 
 
 # ----- reports and windowed series ----------------------------------------------

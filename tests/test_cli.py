@@ -224,6 +224,14 @@ def test_series_from_doc_rejects_tampered_documents():
     broken["meta"]["convention"] = "section2-display"
     with pytest.raises(SerializeError):
         series_from_doc(broken)
+    # rank 2 solves nu and g1 and nothing else; the re-check would index g
+    # by 1 and act with nu
+    for edit in (lambda body: body["g"][0].update(j=2), lambda body: body.update(nu=None),
+                 lambda body: body["g"].append({"j": 2, "poly": []})):
+        broken = copy.deepcopy(doc)
+        edit(broken["series"])
+        with pytest.raises(SerializeError, match="the nu and g records do not fit rank 2"):
+            series_from_doc(broken)
 
 
 # ----- construct and verify ------------------------------------------------------
@@ -392,6 +400,16 @@ def test_central_override_threads_through_the_documents(rank, tmp_path, capsys):
     ["gauge", "--rank", "2", "--bound", "3"],
     ["verify", "--input", __file__, "--rank", "5/2", "--order", "7",
      "--central", "Q", "--convention", "general"],
+    # central charges the ring or the parser cannot hold
+    ["construct", "--rank", "2", "--central", "Q**40000"],
+    ["verify", "--rank", "1", "--central", "+".join(["Q"] * 3000)],
+    ["gauge", "--rank", "3/2", "--central=" + "-" * 5000 + "1"],
+    # a joined "--" is the value itself, which no option accepts here
+    ["construct", "--rank=--"],
+    ["construct", "--rank", "2", "--order=--"],
+    ["construct", "--rank", "2", "--central=--"],
+    ["verify", "--input=--"],
+    ["gauge", "--rank", "3/2", "--bound=--"],
 ])
 def test_usage_errors_exit_with_code_two(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -735,6 +753,85 @@ def test_verify_input_rejects_booleans_where_integers_belong(path, value, tmp_pa
     code, out = _run_json(capsys, ["verify", "--input", str(report)])
     assert code == 1
     assert out["error"]["type"] == "SerializeError"
+
+
+def _nodes(node: object, path: tuple = ()):
+    """Every node of a JSON tree, with its path."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _mutations(value: object) -> list:
+    """Replacements for one node, each changing the report's JSON text;
+    an integer may become a boolean of the same value."""
+    if type(value) is int:
+        return [value + 1, value - 1, bool(value), None]
+    if isinstance(value, str):
+        return [value + "x", None]
+    if isinstance(value, list):
+        return [value[1:], value + value[:1], None] if value else [[None], None]
+    if isinstance(value, dict):
+        return [dict(list(value.items())[:-1]), None]
+    return [0]
+
+
+@pytest.mark.parametrize("seed, argv", [
+    (1, ["--rank", "1"]),
+    (2, ["--rank", "1", "--convention", "section2-display"]),
+    (3, ["--rank", "2"]),
+    (4, ["--rank", "3/2"]),
+])
+def test_verify_input_refuses_every_seeded_mutation(seed, argv, tmp_path, capsys):
+    # one node of the report changed, removed or duplicated: whatever it
+    # is, the re-check exits 1 with an error record or a failing relation;
+    # the report's own residual records are not read, so they are not mutated
+    report = tmp_path / "series.json"
+    code, _ = _run(capsys, ["construct", *argv, "--order", "2", "--format", "json",
+                            "--output", str(report)])
+    assert code == 0
+    clean = report.read_text()
+    doc = json.loads(clean)
+    rng = random.Random(seed)
+    sites = [path for path, _ in _nodes(doc) if path and path[0] != "residuals"]
+    for path in rng.sample(sites, 100):
+        mutated = copy.deepcopy(doc)
+        *parents, last = path
+        node = mutated
+        for step in parents:
+            node = node[step]
+        node[last] = rng.choice(_mutations(node[last]))
+        report.write_text(json.dumps(mutated, indent=2, sort_keys=True) + "\n")
+        assert report.read_text() != clean, path
+        code, out = _run_json(capsys, ["verify", "--input", str(report)])
+        assert code == 1, path
+        assert "error" in out or any(
+            record["status"] == "fail" for record in out["residuals"]), path
+
+
+def test_verify_input_refuses_solved_scalars_the_tail_contradicts(tmp_path, capsys):
+    # pending and constants are not read by any relation: each edit below
+    # leaves every relation holding, and the re-check still refuses it
+    report = tmp_path / "series.json"
+    code, _ = _run(capsys, ["construct", "--rank", "2", "--order", "2",
+                            "--format", "json", "--output", str(report)])
+    assert code == 0
+    doc = json.loads(report.read_text())
+    assert doc["series"]["pending"] == ["ce2"]
+    for edit in (lambda body: body["pending"].append("ce1"),
+                 lambda body: body["pending"].clear(),
+                 lambda body: body["constants"].clear(),
+                 lambda body: body["constants"][0]["poly"][0].update(
+                     n=body["constants"][0]["poly"][0]["n"] + 1)):
+        mutated = copy.deepcopy(doc)
+        edit(mutated["series"])
+        report.write_text(json.dumps(mutated))
+        code, out = _run_json(capsys, ["verify", "--input", str(report)])
+        assert code == 1
+        assert out["error"] == {"type": "SerializeError", "message":
+                                "pending and constants do not match the tail"}
 
 
 # ----- module entry ---------------------------------------------------------------

@@ -134,10 +134,8 @@ def test_streamed_report_is_never_held_whole(tmp_path):
     # the writer holds a few dozen pieces at a time, never the whole text or
     # its piece list, each about the report's size
     report = tmp_path / "report.json"
-    parser = cli.build_parser()
-    cfg = cli._config(parser, parser.parse_args(
-        ["construct", "--rank", "2", "--order", "4", "--format", "json",
-         "--output", str(report)]))
+    cfg = cli._config(["construct", "--rank", "2", "--order", "4", "--format", "json",
+                       "--output", str(report)])
     _, doc = cli.HANDLERS["construct"](cfg)
     tracemalloc.start()
     try:
