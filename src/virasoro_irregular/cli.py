@@ -96,8 +96,9 @@ def _scalar_expression(text: str) -> LaurentPoly:
     Supports integer literals, the two symbols, ``+ - * /`` and ``**`` with
     literal non-negative integer exponents; division only by nonzero
     constants, so no decimals can sneak in.  Any other text, one nested past
-    the interpreter's recursion limit, or one whose exponents leave the
-    packed range raises ``ValueError``.
+    the interpreter's recursion limit, one whose exponents leave the packed
+    range, or one with a constant too long for a report to write (more
+    digits than ``sys.get_int_max_str_digits()``) raises ``ValueError``.
     """
     import ast  # only --central needs it; a top-level import slows every start-up
 
@@ -136,13 +137,19 @@ def _scalar_expression(text: str) -> LaurentPoly:
         raise ValueError(f"unsupported syntax in central charge {text!r}")
 
     try:
-        return walk(ast.parse(text, mode="eval"))
+        value = walk(ast.parse(text, mode="eval"))
     except SyntaxError:
         raise ValueError(f"cannot parse central charge {text!r}") from None
     except RecursionError:
         raise ValueError("the central charge is nested too deeply") from None
     except RingError as exc:
         raise ValueError(f"the central charge is out of range: {exc}") from None
+    digits = sys.get_int_max_str_digits()   # 0: no limit
+    if digits and any(max(abs(num), den) >= 10 ** digits
+                      for _, num, den in value.term_records()):
+        raise ValueError(f"the central charge has a constant of more than {digits} "
+                         "digits, which no report can write")
+    return value
 
 
 def _token(token: str, names) -> tuple[str | None, str | None] | None:
@@ -611,7 +618,14 @@ def _emit(cfg: RunConfig, doc: dict) -> None:
             handle.write(render_text(doc))
 
     if not cfg.output:
-        write(sys.stdout)
+        try:
+            write(sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone: send what is left to devnull, so that the
+            # flush at exit cannot fail again, as the signal module's docs advise
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
         return
     if _writes_in_place(cfg.output):
         with open(cfg.output, "w", encoding="utf-8") as handle:

@@ -1,8 +1,11 @@
 """Exact linear algebra over the Laurent ring and its fraction field.
 
 Determinants use the Bareiss fraction-free scheme so intermediate entries
-stay in the ring and every division is exact.  Adjugate columns come from
-one such elimination of the matrix bordered by unit columns, then
+stay in the ring and every division is exact.  Adjugate columns of a matrix
+of up to ``EXPANSION_ROWS`` rows (every frame up to rank 7, and the
+rank-one level matrices up to level 5) come from Laplace expansion, each
+minor computed once and shared, with no division at all; a larger matrix
+takes one Bareiss elimination of itself bordered by unit columns, then
 fraction-free back substitution.  Frame inverses take every column; the
 rank-one level solve multiplies the adjugate into a right-hand side that
 vanishes at most partitions, so it asks only for the columns where that
@@ -76,6 +79,13 @@ def det_bareiss(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     return _bareiss(a, n) * a[n - 1][n - 1]
 
 
+# Largest matrix whose adjugate is taken by expansion.  The expansion does
+# no division, but it forms on the order of 2**n minors where the
+# elimination forms n**3 entries; the crossover, measured on the level
+# matrices, the frames and random dense matrices, is in CHANGES.md.
+EXPANSION_ROWS = 7
+
+
 def adjugate(rows: Sequence[Sequence[LaurentPoly]],
              cols: Sequence[int] | None = None) -> Matrix:
     """Adjugate matrix: ``A @ adjugate(A) == det(A) * I``.
@@ -84,28 +94,27 @@ def adjugate(rows: Sequence[Sequence[LaurentPoly]],
     zero, so ``mat_vec(adjugate(A, cols), v)`` is ``adjugate(A) @ v``
     whenever ``v`` vanishes outside ``cols``.
 
-    One Bareiss elimination of ``[A | e_cols]`` leaves ``U x = b`` with
-    ``U[-1][-1] = det(PA)`` for the row permutation ``P``; fraction-free
-    back substitution then gives ``det(PA) x = sign(P) adj(A) e_j``.  Every
-    intermediate is a minor, so every division is exact.  Two kinds of
-    matrix take their cofactors one at a time instead: those of at most
-    three rows (the frames of ranks up to 5/2), whose cofactors need at most
-    two products each and no division, and a singular one whose elimination
-    runs out of pivots early.
+    Up to ``EXPANSION_ROWS`` rows, and for a singular matrix whose
+    elimination runs out of pivots, each cofactor is a Laplace expansion
+    (see :func:`_expansion_adjugate`).  Otherwise one Bareiss elimination
+    of ``[A | e_cols]`` leaves ``U x = b`` with ``U[-1][-1] = det(PA)`` for
+    the row permutation ``P``; fraction-free back substitution then gives
+    ``det(PA) x = sign(P) adj(A) e_j``.  Every intermediate is a minor, so
+    every division is exact.
     """
     n = len(rows)
     table = rows[0][0].table
     zero = LaurentPoly.zero(table)
     cols = range(n) if cols is None else cols
     out = [[zero] * n for _ in range(n)]
-    if n <= 3:
-        return _cofactor_adjugate(rows, cols, out)
+    if n <= EXPANSION_ROWS:
+        return _expansion_adjugate(rows, cols, out)
     one = LaurentPoly.const(table, 1)
     a = [list(row) + [one if i == j else zero for j in cols]
          for i, row in enumerate(rows)]
     sign = _bareiss(a, n)
     if sign == 0:
-        return _cofactor_adjugate(rows, cols, out)
+        return _expansion_adjugate(rows, cols, out)
     det = a[n - 1][n - 1]
     for c, j in enumerate(cols, start=n):
         neg = [zero] * n   # -x, so that each row is one sum of products
@@ -117,17 +126,53 @@ def adjugate(rows: Sequence[Sequence[LaurentPoly]],
     return out
 
 
-def _cofactor_adjugate(rows: Sequence[Sequence[LaurentPoly]], cols: Sequence[int],
-                       out: Matrix) -> Matrix:
-    """``adjugate`` by one cofactor determinant per entry."""
+def _expansion_adjugate(rows: Sequence[Sequence[LaurentPoly]], cols: Sequence[int],
+                        out: Matrix) -> Matrix:
+    """``adjugate`` with entry ``(i, j)`` the minor of ``A`` without row ``j``
+    and column ``i``, signed, each by Laplace expansion along its last row.
+
+    The cofactors of one column share every minor on the rows above the
+    row they drop, so the minors are memoized by (row tuple, column tuple).
+    """
     n = len(rows)
+    if n == 1:
+        for j in cols:
+            out[0][j] = LaurentPoly.const(rows[0][0].table, 1)
+        return out
+    neg = [[-a for a in row] for row in rows]
+    minors: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPoly] = {}
+    full = tuple(range(n))
     for j in cols:
+        kept = full[:j] + full[j + 1:]
         for i in range(n):
-            minor = [[entry for c, entry in enumerate(row) if c != i]
-                     for k, row in enumerate(rows) if k != j]
-            cof = det_bareiss(minor) if n > 1 else LaurentPoly.const(rows[0][0].table, 1)
-            out[i][j] = cof if (i + j) % 2 == 0 else -cof
+            out[i][j] = _expand(rows, neg, minors, kept, full[:i] + full[i + 1:],
+                                (i + j) % 2)
     return out
+
+
+def _expand(rows: Sequence[Sequence[LaurentPoly]], neg: Matrix,
+            minors: dict, r: tuple[int, ...], c: tuple[int, ...],
+            odd: int) -> LaurentPoly:
+    """The minor of ``rows`` on rows ``r`` and columns ``c``, negated when
+    ``odd``, expanded along row ``r[-1]`` over the memoized smaller minors:
+    one ``dot``, where a zero entry or a zero minor adds no pair."""
+    last, above = r[-1], r[:-1]
+    if not above:
+        return (neg if odd else rows)[last][c[0]]
+    top, ntop = rows[last], neg[last]
+    odd += len(above)   # r[-1] is row len(above) of the minor
+    pairs = []
+    for k, col in enumerate(c):
+        entry = top[col]
+        if entry.is_zero():
+            continue
+        rest = c[:k] + c[k + 1:]
+        sub = minors.get((above, rest))
+        if sub is None:
+            sub = minors[above, rest] = _expand(rows, neg, minors, above, rest, 0)
+        if not sub.is_zero():
+            pairs.append((ntop[col] if (odd + k) % 2 else entry, sub))
+    return dot(top[0].table, pairs)
 
 
 def det_from_adjugate(rows: Sequence[Sequence[LaurentPoly]], adj: Matrix,

@@ -555,6 +555,12 @@ class LaurentPoly:
             out = {key - shift: c * scale for key, c in self.terms.items()}
             table._checked(out)
             return _reduced(table, out, self.den * abs(dc))
+        # The key order is a monomial order, so a quotient's highest and
+        # lowest terms would be those of self over those of the divisor, and
+        # the first is not below the second: a test that needs no shift.
+        top_a, top_b = max(self.terms), max(divisor.terms)
+        if top_a - top_b < min(self.terms) - min(divisor.terms):
+            raise NotDivisible("quotient does not lie in the Laurent ring")
         # Shift both operands into the polynomial subring so that, for each
         # variable, the minimal exponent is zero; a Laurent quotient of the
         # shifted operands is then forced to be an honest polynomial.  With
@@ -563,7 +569,7 @@ class LaurentPoly:
         shift_a, shift_b = self._lowest_shift(), divisor._lowest_shift()
         # _poly_exact_div's leading-term test, made before the copies: a
         # shift keeps the key order, so the shifted leads are max - shift
-        lead = max(self.terms) - shift_a - max(divisor.terms) + shift_b
+        lead = top_a - shift_a - top_b + shift_b
         if lead < 0 or (lead + table._zero) & (table._nonneg | table._guard) != table._nonneg:
             raise NotDivisible("quotient does not lie in the Laurent ring")
         content_a, content_b = gcd(*self.terms.values()), gcd(*divisor.terms.values())

@@ -404,6 +404,10 @@ def test_central_override_threads_through_the_documents(rank, tmp_path, capsys):
     ["construct", "--rank", "2", "--central", "Q**40000"],
     ["verify", "--rank", "1", "--central", "+".join(["Q"] * 3000)],
     ["gauge", "--rank", "3/2", "--central=" + "-" * 5000 + "1"],
+    # a constant with more digits than a report can write
+    ["construct", "--rank", "2", "--order", "0", "--central=2**20000"],
+    ["verify", "--rank", "1", "--central=Q+2**20000"],
+    ["gauge", "--rank", "3/2", "--central=-(2**20000)/3"],
     # a joined "--" is the value itself, which no option accepts here
     ["construct", "--rank=--"],
     ["construct", "--rank", "2", "--order=--"],
@@ -873,6 +877,20 @@ def test_the_first_main_call_freezes_the_heap_and_later_calls_leave_it():
     assert result.returncode == 0, result.stderr
     before, first, second = map(int, result.stdout.split())
     assert before == 0 < first == second
+
+
+def test_a_reader_that_leaves_early_ends_the_command_without_a_traceback():
+    # a report larger than a pipe's buffer, so the command is still writing
+    # when the reader closes the pipe after one line
+    process = subprocess.Popen(
+        [sys.executable, "-m", "virasoro_irregular.cli",
+         "construct", "--rank", "1", "--order", "4", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert process.stdout.readline() == b"{\n"
+    process.stdout.close()
+    stderr = process.stderr.read()
+    assert process.wait(timeout=60) == 1
+    assert stderr == b""   # no traceback, and no message either
 
 
 def test_a_text_report_on_stdout_equals_the_written_file(tmp_path):

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from virasoro_irregular.frames import HALF, INTEGER, Family
+from virasoro_irregular.gram import gram_entry
 from virasoro_irregular.linalg import (
+    EXPANSION_ROWS,
     InconsistentSystem,
     SingularSystem,
     adjugate,
@@ -19,6 +23,7 @@ from virasoro_irregular.linalg import (
     sparse_solve,
 )
 from virasoro_irregular.ring import LaurentPoly, NotDivisible, VarTable
+from virasoro_irregular.virasoro import partitions_of, verma_context
 
 T = VarTable(["x", "y", "z"], [1, 1, 1])
 
@@ -82,8 +87,8 @@ def test_adjugate_identity():
     rng = random.Random(99)
     zero, one = LaurentPoly.zero(T), LaurentPoly.const(T, 1)
     x, y = LaurentPoly.var(T, "x"), LaurentPoly.var(T, "y")
-    # up to three rows the adjugate is taken by cofactors, from four by
-    # elimination
+    # up to EXPANSION_ROWS rows the adjugate is taken by expansion, above
+    # by elimination
     cases = [[[rand_poly(rng, dense=True) for _ in range(n)] for _ in range(n)]
              for n in (1, 2, 3, 4, 5) for _ in range(8)]
     cases += [
@@ -110,6 +115,133 @@ def test_adjugate_identity():
                     assert part[i][j] == (adj[i][j] if j in cols else zero)
     # the singular case, last above, is not trivially satisfied
     assert not all(entry.is_zero() for row in adj for entry in row)
+
+
+def cofactor_adjugate(rows, cols):
+    """Reference adjugate: entry (i, j) is (-1)^(i+j) det_bareiss of ``rows``
+    without row j and column i, for the columns in ``cols``; zero elsewhere."""
+    n, table = len(rows), rows[0][0].table
+    out = [[LaurentPoly.zero(table)] * n for _ in range(n)]
+    for j in cols:
+        for i in range(n):
+            minor = [[e for c, e in enumerate(row) if c != i]
+                     for k, row in enumerate(rows) if k != j]
+            det = det_bareiss(minor) if minor else LaurentPoly.const(table, 1)
+            out[i][j] = det if (i + j) % 2 == 0 else -det
+    return out
+
+
+def assert_adjugate_columns(rows, subsets):
+    """``adjugate(rows, cols)`` equals the cofactor reference for each subset."""
+    n = len(rows)
+    ref = cofactor_adjugate(rows, sorted({j for cols in subsets for j in cols}))
+    zero = LaurentPoly.zero(rows[0][0].table)
+    for cols in subsets:
+        want = [[ref[i][j] if j in cols else zero for j in range(n)] for i in range(n)]
+        assert adjugate(rows, cols) == want, (n, cols)
+
+
+def random_matrix(rng: random.Random, n: int, density: float,
+                  entry=None) -> list[list[LaurentPoly]]:
+    zero = LaurentPoly.zero(T)
+    entry = entry or (lambda: rand_poly(rng, dense=True))
+    return [[entry() if rng.random() < density else zero for _ in range(n)]
+            for _ in range(n)]
+
+
+def singular_matrices(rng: random.Random, n: int) -> list[list[list[LaurentPoly]]]:
+    """Two singular matrices of ``n`` rows: one with a zero first column, on
+    which elimination finds no pivot, and one whose last row is the sum of
+    two others, so only its last pivot vanishes."""
+    zero = LaurentPoly.zero(T)
+    no_pivot = random_matrix(rng, n, 0.3)
+    for row in no_pivot:
+        row[0] = zero
+    dependent = random_matrix(rng, n, 0.3)
+    dependent[-1] = [a + b for a, b in zip(dependent[0], dependent[1])]
+    return [no_pivot, dependent]
+
+
+def level_matrix(k: int):
+    """The rank-one level-``k`` pairing matrix over (Delta, c), and the
+    columns the level solve asks for (partitions into parts 1 and 2)."""
+    table = VarTable(("Delta", "c"), (0, 0))
+    ctx = verma_context(table, LaurentPoly.var(table, "Delta"), LaurentPoly.var(table, "c"))
+    lams = partitions_of(k)
+    rows = [[gram_entry(ctx, mu, lam) for lam in lams] for mu in lams]
+    return rows, [j for j, lam in enumerate(lams) if lam[0] <= 2]
+
+
+def column_subsets(rng: random.Random, n: int) -> list[list[int]]:
+    return [list(range(n)), [n - 1], sorted(rng.sample(range(n), (n + 1) // 2))]
+
+
+def test_adjugate_matches_cofactor_determinants():
+    rng = random.Random(2029)
+    integer = lambda: LaurentPoly.const(T, rng.choice([-3, -2, -1, 1, 2, 3, 5]))
+    singular = 0
+    for n in range(1, EXPANSION_ROWS + 3):
+        cases = [random_matrix(rng, n, 0.3), random_matrix(rng, n, 1.0, integer)]
+        # dense polynomial entries swell under the reference's elimination,
+        # so they stop at five rows
+        if n <= 5:
+            cases.append(random_matrix(rng, n, 1.0))
+        if n >= 2:
+            cases += singular_matrices(rng, n)
+        for rows in cases:
+            assert_adjugate_columns(rows, column_subsets(rng, n))
+            singular += det_bareiss(rows).is_zero()
+    assert singular >= 2 * (EXPANSION_ROWS + 1)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_adjugate_of_level_matrices_matches_cofactors(k):
+    rows, solve_cols = level_matrix(k)
+    n = len(rows)
+    if n <= EXPANSION_ROWS:
+        assert_adjugate_columns(rows, [range(n), solve_cols])
+        return
+    # level 6 (11 rows) is eliminated, and its 44 ten-row reference
+    # cofactors would take over ten seconds: there each column j of the
+    # nonsingular matrix's adjugate is checked as the only x with
+    # A x = det(A) e_j
+    det, zero = det_bareiss(rows), LaurentPoly.zero(rows[0][0].table)
+    assert not det.is_zero()
+    adj = adjugate(rows, solve_cols)
+    for j in solve_cols:
+        column = mat_vec(rows, [adj[i][j] for i in range(n)])
+        assert column == [det if i == j else zero for i in range(n)]
+
+
+@pytest.mark.parametrize("kind", [INTEGER, HALF])
+@pytest.mark.parametrize("r", range(2, 9))
+def test_adjugate_of_frames_matches_cofactors(kind, r):
+    family = Family(kind, r)
+    rows = family.frame_matrix(family.frame_table())
+    n = len(rows)
+    # above the threshold one column: each elimination of the rank-15/2
+    # frame takes about a second
+    subsets = column_subsets(random.Random(r), n) if n <= EXPANSION_ROWS else [[n - 1]]
+    assert_adjugate_columns(rows, subsets)
+
+
+def test_adjugate_above_the_threshold_without_a_pivot():
+    # elimination finds no pivot in the zero first column, so the matrix
+    # takes the expansion whatever its size; of nine rows of this density
+    # it takes well under a second, and the bound below leaves room for a
+    # slow host
+    rng = random.Random(31)
+    rows, _ = singular_matrices(rng, EXPANSION_ROWS + 2)
+    n = len(rows)
+    start = time.perf_counter()
+    adj = adjugate(rows)
+    assert time.perf_counter() - start < 20
+    zero = LaurentPoly.zero(T)
+    assert all(entry == zero for row in mat_mul(rows, adj) for entry in row)
+    assert all(entry == zero for row in mat_mul(adj, rows) for entry in row)
+    # the zero column leaves only row 0 of the adjugate, and it is not zero
+    assert all(adj[i][j].is_zero() for i in range(1, n) for j in range(n))
+    assert not all(adj[0][j].is_zero() for j in range(n))
 
 
 def test_inverse_exact_on_unit_determinant():

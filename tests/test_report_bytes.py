@@ -151,8 +151,9 @@ def test_streamed_report_is_never_held_whole(tmp_path):
 # ----- byte contract --------------------------------------------------------------
 
 # byte size and sha256 of the reports of the benchmark's construct and gauge
-# commands, plus one small gauge report that needs three obstruction scalars,
-# as fingerprinted by tools/report_hashes.py
+# commands, plus one small gauge report that needs three obstruction scalars
+# and the order-5 rank-one reports (level 5 is the largest adjugate taken by
+# expansion), as fingerprinted by tools/report_hashes.py
 PINNED_REPORTS = [
     ("construct --rank 2 --order 4", 420460,
      "a1cd2f0ec70aa408c5281bb857bd9d0ab1a83fd2e4c1eb3b2a902ac9df44fd19"),
@@ -168,6 +169,10 @@ PINNED_REPORTS = [
      "4d728815bfdc96789ef9c50791aa973d602d8a64b8ed2b32e3a4ce795e4d353c"),
     ("gauge --rank 3 --order 4", 10954,
      "183a32ce457253b0b34285fa1a545afb7b5803e758169d2f290c95c85d9deffd"),
+    ("construct --rank 1 --order 5", 992177,
+     "5c5f442cb600dee25d8e9f898b205d4e187419a84a3ccad200fd24cd54d2b28d"),
+    ("construct --rank 1 --order 5 --convention section2-display", 988675,
+     "564581b98a2a2295cda4113e27ad4579c8be150235f253584edc851a434dbab2"),
 ]
 
 

@@ -222,6 +222,27 @@ def test_exact_division_refuses_leads_that_do_not_divide_before_dividing(monkeyp
         == x ** -1 * y - x ** -1
 
 
+def test_exact_division_refuses_unordered_end_terms_without_shifting(monkeypatch):
+    # a quotient's highest term over its lowest is the dividend's over the
+    # divisor's; where that ratio would be below one, no shift is computed
+    table = VarTable(["x", "y"], [1, 1])
+    x, y = LaurentPoly.var(table, "x"), LaurentPoly.var(table, "y")
+
+    def unreachable(self):
+        raise AssertionError("the end-term test should have refused this pair")
+
+    monkeypatch.setattr(LaurentPoly, "_lowest_shift", unreachable)
+    for a, b in [(x * x + x, x * x + 1), (x ** -1 * y + x ** -2, x ** -1 * y * y + x ** -3),
+                 (y + 1, x * y + x ** -1)]:
+        with pytest.raises(NotDivisible):
+            a.exact_div(b)
+    # ordered end terms still reach the shifts and the division
+    monkeypatch.undo()
+    with pytest.raises(NotDivisible):
+        (x * x * y + 1).exact_div(x * y + 1)
+    assert (x ** 3 - x ** -1).exact_div(x * x + 1) == x - x ** -1
+
+
 @examples
 @given(st.data())
 def test_structure_operations_match_the_oracle(data):

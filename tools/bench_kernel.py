@@ -15,6 +15,14 @@ REPEATS runs in milliseconds for each kernel, and the ratio of the medians.
 
 The ``roadmap`` shape is the stored-coefficient product measured in the
 ROADMAP: 131 x 105 terms over 11 variables with about 20-bit numerators.
+
+A second table times ``linalg.adjugate`` on the rank-one level matrices
+of levels 4-6 (the columns the level solve asks for) and on the frames of
+4-8 rows, ranks 4-8 and 7/2-15/2 (every column), once by expansion and
+once by elimination whatever ``linalg.EXPANSION_ROWS`` would pick, after
+checking that the two agree entry for entry.  Each line gives the median
+and spread of REPEATS runs in milliseconds and the ratio, so that the
+threshold can be re-checked.
 Stdlib only.
 """
 
@@ -31,7 +39,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 import ring_oracle  # noqa: E402
+from virasoro_irregular import linalg  # noqa: E402
+from virasoro_irregular.frames import HALF, INTEGER, Family  # noqa: E402
+from virasoro_irregular.gram import gram_entry  # noqa: E402
 from virasoro_irregular.ring import LaurentPoly, VarTable  # noqa: E402
+from virasoro_irregular.serialize import format_rank  # noqa: E402
+from virasoro_irregular.virasoro import partitions_of, verma_context  # noqa: E402
 
 REPEATS = 7
 SEED = 20261018
@@ -97,6 +110,43 @@ def main() -> int:
                 median_ms(kernels[k][op][0]) for k in ("oracle", "kernel"))
             print(f"{name:<10} {op:<10} {old:>10.3f} ({old_spread:>7.3f}) "
                   f"{new:>10.3f} ({new_spread:>7.3f}) {old / new:>7.1f}x")
+    return adjugate_table()
+
+
+def adjugate_matrices():
+    """``(name, rows, cols)`` for the level matrices and the frames."""
+    table = VarTable(("Delta", "c"), (0, 0))
+    ctx = verma_context(table, LaurentPoly.var(table, "Delta"), LaurentPoly.var(table, "c"))
+    for k in (4, 5, 6):
+        lams = partitions_of(k)
+        rows = [[gram_entry(ctx, mu, lam) for lam in lams] for mu in lams]
+        yield f"level {k}", rows, [j for j, lam in enumerate(lams) if lam[0] <= 2]
+    for kind in (INTEGER, HALF):
+        for r in range(4, 9):
+            family = Family(kind, r)
+            yield f"rank {format_rank(family)}", family.frame_matrix(family.frame_table()), None
+
+
+def adjugate_table() -> int:
+    print(f"\n{'matrix':<10} {'rows':>4} {'expansion ms (spread)':>22} "
+          f"{'elimination ms (spread)':>24} {'ratio':>6}  "
+          f"(EXPANSION_ROWS = {linalg.EXPANSION_ROWS})")
+    threshold = linalg.EXPANSION_ROWS
+    try:
+        for name, rows, cols in adjugate_matrices():
+            timings, results = [], []
+            for limit in (len(rows), 0):   # expand, then eliminate
+                linalg.EXPANSION_ROWS = limit
+                results.append(linalg.adjugate(rows, cols))
+                timings.append(median_ms(lambda: linalg.adjugate(rows, cols)))
+            if results[0] != results[1]:
+                print(f"{name}: the expansion and the elimination differ", file=sys.stderr)
+                return 1
+            (exp, exp_spread), (elim, elim_spread) = timings
+            print(f"{name:<10} {len(rows):>4} {exp:>12.2f} ({exp_spread:>7.2f}) "
+                  f"{elim:>14.2f} ({elim_spread:>7.2f}) {elim / exp:>5.1f}x")
+    finally:
+        linalg.EXPANSION_ROWS = threshold
     return 0
 
 
