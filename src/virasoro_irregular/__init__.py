@@ -24,7 +24,6 @@ from .ring import (
     LaurentPoly,
     NonUnitLeadingCoefficient,
     NotDivisible,
-    RationalFunction,
     RingError,
     TruncatedSeries,
     VarTable,
@@ -53,7 +52,6 @@ __all__ = [
     "ObstructionSet",
     "PotentialDecomposition",
     "RANK_ONE",
-    "RationalFunction",
     "RingError",
     "ScalarCompletion",
     "SolverError",

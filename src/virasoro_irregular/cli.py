@@ -333,7 +333,12 @@ def _build_series(cfg: RunConfig):
     for an error record, and the rest is dropped once the series is built."""
     if cfg.input is not None:
         with open(cfg.input, "r", encoding="utf-8") as handle:
-            source = json.load(handle)
+            try:
+                source = json.load(handle)
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                raise
+            except ValueError as exc:   # an integer past the digit limit
+                raise SerializeError(f"unreadable number in the input: {exc}") from None
         cfg.declared = source.get("meta") if isinstance(source, dict) else None
         return serialize.series_from_doc(source)
     if cfg.family.kind == RANK_ONE:

@@ -11,10 +11,9 @@ graded-lex order and a monomial product is a key sum; a field overflow
 raises :class:`RingError` rather than wrapping.  The denominator is kept
 reduced against the numerators, so all arithmetic is exact and canonical,
 and the public interface still speaks exponent tuples and
-``fractions.Fraction``.  Only the ordinary Verma (rank-one) solve keeps
-denominators, as :class:`RationalFunction` pairs without arithmetic;
-every other operation either stays in the Laurent ring or raises
-:class:`NotDivisible`.
+``fractions.Fraction``.  Every operation either stays in the Laurent ring
+or raises :class:`NotDivisible`; the one polynomial denominator a rank-one
+level needs is stored beside its vector, not in its coefficients.
 """
 
 from __future__ import annotations
@@ -712,62 +711,6 @@ def _poly_exact_div(table: VarTable, a: dict[int, int],
     if not table._in_range(seen):
         return None
     return quot
-
-
-class RationalFunction:
-    """A normalised (numerator, denominator) pair of Laurent polynomials.
-
-    It carries no arithmetic: rank-one solves store their coefficients in
-    it, reports write its two halves, and the re-check clears the
-    denominators itself.  There is no multivariate gcd here: the quotient
-    is reduced when the denominator divides the numerator exactly or is a
-    unit monomial, and a surviving denominator is normalised to leading
-    coefficient one.  A denominator that is already monic is kept as the
-    same object, so the coefficients of one rank-one level share theirs.
-    Equality cross-multiplies.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
-        if den is None:
-            den = LaurentPoly.const(num.table, 1)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        num._check(den)
-        if num.is_zero():
-            den = LaurentPoly.const(num.table, 1)
-        else:
-            try:
-                num = num.exact_div(den)
-                den = LaurentPoly.const(num.table, 1)
-            except NotDivisible:
-                pass
-        _, lead = den.leading()
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den * (1 / lead)
-        self.num = num
-        self.den = den
-
-    @property
-    def table(self) -> VarTable:
-        return self.num.table
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        if self.den.is_constant():
-            return f"RationalFunction({self.num})"
-        return f"RationalFunction(({self.num}) / ({self.den}))"
 
 
 class TruncatedSeries:

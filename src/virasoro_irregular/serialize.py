@@ -1,11 +1,14 @@
 """Exact JSON encoding of series data and verification reports.
 
-Coefficients travel as ``(exponent vector, numerator, denominator)``
-triples, never as decimals, with terms listed in the canonical monomial
-order and document keys emitted sorted.  Equal inputs therefore always
-produce byte-identical documents, and a document written by
-:func:`series_to_doc` can be rebuilt with :func:`series_from_doc` and
-re-verified from scratch.
+Polynomials travel as lists of ``(exponent vector, numerator,
+denominator)`` term records, never as decimals, with terms listed in the
+canonical monomial order and document keys emitted sorted.  A tail
+coefficient is a ``num``/``den`` pair of such lists, and every coefficient
+of one order repeats that order's one denominator: 1 at integer and half
+rank, the level's monic pairing determinant (or 1) at rank one.  Equal
+inputs therefore always produce byte-identical documents, and a document
+written by :func:`series_to_doc` can be rebuilt with :func:`series_from_doc`
+and re-verified from scratch.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from json.encoder import encode_basestring_ascii as quote
 from operator import itemgetter
 
 from .frames import CONVENTIONS, GENERAL, HALF, INTEGER, RANK_ONE, Family
-from .ring import LaurentPoly, RationalFunction, TruncatedSeries, VarTable
+from .ring import LaurentPoly, TruncatedSeries, VarTable
 from .solver import (IrregularSeries, VerificationReport, series_context,
                      series_table)
 from .virasoro import ModuleVector, partition_sort_key
@@ -60,7 +63,7 @@ def parse_rank(text: str) -> Family:
     return Family(RANK_ONE, 1) if r == 1 else Family(INTEGER, r)
 
 
-# ----- polynomial and coefficient terms ---------------------------------------
+# ----- polynomial terms -------------------------------------------------------
 
 _INT = {int}
 _D, _E, _N = itemgetter("d"), itemgetter("e"), itemgetter("n")
@@ -91,44 +94,6 @@ def poly_from_terms(table: VarTable, terms: object) -> LaurentPoly:
     return LaurentPoly.from_triples(table, triples)
 
 
-def coeff_doc(coeff, last: list | None = None) -> dict:
-    """Encode a coefficient, polynomial or quotient, as a num/den pair.
-    ``last``, if given, holds the previous quotient's denominator and its
-    records, reused for the same denominator object."""
-    if not isinstance(coeff, RationalFunction):
-        return {"num": poly_terms(coeff),
-                "den": poly_terms(LaurentPoly.const(coeff.table, 1))}
-    if last and last[0] is coeff.den:
-        records = last[1]
-    else:
-        records = poly_terms(coeff.den)
-        if last is not None:
-            last[:] = coeff.den, records
-    return {"num": poly_terms(coeff.num), "den": records}
-
-
-def coeff_from_doc(table: VarTable, doc: object, rational: bool,
-                   last: list | None = None):
-    """Rebuild a coefficient record.  ``last``, if given, holds the previous
-    ``"den"`` records and their polynomial, reused for equal records."""
-    if not isinstance(doc, dict) or set(doc) != {"num", "den"}:
-        raise SerializeError(f"malformed coefficient record {doc!r}")
-    num = poly_from_terms(table, doc["num"])
-    if last and _same_records(doc["den"], last[0]):
-        den = last[1]
-    else:
-        den = poly_from_terms(table, doc["den"])
-        if den.is_zero():
-            raise SerializeError("coefficient has a zero denominator")
-        if last is not None:
-            last[:] = doc["den"], den
-    if rational:
-        return RationalFunction(num, den)
-    if den != LaurentPoly.const(table, 1):
-        raise SerializeError("polynomial coefficient carries a denominator")
-    return num
-
-
 def _same_records(records: object, seen: list) -> bool:
     """``records == seen``, records already read, down to each number's
     type (``==`` alone takes ``true`` or ``1.0`` for 1)."""
@@ -155,24 +120,39 @@ def partition_from_key(key: str) -> tuple[int, ...]:
     return lam
 
 
-def vector_doc(vec: ModuleVector) -> dict:
-    """Coefficient records by partition key.  A run of quotients over one
-    denominator object (a rank-one level) renders it once, and their
-    ``"den"`` fields hold that one list: copy before editing in place."""
-    last: list = []
-    return {partition_key(lam): coeff_doc(vec.parts[lam], last)
+def vector_doc(vec: ModuleVector, den: LaurentPoly) -> dict:
+    """Coefficient records by partition key, each a ``num``/``den`` pair over
+    the order's one denominator ``den``.  Its records are rendered once, and
+    every ``"den"`` field holds that one list: copy before editing in place."""
+    records = poly_terms(den)
+    return {partition_key(lam): {"num": poly_terms(vec.parts[lam]), "den": records}
             for lam in sorted(vec.parts, key=partition_sort_key)}
 
 
-def vector_from_doc(ctx, doc: object, rational: bool) -> ModuleVector:
-    """Rebuild a vector; a ``"den"`` record equal to the one before it
-    reuses its polynomial, so a rank-one level shares one denominator."""
+def vector_from_doc(ctx, doc: object, k: int,
+                    rational: bool) -> tuple[ModuleVector, LaurentPoly]:
+    """Rebuild order ``k`` of a tail: its numerator vector and the one
+    denominator that every coefficient record must repeat exactly.  A zero
+    denominator is refused, and one other than 1 unless ``rational``."""
     if not isinstance(doc, dict):
         raise SerializeError("vector terms must be a partition-to-coefficient map")
-    last: list = []
-    parts = {partition_from_key(key): coeff_from_doc(ctx.table, value, rational, last)
-             for key, value in doc.items()}
-    return ModuleVector(ctx, parts)
+    table = ctx.table
+    den = one = LaurentPoly.const(table, 1)
+    parts, seen = {}, None
+    for key, record in doc.items():
+        if not isinstance(record, dict) or set(record) != {"num", "den"}:
+            raise SerializeError(f"malformed coefficient record {record!r}")
+        where = f"order {k}, partition {key!r}"
+        if seen is None:
+            seen, den = record["den"], poly_from_terms(table, record["den"])
+            if den.is_zero():
+                raise SerializeError(f"{where}: zero denominator")
+            if not rational and den != one:
+                raise SerializeError(f"{where}: denominator other than 1 off rank one")
+        elif not _same_records(record["den"], seen):
+            raise SerializeError(f"{where}: denominator differs within the order")
+        parts[partition_from_key(key)] = poly_from_terms(table, record["num"])
+    return ModuleVector(ctx, parts), den
 
 
 # ----- series documents ---------------------------------------------------------
@@ -224,8 +204,8 @@ def series_to_doc(series: IrregularSeries) -> dict:
             "g": _indexed_polys(series.g, "j"),
             "constants": _indexed_polys(series.constants, "k"),
             "pending": list(series.pending),
-            "tail": [{"k": k, "terms": vector_doc(vec)}
-                     for k, vec in enumerate(series.vectors)],
+            "tail": [{"k": k, "terms": vector_doc(vec, den)}
+                     for k, (vec, den) in enumerate(zip(series.vectors, series.dens))],
         },
     }
 
@@ -280,20 +260,20 @@ def series_from_doc(doc: object) -> IrregularSeries:
     tail = _require(body, "tail", "series block")
     if not isinstance(tail, list):
         raise SerializeError("tail must be a list of order records")
-    staged: dict[int, ModuleVector] = {}
+    staged: dict[int, tuple[ModuleVector, LaurentPoly]] = {}
     for record in tail:
         k = _require(record, "k", "tail record")
         if type(k) is not int or k in staged:
             raise SerializeError(f"bad or repeated tail order {k!r}")
         staged[k] = vector_from_doc(ctx, _require(record, "terms", "tail record"),
-                                    rational)
+                                    k, rational)
     if sorted(staged) != list(range(order + 1)):
         raise SerializeError(f"tail must cover orders 0..{order} exactly once")
-    vectors = [staged[k] for k in range(order + 1)]
+    vectors, dens = zip(*(staged[k] for k in range(order + 1)))
     return IrregularSeries(
-        family=family, order=order, ctx=ctx, vectors=vectors, nu=nu,
+        family=family, order=order, ctx=ctx, vectors=list(vectors), nu=nu,
         g=g, constants=constants, pending=tuple(pending_doc), pinned=None,
-        convention=convention)
+        convention=convention, dens=list(dens))
 
 
 def check_unknowns(series: IrregularSeries) -> None:

@@ -4,7 +4,8 @@ The integer-rank series lives over the rank ``r-1`` module whose zero-mode
 parameter is primed, expanded in the top polynomial parameter ``c_r``.  The
 half-integer series lives over the same module with the unprimed zero mode,
 expanded in the top eigenvalue slot ``Lam``.  Rank one is solved inside the
-Verma module with rational-function coefficients.
+Verma module one level at a time, each level a polynomial vector over the
+one denominator the series stores beside it.
 
 Each order performs three steps: the descendant coefficients are solved
 from the shifted-word pairings, the flow-recurrence residual is formed once
@@ -16,14 +17,12 @@ substituted must vanish identically.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from operator import mul
 
 from .frames import (CONVENTIONS, GENERAL, HALF, INTEGER, RANK_ONE, DualOperator,
                      Family, conformal_weight, default_central_charge, eigenvalue)
 from .gram import gram_entry, gram_entry_on, solve_descendants
 from .linalg import adjugate, det_from_adjugate, mat_vec
-from .ring import LaurentPoly, NotDivisible, RationalFunction, VarTable, dot
+from .ring import LaurentPoly, NotDivisible, VarTable, dot
 from .virasoro import (ModuleContext, ModuleVector, apply_mode, apply_tilde, combine,
                        partitions_of, verma_context)
 
@@ -69,26 +68,32 @@ def scheduled_unknown(r: int, k: int) -> str:
 class IrregularSeries:
     """Truncated canonical series together with its construction record.
 
-    ``vectors[k]`` is the order-``k`` tail coefficient over the base module
-    context.  ``nu`` and ``g`` hold the solved exponent and
-    essential-singularity data (still-symbolic slots keep their variable).
+    ``vectors[k]`` over ``dens[k]`` is the order-``k`` tail coefficient over
+    the base module context: ``vectors[k]`` has Laurent-polynomial
+    coefficients, and ``dens[k]`` is a nonzero polynomial, 1 at integer and
+    half rank (the default) and at rank one the level's monic pairing
+    determinant, or 1 where that divides every coefficient.  ``nu`` and
+    ``g`` hold the solved exponent and essential-singularity data
+    (still-symbolic slots keep their variable).
     ``pending`` lists the unknowns the truncation cannot determine.
     ``pinned`` maps each unknown an order pinned, in pin order, to the
     constant-term equation, affine in that unknown, that pinned it; it is
     ``None`` where no recursion ran (rank one, a re-ingested report).
     """
 
-    __slots__ = ("family", "order", "ctx", "vectors", "nu", "g", "constants",
+    __slots__ = ("family", "order", "ctx", "vectors", "dens", "nu", "g", "constants",
                  "pending", "pinned", "convention")
 
     def __init__(self, family: Family, order: int, ctx: ModuleContext,
                  vectors: list[ModuleVector], nu: LaurentPoly | None,
                  g: dict[int, LaurentPoly], constants: dict[int, LaurentPoly],
                  pending: tuple[str, ...], pinned: dict[str, LaurentPoly] | None,
-                 convention: str = GENERAL) -> None:
+                 convention: str = GENERAL,
+                 dens: list[LaurentPoly] | None = None) -> None:
         self.family, self.order, self.ctx = family, order, ctx
         self.vectors, self.nu, self.g, self.constants = vectors, nu, g, constants
         self.pending, self.pinned, self.convention = pending, pinned, convention
+        self.dens = dens or [LaurentPoly.const(ctx.table, 1)] * (order + 1)
 
     @property
     def table(self) -> VarTable:
@@ -303,10 +308,6 @@ def solve_half(r: int, order: int, central=None) -> IrregularSeries:
 # ----- rank one --------------------------------------------------------------
 
 
-def _product(table: VarTable, factors: list[LaurentPoly]) -> LaurentPoly:
-    return reduce(mul, factors) if factors else LaurentPoly.const(table, 1)
-
-
 def _pairing_target(mu: tuple[int, ...], s1: LaurentPoly,
                     s2: LaurentPoly) -> LaurentPoly:
     """{L_mu v_k} for a partition ``mu`` of ``k``: each ``L_1`` lowers the
@@ -338,9 +339,10 @@ def solve_rank1(vctx: ModuleContext, lam1: LaurentPoly, lam2: LaurentPoly,
     pairing in closed form (``_pairing_target``), with no reference to the
     lower levels, so ``v_k = adj(G_k) t_k / det(G_k)`` for the level
     pairing matrix ``G_k`` and that target vector ``t_k``.  Both are
-    divided by the leading coefficient of ``det(G_k)`` once per level, so
-    every coefficient of ``v_k`` that keeps a denominator holds that one
-    monic polynomial object.
+    divided by the leading coefficient of ``det(G_k)``, and the level is
+    stored as the polynomial vector ``adj(G_k) t_k`` over that monic
+    denominator, or as the quotient over 1 where ``det(G_k)`` divides every
+    coefficient in the Laurent ring.
     """
     if vctx.rho != 0:
         raise ValueError("rank-one construction needs a Verma context")
@@ -362,14 +364,13 @@ def solve_rank1(vctx: ModuleContext, lam1: LaurentPoly, lam2: LaurentPoly,
     # terms.  Only the adjugate columns where a right-hand side is nonzero
     # are computed (column 0 if none), and the determinant is read off the
     # first through A adj(A) = det(A) I.  All return to the module table by
-    # Delta -> eigenvalue(0) and c -> c_vir, and each coefficient is stored
-    # over the monic det(G_k), cancelled where it divides exactly.
+    # Delta -> eigenvalue(0) and c -> c_vir.
     inv_table = VarTable(("Delta", "c"), (0, 0))
     inv_ctx = verma_context(inv_table, LaurentPoly.var(inv_table, "Delta"),
                             LaurentPoly.var(inv_table, "c"))
     bases = (vctx.eigenvalue(0), vctx.c_vir)
     powers = ([one], [one])   # powers of the bases, extended once per level
-    vectors = [vctx.cyclic(RationalFunction(one))]
+    vectors, dens = [vctx.cyclic()], [one]
     for k in range(1, order + 1):
         lams = partitions_of(k)
         rhs = [_pairing_target(mu, s1, s2) for mu in lams]
@@ -389,12 +390,16 @@ def solve_rank1(vctx: ModuleContext, lam1: LaurentPoly, lam2: LaurentPoly,
         scale = 1 / det.leading()[1]
         det = det * scale
         nums = mat_vec(adj, [t * scale for t in rhs])
-        vectors.append(ModuleVector(vctx, {lam: RationalFunction(p, det)
-                                           for lam, p in zip(lams, nums)}))
+        try:
+            nums, det = [p.exact_div(det) for p in nums], one
+        except NotDivisible:
+            pass
+        vectors.append(ModuleVector(vctx, dict(zip(lams, nums))))
+        dens.append(det)
     return IrregularSeries(
         family=Family(RANK_ONE, 1), order=order, ctx=vctx,
         vectors=vectors, nu=None, g={}, constants={}, pending=(), pinned=None,
-        convention=convention)
+        convention=convention, dens=dens)
 
 
 def rank1_series(order: int, convention: str = GENERAL,
@@ -462,35 +467,15 @@ def _check_flow(series: IrregularSeries, recipe: Recipe,
                    "" if res.is_zero() else repr(res))
 
 
-def _cleared(vec: ModuleVector) -> tuple[LaurentPoly, ModuleVector]:
-    """Common denominator ``D`` of a rank-one vector and ``D`` times it.
-
-    ``D`` is the product of the distinct coefficient denominators, so each
-    numerator is multiplied by the product of the others, its exact
-    quotient ``D / den``; over one shared denominator object the
-    numerators are taken as they are.
-    """
-    table = vec.ctx.table
-    fracs = {lam: (c.num, c.den) if isinstance(c, RationalFunction)
-             else (c, LaurentPoly.const(table, 1)) for lam, c in vec.parts.items()}
-    dens: list[LaurentPoly] = []
-    for _, den in fracs.values():
-        if all(den is not d and den != d for d in dens):
-            dens.append(den)
-    parts = {lam: _product(table, [num, *(d for d in dens
-                                          if d is not den and d != den)])
-             for lam, (num, den) in fracs.items()}
-    return _product(table, dens), ModuleVector(vec.ctx, parts)
-
-
 def _check_rank_one(series: IrregularSeries, report: VerificationReport) -> None:
-    # Each relation is checked on N_k = D_k v_k, which has polynomial
-    # coefficients, after multiplying it through by the denominators it
-    # involves.  Every D_k is a nonzero polynomial (RationalFunction refuses
-    # a zero denominator), so each cleared relation holds exactly when the
-    # original one does, and no rational arithmetic is needed.
+    # Each relation is checked on the stored N_k = D_k v_k, which has
+    # polynomial coefficients, after multiplying it through by the
+    # denominators D_k it involves.  Every D_k is a nonzero polynomial (the
+    # solve and the report reader both refuse a zero one), so each cleared
+    # relation holds exactly when the original one does, and no rational
+    # arithmetic is needed.
     table = series.table
-    dens, nums = zip(*(_cleared(vk) for vk in series.vectors))
+    nums, dens = series.vectors, series.dens
     report.add("normalization", "k = 0", nums[0].constant_term() == dens[0])
     delta = series.ctx.eigenvalue(0)
     for k, nk in enumerate(nums):

@@ -18,6 +18,8 @@ Straightening uses the commutation rule
 
 and memoizes the action of each mode on each basis element per context,
 and with it the pairing of each shifted word against each basis element.
+Every scalar and every vector coefficient, at every rank, is a
+:class:`LaurentPoly` over the context's table.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .ring import LaurentPoly, RationalFunction, VarTable, dot
+from .ring import LaurentPoly, VarTable, dot
 
 Partition = tuple[int, ...]
 
@@ -57,12 +59,6 @@ def is_partition(lam: Iterable[int]) -> bool:
     return all(isinstance(p, int) and p >= 1 for p in lam) and all(
         lam[i] >= lam[i + 1] for i in range(len(lam) - 1)
     )
-
-
-def _coeff_is_zero(c) -> bool:
-    if isinstance(c, (LaurentPoly, RationalFunction)):
-        return c.is_zero()
-    return c == 0
 
 
 # ----- module context -----------------------------------------------------
@@ -218,11 +214,11 @@ def combine(ctx: "ModuleContext", terms: Iterable[tuple[LaurentPoly, "ModuleVect
 def _accumulate(store: dict, key, value) -> None:
     prior = store.get(key)
     if prior is None:
-        if not _coeff_is_zero(value):
+        if value.terms:
             store[key] = value
         return
     total = prior + value
-    if _coeff_is_zero(total):
+    if not total.terms:
         del store[key]
     else:
         store[key] = total
@@ -239,21 +235,22 @@ def verma_context(table: VarTable, delta, c_vir) -> ModuleContext:
 class ModuleVector:
     """Finite linear combination of basis vectors of one module context.
 
-    Coefficients are LaurentPolys, except in rank-one series, whose vectors
-    store RationalFunctions; those carry no arithmetic, so such vectors are
-    only stored, read and serialized.  Zero coefficients are dropped on
+    Coefficients are LaurentPolys at every rank; a rank-one level is stored
+    as its polynomial numerator vector, its one denominator kept beside it
+    (``IrregularSeries.dens``).  Zero coefficients are dropped on
     construction.  Keys are partitions: the constructor does not check
     them, but ``ModuleContext.basis`` and the report reader do.
     """
 
     __slots__ = ("ctx", "parts")
 
-    def __init__(self, ctx: ModuleContext, parts: Mapping[Partition, object] | None = None):
+    def __init__(self, ctx: ModuleContext,
+                 parts: Mapping[Partition, LaurentPoly] | None = None):
         self.ctx = ctx
-        self.parts: dict[Partition, object] = {}
+        self.parts: dict[Partition, LaurentPoly] = {}
         if parts:
             for lam, c in parts.items():
-                if not _coeff_is_zero(c):
+                if c.terms:
                     self.parts[tuple(lam)] = c
 
     @property
@@ -270,7 +267,7 @@ class ModuleVector:
         """Coefficient of the cyclic vector."""
         return self.parts.get((), self.ctx._zero)
 
-    def items(self) -> Iterator[tuple[Partition, object]]:
+    def items(self) -> Iterator[tuple[Partition, LaurentPoly]]:
         return iter(sorted(self.parts.items(), key=lambda kv: partition_sort_key(kv[0])))
 
     def max_weight(self) -> int:
@@ -300,8 +297,6 @@ class ModuleVector:
         return self + (-other)
 
     def scale(self, scalar) -> "ModuleVector":
-        if _coeff_is_zero(scalar):
-            return ModuleVector(self.ctx)
         return self.map_coeffs(lambda c: c * scalar)
 
     __mul__ = scale
@@ -309,7 +304,7 @@ class ModuleVector:
     def split_by_var(self, name: str) -> dict[int, "ModuleVector"]:
         """Decompose as a finite Laurent polynomial in ``name`` with vector
         coefficients free of it."""
-        out: dict[int, dict[Partition, object]] = {}
+        out: dict[int, dict[Partition, LaurentPoly]] = {}
         for lam, c in self.parts.items():
             for d, part in c.split_by_var(name).items():
                 out.setdefault(d, {})[lam] = part

@@ -20,11 +20,9 @@ from hypothesis import given, settings, strategies as st
 from virasoro_irregular import cli
 from virasoro_irregular.cli import main
 from virasoro_irregular.frames import GENERAL, Family, default_central_charge
-from virasoro_irregular.ring import LaurentPoly, RationalFunction, VarTable
+from virasoro_irregular.ring import LaurentPoly, VarTable
 from virasoro_irregular.serialize import (
     SerializeError,
-    coeff_doc,
-    coeff_from_doc,
     format_rank,
     parse_rank,
     partition_from_key,
@@ -161,19 +159,6 @@ def test_poly_from_terms_matches_a_fraction_sum(data):
     assert dict(rebuilt.iter_terms()) == {k: c for k, c in reference.items() if c}
     assert rebuilt.den > 0 and 0 not in rebuilt.terms.values()
     assert gcd(rebuilt.den, *rebuilt.terms.values()) == 1
-
-
-def test_coefficient_docs_cover_quotients():
-    table = VarTable(("Q", "c1"), (0, 1))
-    q = LaurentPoly.var(table, "Q")
-    c1 = LaurentPoly.var(table, "c1")
-    ratio = RationalFunction(q + 1, c1 + q)
-    doc = coeff_doc(ratio)
-    back = coeff_from_doc(table, doc, rational=True)
-    assert back == ratio
-    assert coeff_from_doc(table, coeff_doc(q), rational=False) == q
-    with pytest.raises(SerializeError):
-        coeff_from_doc(table, doc, rational=False)
 
 
 def test_partition_keys_round_trip():
@@ -316,9 +301,9 @@ def _rank1_report(capsys, path, order: int) -> dict:
     return json.loads(path.read_text())
 
 
-def test_unequal_den_records_of_one_level_ingest_to_the_same_values():
-    # the middle coefficient of level 3 carries its quotient scaled by 2, so
-    # the third one's record equals the first's but not the one before it
+def test_unequal_den_records_of_one_level_are_refused():
+    # the middle coefficient of level 3 carries its quotient scaled by 2: the
+    # same value, but a level stores one denominator, so the report is refused
     series = rank1_series(3)
     doc = json.loads(json.dumps(series_to_doc(series)))   # unshare the records
     level = doc["series"]["tail"][3]["terms"]
@@ -326,23 +311,29 @@ def test_unequal_den_records_of_one_level_ingest_to_the_same_values():
     for record in middle["num"] + middle["den"]:
         record["n"] *= 2
     assert first["den"] == last["den"] != middle["den"]
-    rebuilt = series_from_doc(doc)
-    assert rebuilt.vectors[3].parts == series.vectors[3].parts
-    assert verify_canonical(rebuilt).all_ok
+    key = list(level)[1]
+    with pytest.raises(SerializeError, match=f"order 3, partition '{key}': "
+                                             "denominator differs within the order"):
+        series_from_doc(doc)
 
 
 @pytest.mark.parametrize("position", [0, 1])
 def test_verify_input_fails_when_one_shared_den_record_changes(position, tmp_path,
                                                                capsys):
+    # the first record read sets the level's denominator, and any other
+    # record must repeat it: either edit is refused at the second record
     report = tmp_path / "series.json"
     doc = _rank1_report(capsys, report, 3)
-    coeffs = list(doc["series"]["tail"][3]["terms"].values())
+    level = doc["series"]["tail"][3]["terms"]
+    coeffs = list(level.values())
     assert all(c["den"] == coeffs[0]["den"] for c in coeffs)
     coeffs[position]["den"][0]["n"] += 1
     report.write_text(json.dumps(doc))
     code, out = _run_json(capsys, ["verify", "--input", str(report)])
     assert code == 1
-    assert any(entry["status"] == "fail" for entry in out["residuals"])
+    assert out["error"] == {"type": "SerializeError", "message":
+                            f"order 3, partition {list(level)[1]!r}: "
+                            "denominator differs within the order"}
 
 
 @pytest.mark.parametrize("zero", ["empty", "zero term"])
@@ -350,13 +341,56 @@ def test_verify_input_refuses_a_zero_den_record(zero, tmp_path, capsys):
     # a zero denominator once ended verify --input in a ZeroDivisionError
     report = tmp_path / "series.json"
     doc = _rank1_report(capsys, report, 2)
-    coeff = doc["series"]["tail"][2]["terms"]["1,1"]
-    coeff["den"] = [] if zero == "empty" else [dict(coeff["den"][0], n=0)]
+    level = doc["series"]["tail"][2]["terms"]
+    den = [] if zero == "empty" else [dict(level["1,1"]["den"][0], n=0)]
+    for coeff in level.values():
+        coeff["den"] = den
     report.write_text(json.dumps(doc))
     code, out = _run_json(capsys, ["verify", "--input", str(report)])
     assert code == 1
-    assert out["error"] == {"type": "SerializeError",
-                            "message": "coefficient has a zero denominator"}
+    assert out["error"] == {"type": "SerializeError", "message":
+                            f"order 2, partition {list(level)[0]!r}: zero denominator"}
+
+
+@pytest.mark.parametrize("rank", ["2", "3/2"])
+def test_verify_input_refuses_a_den_other_than_one_off_rank_one(rank, tmp_path, capsys):
+    # a whole level over 2, every record alike: the value is halved, and only
+    # rank one stores a denominator, so the report is refused before any check
+    report = tmp_path / "series.json"
+    code, _ = _run(capsys, ["construct", "--rank", rank, "--order", "2",
+                            "--format", "json", "--output", str(report)])
+    assert code == 0
+    doc = json.loads(report.read_text())
+    level = doc["series"]["tail"][1]["terms"]
+    for coeff in level.values():
+        coeff["den"] = [dict(coeff["den"][0], n=2)]
+    report.write_text(json.dumps(doc))
+    code, out = _run_json(capsys, ["verify", "--input", str(report)])
+    assert code == 1
+    assert out["error"] == {"type": "SerializeError", "message":
+                            f"order 1, partition {list(level)[0]!r}: "
+                            "denominator other than 1 off rank one"}
+
+
+def test_verify_input_refuses_an_integer_past_the_digit_limit(tmp_path, capsys):
+    # json.load raises a plain ValueError for an integer longer than
+    # sys.get_int_max_str_digits() (4,300 by default), which once ended in a
+    # traceback
+    report = tmp_path / "series.json"
+    code, _ = _run(capsys, ["construct", "--rank", "2", "--order", "1",
+                            "--format", "json", "--output", str(report)])
+    assert code == 0
+    text = report.read_text()
+    report.write_text(text.replace('"n": 1', '"n": ' + "7" * 5001, 1))
+    code, out = _run_json(capsys, ["verify", "--input", str(report)])
+    assert code == 1
+    assert out["error"]["type"] == "SerializeError"
+    assert out["meta"] == {"rank": None, "K": None, "convention": None, "central": None}
+    # malformed JSON keeps its own record
+    report.write_text(text[:-3])
+    code, out = _run_json(capsys, ["verify", "--input", str(report)])
+    assert code == 1
+    assert out["error"]["type"] == "JSONDecodeError"
 
 
 def test_verify_spot_checks_the_half_rank(capsys):
@@ -734,7 +768,7 @@ def test_error_record_carries_the_input_meta_and_central(tmp_path, capsys):
     (("meta", "K"), True),
     (("series", "tail", 1, "k"), True),
     (("variables", "weights", 3), True),
-    # a den record equal in value to the one before it, which is reused
+    # a den record equal in value to the order's first, which it must repeat
     (("series", "tail", 1, "terms", "2", "den", 0, "n"), True),
     (("series", "tail", 1, "terms", "2", "den", 0, "e", 0), False),
 ])

@@ -89,6 +89,7 @@ def _table_values(argv: list[str]) -> dict:
 @example(["construct", "-h", "--"])             # help before "--" is read
 @example(["construct", "--rank", "2", "--", "-h"])    # and after it is not
 @example(["gauge", "--rank", "-1", "--central", "-Q + 1", "--order=-0"])
+@example(["construct", "--rank", "1", "--b", "-5\n"])   # a newline in the error line
 def test_the_parser_reads_every_argv_as_argparse_did(argv):
     expected, _, _ = _read(_argparse_values, argv)
     actual, out, err = _read(_table_values, argv)
@@ -96,7 +97,9 @@ def test_the_parser_reads_every_argv_as_argparse_did(argv):
     if actual == 0:
         assert out.startswith("usage: virasoro-irregular") and not err
     elif actual == 2:
-        usage, error = err.splitlines()
+        # the error line echoes arguments as given, newlines included, as
+        # argparse did, so only the first line break ends the usage line
+        usage, error = err.split("\n", 1)
         assert usage.startswith("usage: virasoro-irregular") and not out
         assert error.startswith("virasoro-irregular: error: ")
 

@@ -11,7 +11,6 @@ from virasoro_irregular.ring import (
     LaurentPoly,
     NonUnitLeadingCoefficient,
     NotDivisible,
-    RationalFunction,
     RingError,
     TruncatedSeries,
     VarTable,
@@ -170,60 +169,6 @@ def test_str_is_deterministic_graded_lex():
     c2 = LaurentPoly.var(TABLE, "c2")
     p = c1 - c2 ** 2 + 1
     assert str(p) == "-c2^2 + c1 + 1"
-
-
-def test_rational_function_reduces_exact_quotients():
-    c1 = LaurentPoly.var(TABLE, "c1")
-    q = LaurentPoly.var(TABLE, "Q")
-    one = LaurentPoly.const(TABLE, 1)
-    r = RationalFunction((q + 1) * c1, c1)
-    assert (r.num, r.den) == (q + 1, one)
-    s = RationalFunction(q, q + 1)
-    assert (s.num, s.den) == (q, q + 1)
-    # equality cross-multiplies, so an unreduced pair equals its reduction
-    assert s == RationalFunction(q * c1, (q + 1) * c1)
-    assert s != RationalFunction(q, q + 2)
-
-
-def test_rational_function_constructor_normalises():
-    # These rules fix the bytes of every rank-one report.
-    c1 = LaurentPoly.var(TABLE, "c1")
-    q = LaurentPoly.var(TABLE, "Q")
-    one = LaurentPoly.const(TABLE, 1)
-    zero = LaurentPoly.zero(TABLE)
-    # an exact quotient collapses to denominator one
-    exact = RationalFunction((q + 1) * (c1 + 2), (c1 + 2) * 3)
-    assert (exact.num, exact.den) == ((q + 1) * Fraction(1, 3), one)
-    unit = RationalFunction(q, c1 * 2)
-    assert (unit.num, unit.den) == (q * c1 ** -1 * Fraction(1, 2), one)
-    # a zero numerator gets denominator one
-    nothing = RationalFunction(zero, q + c1)
-    assert nothing.is_zero() and (nothing.num, nothing.den) == (zero, one)
-    # a kept denominator has leading coefficient one
-    kept = RationalFunction(q, q * 2 + c1 * 4)
-    assert kept.den.leading()[1] == 1
-    assert (kept.num, kept.den) == (q * Fraction(1, 2), q + c1 * 2)
-    # a zero denominator is refused
-    with pytest.raises(ZeroDivisionError):
-        RationalFunction(q, zero)
-
-
-def test_rational_function_keeps_a_monic_denominator_object():
-    # a rank-one level stores all its coefficients over one monic object
-    c1 = LaurentPoly.var(TABLE, "c1")
-    q = LaurentPoly.var(TABLE, "Q")
-    den = q * q + c1 * 3
-    assert den.leading()[1] == 1
-    nums = [q + c1, q * c1 - 2, c1 * Fraction(1, 5)]
-    kept = [RationalFunction(num, den) for num in nums]
-    assert all(r.den is den and r.num is num for r, num in zip(kept, nums))
-    # a denominator with another leading coefficient is divided by it,
-    # together with the numerator
-    scaled = RationalFunction(nums[0], den * Fraction(-2, 3))
-    assert (scaled.num, scaled.den) == (nums[0] * Fraction(-3, 2), den)
-    # an exact quotient still collapses to denominator one
-    exact = RationalFunction(den * (q + 1), den)
-    assert (exact.num, exact.den) == (q + 1, LaurentPoly.const(TABLE, 1))
 
 
 def dense(lo: int, coeffs: list[LaurentPoly], hi: int | None) -> TruncatedSeries:

@@ -20,8 +20,7 @@ from virasoro_irregular.frames import (
     eigenvalue,
 )
 from virasoro_irregular.gram import GramError, gram_entry, gram_entry_on
-from virasoro_irregular.ring import (LaurentPoly, NotDivisible, RationalFunction, RingError,
-                                     VarTable)
+from virasoro_irregular.ring import LaurentPoly, NotDivisible, RingError, VarTable
 from virasoro_irregular.serialize import dumps, series_from_doc, series_to_doc
 from virasoro_irregular.solver import (
     HALF,
@@ -208,12 +207,12 @@ def test_specialising_q_commutes_with_the_central_override(kind, r, q):
 def test_specialising_q_commutes_with_the_central_override_at_rank_one(q):
     generic, special = _rank1(3), rank1_series(3, central=1 + 6 * q * q)
     sub = _at_q(q)
-    for gv, sv in zip(generic.vectors, special.vectors, strict=True):
+    levels = zip(generic.vectors, generic.dens, special.vectors, special.dens, strict=True)
+    for gv, gd, sv, sd in levels:
         assert gv.parts.keys() == sv.parts.keys()
+        assert not sub(gd).is_zero() and not sub(sd).is_zero()
         for lam, a in gv.parts.items():
-            b = sv.parts[lam]
-            assert not sub(a.den).is_zero() and not sub(b.den).is_zero()
-            assert sub(a.num) * sub(b.den) == sub(b.num) * sub(a.den), lam
+            assert sub(a) * sub(sd) == sub(sv.parts[lam]) * sub(gd), lam
 
 
 def _relation_oracle(kind: str, r: int, table: VarTable,
@@ -482,54 +481,72 @@ def test_in_solve_residual_check_rejects_a_stale_substitution(solve, r, monkeypa
         solve(r, 4)
 
 
+# ----- one coefficient type ------------------------------------------------------
+
+
+def test_every_order_is_a_polynomial_vector_over_one_stored_denominator():
+    # rank one in both conventions, integer ranks 2 and 3 and half rank 2
+    # (3/2), after the solve and after a report round trip: every coefficient
+    # is a LaurentPoly, there is one denominator per order, monic at rank
+    # one and 1 elsewhere
+    cases = [*((True, lambda k, c=c: _rank1(k, c), range(6)) for c in (GENERAL, DISPLAY)),
+             (False, lambda k: _integer(2, k), range(4)),
+             (False, lambda k: _integer(3, k), range(3)),
+             (False, lambda k: _half(2, k), range(4))]
+    for rank_one, build, orders in cases:
+        for order in orders:
+            solved = build(order)
+            rebuilt = series_from_doc(json.loads(dumps(series_to_doc(solved))))
+            one = LaurentPoly.const(solved.table, 1)
+            for series in (solved, rebuilt):
+                assert len(series.vectors) == len(series.dens) == order + 1
+                assert all(type(c) is LaurentPoly
+                           for vk in series.vectors for c in vk.parts.values())
+                for den in series.dens:
+                    assert type(den) is LaurentPoly
+                    assert den.leading()[1] == 1 if rank_one else den == one
+
+
 # ----- rank one ----------------------------------------------------------------
 
 
 def test_rank1_level_one_vector_general_convention():
+    # v_1 = (2Q - c0) / (2 (Q c0 - c0^2)) b_(1): the level's denominator is
+    # kept, divided by its leading coefficient, and so is the numerator
     s = _rank1(2, GENERAL)
     t = s.table
     q, c0 = _v(t, "Q"), _v(t, "c0")
-    expected = RationalFunction(q * 2 - c0, (q * c0 - c0 * c0) * 2)
-    assert s.vectors[1].coeff((1,)) == expected
-    assert s.vectors[1].coeff(()).is_zero()
+    assert s.vectors[1].parts == {(1,): (q * 2 - c0) * Fraction(1, 2)}
+    assert s.dens[1] == q * c0 - c0 * c0
 
 
 def test_rank1_level_one_vector_display_convention():
+    # v_1 = b_(1) / c0: the determinant c0 divides the level in the Laurent
+    # ring, so the level reduces to a quotient over 1
     s = _rank1(2, DISPLAY)
     t = s.table
-    assert s.vectors[1].coeff((1,)) == RationalFunction(
-        LaurentPoly.const(t, 1), _v(t, "c0"))
+    assert s.vectors[1].parts == {(1,): _v(t, "c0", -1)}
+    assert s.dens[1] == LaurentPoly.const(t, 1)
 
 
 @pytest.mark.parametrize("convention", [GENERAL, DISPLAY])
 def test_rank1_levels_share_one_monic_denominator(convention):
-    # every coefficient of v_k is stored over the one monic det(G_k) object,
-    # after the solve and again after a report round trip
+    # every level of v_k is stored over one monic det(G_k), or over 1 where
+    # that divides the whole level, after the solve and again after a
+    # report round trip; no level is left over an exactly dividing one
     solved = _rank1(5, convention)
     rebuilt = series_from_doc(json.loads(dumps(series_to_doc(solved))))
+    one = LaurentPoly.const(solved.table, 1)
     for series in (solved, rebuilt):
-        for vk in series.vectors:
-            dens = [c.den for c in vk.parts.values()]
-            assert all(den is dens[0] for den in dens)
-            assert dens[0].leading()[1] == 1
+        for vk, den in zip(series.vectors, series.dens, strict=True):
+            assert den.leading()[1] == 1
+            if den != one:
+                with pytest.raises(NotDivisible):
+                    for c in vk.parts.values():
+                        c.exact_div(den)
     assert [len(vk.parts) for vk in solved.vectors] == [1, 1, 2, 3, 5, 7]
     assert all(a.parts == b.parts for a, b in zip(solved.vectors, rebuilt.vectors))
-
-
-def _cleared_levels(series: IrregularSeries) -> list[tuple[LaurentPoly, ModuleVector]]:
-    """``(D_k, D_k v_k)`` per level, ``D_k`` the product of v_k's distinct
-    denominators, so that ``D_k v_k`` has polynomial coefficients."""
-    out = []
-    for vec in series.vectors:
-        dens: list[LaurentPoly] = []
-        for c in vec.parts.values():
-            if all(c.den != d for d in dens):
-                dens.append(c.den)
-        d = LaurentPoly.const(series.table, 1)
-        for den in dens:
-            d = d * den
-        out.append((d, vec.map_coeffs(lambda c: c.num * d.exact_div(c.den))))
-    return out
+    assert rebuilt.dens == solved.dens
 
 
 @pytest.mark.parametrize("convention", [GENERAL, DISPLAY])
@@ -538,7 +555,7 @@ def test_rank1_forward_relations(convention):
     # involves, so it is checked on polynomial vectors
     s = _rank1(3, convention)
     t = s.table
-    (d0, n0), (d1, n1), (d2, n2), (_, n3) = _cleared_levels(s)
+    (n0, n1, n2, n3), (d0, d1, d2, _) = s.vectors, s.dens
     lam1 = eigenvalue(t, 1, ("c1",), convention=convention)
     s1 = lam1.exact_div(_v(t, "c1"))
     assert apply_mode(n1, 1).scale(d0) == n0.scale(s1 * d1)
@@ -552,12 +569,11 @@ def test_rank1_forward_relations(convention):
 
 def test_rank1_perturbations_are_caught():
     s = _rank1(3, GENERAL)
-    off_level = s.vectors[1] + s.ctx.cyclic(
-        RationalFunction(LaurentPoly.const(s.table, 1)))
+    off_level = s.vectors[1] + s.ctx.cyclic()
     assert not verify_canonical(_with_vector(s, 1, off_level)).all_ok
-    # v_1 plus the basis vector b_(1): its coefficient c becomes c + 1
+    # v_1 plus the basis vector b_(1): its numerator gains the denominator
     c = s.vectors[1].coeff((1,))
-    in_level = _with_coeff(s, 1, (1,), RationalFunction(c.num + c.den, c.den))
+    in_level = _with_coeff(s, 1, (1,), c + s.dens[1])
     assert not verify_canonical(in_level).all_ok
 
 
@@ -570,7 +586,7 @@ def test_rank1_pairings_take_their_closed_form(convention):
     c1 = _v(t, "c1")
     s1, s2 = (eigenvalue(t, n, ("c1",), convention=convention).exact_div(c1 ** n)
               for n in (1, 2))
-    for k, (d, n_k) in enumerate(_cleared_levels(s)):
+    for k, (n_k, d) in enumerate(zip(s.vectors, s.dens)):
         for mu in partitions_of(k):
             expected = d * s1 ** mu.count(1) * s2 ** mu.count(2)
             if mu and mu[0] >= 3:
@@ -601,28 +617,28 @@ def _bump_lead(poly: LaurentPoly) -> LaurentPoly:
 
 
 def _with_coeff(series: IrregularSeries, k: int, lam: tuple[int, ...],
-                coeff: RationalFunction) -> IrregularSeries:
+                coeff: LaurentPoly) -> IrregularSeries:
     vec = series.vectors[k]
     return _with_vector(series, k, ModuleVector(vec.ctx, {**vec.parts, lam: coeff}))
 
 
+def _with_level(series: IrregularSeries, k: int, vec: ModuleVector,
+                den: LaurentPoly) -> IrregularSeries:
+    dens = list(series.dens)
+    dens[k] = den
+    return _replaced(_with_vector(series, k, vec), dens=dens)
+
+
 @pytest.mark.parametrize("convention", [GENERAL, DISPLAY])
 def test_rank1_check_accepts_mixed_denominators(convention):
-    # one coefficient of each v_k rewritten as (num f) / (den f): the value,
-    # and so every relation, is unchanged, but v_k's coefficients no longer
-    # share one denominator (a polynomial coefficient would just reduce back)
+    # v_0 and v_2 rewritten as (N f, D f), v_1 and v_3 left reduced: every
+    # value, and so every relation, is unchanged, though the levels no longer
+    # carry their reduced denominators alike
     s = clean = _rank1(3, convention)
     f = _v(s.table, "Q") + _v(s.table, "c0", 2) + 1
-    rewritten = 0
-    for k in range(1, s.order + 1):
-        for lam, c in sorted(s.vectors[k].parts.items()):
-            if not c.den.is_constant():
-                mixed = RationalFunction(c.num * f, c.den * f)
-                assert mixed.den != c.den
-                s = _with_coeff(s, k, lam, mixed)
-                rewritten += 1
-                break
-    assert rewritten >= 2
+    for k in (0, 2):
+        s = _with_level(s, k, s.vectors[k].scale(f), s.dens[k] * f)
+    assert s.dens[0] == f and s.dens[2] != clean.dens[2]
     report = verify_canonical(s)
     assert report.all_ok
     assert len(report.checks) == len(verify_canonical(clean).checks)
@@ -632,14 +648,14 @@ def test_rank1_check_accepts_mixed_denominators(convention):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("side", ["num", "den"])
 def test_rank1_check_catches_a_changed_term(convention, k, side):
+    # a numerator changed in one coefficient, or the level's one denominator
     s = _rank1(3, convention)
-    lam, c = max(s.vectors[k].parts.items())
-    num, den = c.num, c.den
     if side == "num":
-        num = _bump_lead(num)
+        lam, c = max(s.vectors[k].parts.items())
+        s = _with_coeff(s, k, lam, _bump_lead(c))
     else:
-        den = _bump_lead(den)
-    report = verify_canonical(_with_coeff(s, k, lam, RationalFunction(num, den)))
+        s = _with_level(s, k, s.vectors[k], _bump_lead(s.dens[k]))
+    report = verify_canonical(s)
     # grading only sees the support, so a mode relation is what fails
     failed = {check.relation for check in report.failures()}
     assert failed & {"mode 1 relation", "mode 2 relation"}
@@ -648,21 +664,18 @@ def test_rank1_check_catches_a_changed_term(convention, k, side):
 
 @pytest.mark.parametrize("convention", [GENERAL, DISPLAY])
 def test_rank1_check_without_nested_denominators(convention):
-    # every coefficient of v_2 rewritten as (num f) / (den f): D_2 gains the
-    # factor f, which D_3 lacks, so the re-check cannot divide D_3 by D_2 and
-    # cross-multiplies L_1 v_3 = s_1 v_2 instead; it still accepts the
-    # series, and that relation still catches a changed coefficient of v_3
+    # all of level 2 stored as (N_2 f, D_2 f): D_2 gains the factor f, which
+    # D_3 lacks, so the re-check cannot divide D_3 by D_2 and cross-multiplies
+    # L_1 v_3 = s_1 v_2 instead; it still accepts the series, and that
+    # relation still catches a changed coefficient of v_3
     s = _rank1(3, convention)
     f = _v(s.table, "Q") + _v(s.table, "c0", 2) + 1
-    v2 = s.vectors[2]
-    s = _with_vector(s, 2, ModuleVector(v2.ctx, {
-        lam: RationalFunction(c.num * f, c.den * f) for lam, c in v2.parts.items()}))
+    s = _with_level(s, 2, s.vectors[2].scale(f), s.dens[2] * f)
     with pytest.raises(NotDivisible):
-        solver._cleared(s.vectors[3])[0].exact_div(solver._cleared(s.vectors[2])[0])
+        s.dens[3].exact_div(s.dens[2])
     assert verify_canonical(s).all_ok
     lam, c = max(s.vectors[3].parts.items())
-    report = verify_canonical(
-        _with_coeff(s, 3, lam, RationalFunction(_bump_lead(c.num), c.den)))
+    report = verify_canonical(_with_coeff(s, 3, lam, _bump_lead(c)))
     (mode1,) = [check for check in report.checks if check.relation == "mode 1 relation"]
     assert not mode1.ok and mode1.detail.startswith("k=3:")
 
@@ -670,7 +683,7 @@ def test_rank1_check_without_nested_denominators(convention):
 @pytest.mark.parametrize("convention", [GENERAL, DISPLAY])
 def test_rank1_check_catches_a_changed_normalization(convention):
     s = _rank1(3, convention)
-    two = RationalFunction(LaurentPoly.const(s.table, 2))
+    two = LaurentPoly.const(s.table, 2)
     report = verify_canonical(_with_vector(s, 0, s.ctx.cyclic(two)))
     assert "normalization" in {check.relation for check in report.failures()}
 
@@ -752,19 +765,18 @@ def test_integer_r2_relations_hold_in_the_realized_rank1_module():
     # by one nonzero polynomial preserves the zero checks.  Clearing the
     # level denominators once keeps all the windowed arithmetic polynomial.
     dens: list[LaurentPoly] = []
-    for m in range(depth + 1):
-        for _, f in s1.vectors[m].items():
-            if not any(f.den == d for d in dens):
-                dens.append(f.den)
+    for d in s1.dens:
+        if not any(d == e for e in dens):
+            dens.append(d)
 
-    def cleared(f: RationalFunction) -> LaurentPoly:
-        out = f.num
+    def cleared(m: int) -> ModuleVector:
+        out = s1.vectors[m]
         for d in dens:
-            if d != f.den:
-                out = out * d
+            if d != s1.dens[m]:
+                out = out.scale(d)
         return out
 
-    scaled = [s1.vectors[m].map_coeffs(cleared) for m in range(depth + 1)]
+    scaled = [cleared(m) for m in range(depth + 1)]
 
     def realized(vec: ModuleVector) -> _WindowedTail:
         out: dict[int, ModuleVector] = {}
