@@ -352,32 +352,29 @@ def _meta(cfg: RunConfig, central: LaurentPoly | None = None) -> dict:
         "rank": None if cfg.family is None else format_rank(cfg.family),
         "K": cfg.order,
         "convention": cfg.convention,
-        "central": None if central is None else poly_terms(central),
+        "central": central,
     }
 
 
-def _error_meta(cfg: RunConfig) -> dict:
-    """Meta block of an error record.
+def _error_doc(cfg: RunConfig, exc: Exception) -> dict:
+    """Error record of ``exc``.
 
-    It carries ``--central`` as given, over the variables ``Q`` and ``c0``.
-    For ``verify --input``, which takes no ``--central``, the rank, order,
-    convention and central charge are those the input declares (the central
-    charge as its term records, over the input's own variables), each
-    ``None`` where the input's meta block does not supply it or the input
-    could not be read as JSON.
+    Its meta block carries ``--central`` as given, over the variables ``Q``
+    and ``c0``.  For ``verify --input``, which takes no ``--central``, the
+    rank, order, convention and central charge are those the input declares
+    (the central charge as its term records, over the input's own
+    variables), each ``None`` where the input's meta block does not supply
+    it or the input could not be read as JSON.
     """
     meta = _meta(cfg, cfg.central)
-    if cfg.input is None:
-        return meta
-    declared = cfg.declared
-    if not isinstance(declared, dict):
-        declared = {}
-    for key, kind in (("rank", str), ("K", int), ("convention", str)):
-        value = declared.get(key)
-        meta[key] = value if type(value) is kind else None
-    central = declared.get("central")
-    meta["central"] = central if _is_term_list(central) else None
-    return meta
+    if cfg.input is not None:
+        declared = cfg.declared if isinstance(cfg.declared, dict) else {}
+        for key, kind in (("rank", str), ("K", int), ("convention", str)):
+            value = declared.get(key)
+            meta[key] = value if type(value) is kind else None
+        central = declared.get("central")
+        meta["central"] = central if _is_term_list(central) else None
+    return {"meta": meta, "error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
 def _is_term_list(value: object) -> bool:
@@ -387,24 +384,6 @@ def _is_term_list(value: object) -> bool:
         and isinstance(term["e"], list) and all(type(e) is int for e in term["e"])
         and type(term["n"]) is int and type(term["d"]) is int and term["d"] != 0
         for term in value)
-
-
-def _matrix_terms(rows: list[list[LaurentPoly]]) -> list[list[list[dict]]]:
-    return [[poly_terms(entry) for entry in row] for row in rows]
-
-
-def _fields_doc(fields) -> list[dict]:
-    return [{"mode": mode,
-             "components": {name: poly_terms(poly)
-                            for name, poly in sorted(comps.items())}}
-            for mode, comps in enumerate(fields)]
-
-
-def _dual_doc(op) -> dict:
-    return {"var": op.var,
-            "orders": [{"i": i, "terms": [{"n": n, "poly": poly_terms(poly)}
-                                          for n, poly in sorted(level.items())]}
-                       for i, level in enumerate(op.orders)]}
 
 
 # ----- subcommands --------------------------------------------------------------
@@ -437,18 +416,19 @@ def _cmd_frames(cfg: RunConfig) -> tuple[int, dict]:
     expected = family.expected_det(table)
     det = det_bareiss(matrix)
     ok = det == expected
+    op = family.dual_operator(table)
     doc = {
         "meta": {"rank": format_rank(family), "K": None,
                  "convention": cfg.convention, "central": None},
         "variables": serialize.variables_doc(table),
         "frames": {
-            "matrix": _matrix_terms(matrix),
-            "det": poly_terms(det),
-            "expected_det": poly_terms(expected),
-            "det_matches": ok,
-            "inverse": _matrix_terms(inverse_exact(matrix)),
-            "fields": _fields_doc(family.fields(table)),
-            "dual": _dual_doc(family.dual_operator(table)),
+            "matrix": matrix, "det": det, "expected_det": expected, "det_matches": ok,
+            "inverse": inverse_exact(matrix),
+            "fields": [{"mode": mode, "components": dict(sorted(comps.items()))}
+                       for mode, comps in enumerate(family.fields(table))],
+            "dual": {"var": op.var, "orders": [
+                {"i": i, "terms": [{"n": n, "poly": poly} for n, poly in sorted(level.items())]}
+                for i, level in enumerate(op.orders)]},
         },
         "residuals": [{"relation": "frame determinant closed form",
                        "window": f"rank {format_rank(family)}",
@@ -473,24 +453,19 @@ def _cmd_gram(cfg: RunConfig) -> tuple[int, dict]:
             record = {
                 "lo": lo, "hi": hi, "size": len(parts),
                 "partitions": [serialize.partition_key(lam) for lam in parts],
-                "matrix": _matrix_terms(rows),
-                "det": poly_terms(det),
+                "matrix": rows, "det": det,
             }
             try:
                 exponent, ratio = pure_power_factor(det, base)
-                record["factored"] = {"base": poly_terms(base), "exponent": exponent,
+                record["factored"] = {"base": base, "exponent": exponent,
                                       "ratio": {"n": ratio.numerator,
                                                 "d": ratio.denominator}}
             except GramError as exc:
                 record["factored"] = None
                 record["detail"] = str(exc)
             blocks.append(record)
-    doc = {
-        "meta": _meta(cfg),
-        "variables": serialize.variables_doc(table),
-        "gram": {"base": poly_terms(base), "blocks": blocks},
-    }
-    return 0, doc
+    return 0, {"meta": _meta(cfg), "variables": serialize.variables_doc(table),
+               "gram": {"base": base, "blocks": blocks}}
 
 
 def _cmd_gauge(cfg: RunConfig) -> tuple[int, dict]:
@@ -513,20 +488,16 @@ def _cmd_gauge(cfg: RunConfig) -> tuple[int, dict]:
                       "window": gauge.window_str(certificate),
                       "status": "ok" if cert_ok else "fail"})
     residuals.extend(serialize.report_doc(applied))
-    table = series.table
     gauge_doc = {
         "a": [serialize.truncated_doc(a) for a in obs.a],
-        "g0": poly_terms(decomp.g0),
-        "nu": [{"j": j, "poly": poly_terms(decomp.nu[j])} for j in sorted(decomp.nu)],
+        "g0": decomp.g0,
+        "nu": [{"j": j, "poly": decomp.nu[j]} for j in sorted(decomp.nu)],
         "passives": list(decomp.passives),
         "sigma": None,
     }
     if completion is not None:
-        gauge_doc["sigma"] = {
-            "bound": completion.bound,
-            "scalars": [poly_terms(sigma.migrate(table))
-                        for sigma in completion.sigma],
-        }
+        gauge_doc["sigma"] = {"bound": completion.bound, "scalars": [
+            sigma.migrate(series.table) for sigma in completion.sigma]}
     ok = frob.all_ok and cert_ok and applied.all_ok
     doc = serialize.series_header(series)
     doc["gauge"] = gauge_doc
@@ -546,33 +517,26 @@ HANDLERS = {
 # ----- rendering ----------------------------------------------------------------
 
 
-def _poly_text(table: VarTable | None, terms: list) -> str:
-    if not terms:
-        return "0"
-    if table is None or any(len(item["e"]) != len(table) for item in terms):
-        return json.dumps(terms, sort_keys=True)
-    return str(serialize.poly_from_terms(table, terms))
-
-
-def _scalar_text(table: VarTable | None, node: object) -> str | None:
-    """Render leaf nodes: term lists, coefficient pairs, plain scalars."""
+def _scalar_text(records: bool, node: object) -> str | None:
+    """Render leaf nodes: polynomials (as their term records where
+    ``records``), coefficient pairs, plain scalars."""
     if node is None or isinstance(node, (bool, int, str)):
         return str(node)
-    if node == []:
-        return "[]"
-    if _is_term_list(node):
-        return _poly_text(table, node)
+    if isinstance(node, LaurentPoly):
+        if not (records or node.is_zero()):
+            return str(node)
+        node = poly_terms(node)
+    if _is_term_list(node):     # also [] and the central charge an input declares
+        return json.dumps(node, sort_keys=True)
     if isinstance(node, dict) and set(node) == {"num", "den"}:
-        num = _poly_text(table, node["num"])
-        den = _poly_text(table, node["den"])
+        num, den = str(node["num"]), str(node["den"])
         return num if den == "1" else f"({num}) / ({den})"
     if isinstance(node, dict) and set(node) == {"n", "d"}:
         return str(Fraction(node["n"], node["d"]))
     return None
 
 
-def _render_lines(node: object, table: VarTable | None, indent: int,
-                  lines: list[str]) -> None:
+def _render_lines(node: object, records: bool, indent: int, lines: list[str]) -> None:
     pad = "  " * indent
     if isinstance(node, dict):
         for key, value in node.items():
@@ -581,34 +545,31 @@ def _render_lines(node: object, table: VarTable | None, indent: int,
                              f" [{node['window']}]")
                 return
             label = key if key else "u"
-            leaf = _scalar_text(table, value)
+            leaf = _scalar_text(records, value)
             if leaf is not None:
                 lines.append(f"{pad}{label}: {leaf}")
             else:
                 lines.append(f"{pad}{label}:")
-                _render_lines(value, table, indent + 1, lines)
+                _render_lines(value, records, indent + 1, lines)
         return
     if isinstance(node, list):
         for index, item in enumerate(node):
-            leaf = _scalar_text(table, item)
+            leaf = _scalar_text(records, item)
             if leaf is not None:
                 lines.append(f"{pad}[{index}] {leaf or 'u'}")
             else:
                 lines.append(f"{pad}[{index}]")
-                _render_lines(item, table, indent + 1, lines)
+                _render_lines(item, records, indent + 1, lines)
         return
     lines.append(f"{pad}{node!r}")
 
 
 def render_text(doc: dict) -> str:
-    """Human-readable rendering of the same report tree as the JSON form."""
-    table: VarTable | None = None
-    header = doc.get("variables")
-    if (isinstance(header, dict) and isinstance(header.get("names"), list)
-            and isinstance(header.get("weights"), list)):
-        table = VarTable(tuple(header["names"]), tuple(header["weights"]))
+    """Human-readable rendering of the same report tree as the JSON form; an
+    error record, which has no variables block, shows polynomials as their
+    term records."""
     lines: list[str] = []
-    _render_lines(doc, table, 0, lines)
+    _render_lines(doc, "variables" not in doc, 0, lines)
     return "\n".join(lines) + "\n"
 
 
@@ -662,10 +623,16 @@ def main(argv: list[str] | None = None) -> int:
         code, doc = HANDLERS[cfg.command](cfg)
     except (RingError, SolverError, gauge.GaugeError, SerializeError,
             json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
-        code = 1
-        doc = {"meta": _error_meta(cfg),
-               "error": {"type": type(exc).__name__, "message": str(exc)}}
-    _emit(cfg, doc)
+        code, doc = 1, _error_doc(cfg, exc)
+    try:
+        _emit(cfg, doc)
+    except ValueError as exc:   # a number past sys.get_int_max_str_digits()
+        error = SerializeError(f"the report cannot be written: {exc}")
+        if cfg.output and not _writes_in_place(cfg.output):
+            _emit(cfg, _error_doc(cfg, error))  # the record replaces the report
+        else:   # part of the report may be out already
+            print(f"{PROG}: error: {error}", file=sys.stderr)
+        return 1
     return code
 
 

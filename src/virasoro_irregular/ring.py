@@ -121,7 +121,7 @@ class VarTable:
 
     def unpack(self, key: int) -> tuple[int, ...]:
         """Exponent vector of a packed key."""
-        return tuple((key >> s & _MASK) - _BIAS for s in self._shifts)
+        return tuple([(key >> s & _MASK) - _BIAS for s in self._shifts])
 
     def _in_range(self, keys_or: int) -> bool:
         """Whether keys, given as the bitwise or of them all, are all valid.
@@ -196,9 +196,9 @@ class LaurentPoly:
     integer numerators over the common denominator ``den``.  ``den`` is
     positive and shares no factor with all numerators together (it is 1 for
     the zero polynomial), so equal polynomials have equal storage.  The
-    public interface speaks exponent tuples and ``Fraction``; only this
-    module reads the storage.  Instances are treated as immutable; all
-    operations return new objects.
+    public interface speaks exponent tuples and ``Fraction``; only the report
+    writer and the rank-one invariant map read the storage from outside.
+    Instances are treated as immutable; all operations return new objects.
     """
 
     __slots__ = ("table", "terms", "den")
@@ -230,7 +230,7 @@ class LaurentPoly:
 
     @staticmethod
     def const(table: VarTable, value) -> "LaurentPoly":
-        c = _as_fraction(value)
+        c = value if type(value) is int else _as_fraction(value)
         if not c:
             return _new(table, {})
         return _new(table, {table._zero: c.numerator}, c.denominator)

@@ -2,13 +2,14 @@
 
 Polynomials travel as lists of ``(exponent vector, numerator,
 denominator)`` term records, never as decimals, with terms listed in the
-canonical monomial order and document keys emitted sorted.  A tail
-coefficient is a ``num``/``den`` pair of such lists, and every coefficient
-of one order repeats that order's one denominator: 1 at integer and half
-rank, the level's monic pairing determinant (or 1) at rank one.  Equal
-inputs therefore always produce byte-identical documents, and a document
-written by :func:`series_to_doc` can be rebuilt with :func:`series_from_doc`
-and re-verified from scratch.
+canonical monomial order and document keys emitted sorted; a document
+holds the :class:`LaurentPoly` itself, which :func:`dumps` writes as those
+records.  A tail coefficient is a ``num``/``den`` pair of such lists, and
+every coefficient of one order repeats that order's one denominator: 1 at
+integer and half rank, the level's monic pairing determinant (or 1) at rank
+one.  Equal inputs therefore always produce byte-identical documents, and a
+document written by :func:`series_to_doc` can be rebuilt with
+:func:`series_from_doc` and re-verified from scratch.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from __future__ import annotations
 import io
 from itertools import chain
 from json.encoder import encode_basestring_ascii as quote
+from math import gcd
 from operator import itemgetter
+from typing import Iterator
 
 from .frames import CONVENTIONS, GENERAL, HALF, INTEGER, RANK_ONE, Family
 from .ring import LaurentPoly, TruncatedSeries, VarTable
@@ -122,10 +125,9 @@ def partition_from_key(key: str) -> tuple[int, ...]:
 
 def vector_doc(vec: ModuleVector, den: LaurentPoly) -> dict:
     """Coefficient records by partition key, each a ``num``/``den`` pair over
-    the order's one denominator ``den``.  Its records are rendered once, and
-    every ``"den"`` field holds that one list: copy before editing in place."""
-    records = poly_terms(den)
-    return {partition_key(lam): {"num": poly_terms(vec.parts[lam]), "den": records}
+    the order's one denominator ``den``: every ``"den"`` field holds that
+    one polynomial, which :func:`dumps` formats once."""
+    return {partition_key(lam): {"num": vec.parts[lam], "den": den}
             for lam in sorted(vec.parts, key=partition_sort_key)}
 
 
@@ -159,8 +161,7 @@ def vector_from_doc(ctx, doc: object, k: int,
 
 
 def _indexed_polys(store: dict[int, LaurentPoly], label: str) -> list[dict]:
-    return [{label: index, "poly": poly_terms(store[index])}
-            for index in sorted(store)]
+    return [{label: index, "poly": store[index]} for index in sorted(store)]
 
 
 def _polys_indexed(table: VarTable, docs: object, label: str) -> dict[int, LaurentPoly]:
@@ -189,18 +190,19 @@ def series_header(series: IrregularSeries) -> dict:
             "rank": format_rank(series.family),
             "K": series.order,
             "convention": series.convention,
-            "central": poly_terms(series.ctx.c_vir),
+            "central": series.ctx.c_vir,
         },
         "variables": variables_doc(series.table),
     }
 
 
 def series_to_doc(series: IrregularSeries) -> dict:
-    """Full document for a constructed series, ready for :func:`dumps`."""
+    """Full document for a constructed series, holding its polynomials:
+    :func:`series_from_doc` reads back ``json.loads(dumps(doc))``."""
     return {
         **series_header(series),
         "series": {
-            "nu": None if series.nu is None else poly_terms(series.nu),
+            "nu": series.nu,
             "g": _indexed_polys(series.g, "j"),
             "constants": _indexed_polys(series.constants, "k"),
             "pending": list(series.pending),
@@ -309,95 +311,120 @@ def report_doc(report: VerificationReport) -> list[dict]:
 def truncated_doc(series: TruncatedSeries) -> dict:
     """Windowed scalar series: one polynomial per expansion-variable order."""
     orders = [] if series.hi is None else [
-        {"m": m, "poly": poly_terms(series.parts[m])} for m in sorted(series.parts)]
+        {"m": m, "poly": series.parts[m]} for m in sorted(series.parts)]
     return {"var": series.var, "lo": series.lo, "hi": series.hi, "orders": orders}
 
 
 # ----- JSON text ------------------------------------------------------------------
 
-_TERM_KEYS = {"d", "e", "n"}
-# pieces a streaming dumps buffers before it writes them out
-_CHUNK = 64
+# pieces a streaming dumps buffers before it writes them out (a piece holds
+# at most one term record), and the exponent texts it keeps per table
+_CHUNK, _MONOMIALS = 32, 256
 
 
-def _write(node: object, nl: str, out: list[str], flush) -> None:
-    """Append the indent-2, sorted-key JSON text of ``node`` to ``out``;
-    ``nl`` is the newline plus the indentation of the line ``node`` is on.
-    ``flush`` is called with ``out`` whenever it holds ``_CHUNK`` pieces,
-    and must empty it."""
-    if isinstance(node, dict):
-        if not node:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key in sorted(node):
-            out.append(sep + quote(key) + ": ")   # quote raises on a non-str key
-            _write(node[key], inner, out, flush)
-            sep = "," + inner
-            if len(out) >= _CHUNK:
-                flush(out)
-        out.append(nl + "}")
-    elif isinstance(node, (list, tuple)):
-        if not node:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        # a term record {"d": int, "e": [int, ...], "n": int}, the bulk of
-        # every report, is written from one template
-        term = (f'{{{inner}  "d": %s,{inner}  "e": [{inner}    %s{inner}  ],'
-                f'{inner}  "n": %s{inner}}}')
-        exp_sep = "," + inner + "    "
-        sep = "[" + inner
-        for item in node:
-            out.append(sep)
-            sep = "," + inner
-            if len(out) >= _CHUNK:
-                flush(out)
-            if type(item) is dict and item.keys() == _TERM_KEYS:
-                d, e, n = item["d"], item["e"], item["n"]
-                if (type(d) is int and type(n) is int and type(e) is list
-                        and set(map(type, e)) == _INT):
-                    out.append(term % (d, exp_sep.join(map(int.__repr__, e)), n))
-                    continue
-            _write(item, inner, out, flush)
-        out.append(nl + "]")
-    elif isinstance(node, str):
-        out.append(quote(node))
-    elif node is None:
-        out.append("null")
-    elif node is True:
-        out.append("true")
-    elif node is False:
-        out.append("false")
-    elif isinstance(node, int):
-        out.append(int.__repr__(node))
-    else:
-        raise TypeError(f"{type(node).__name__} {node!r} cannot appear in a report")
+def _count_polys(node: object, counts: dict[int, int]) -> None:
+    for item in node.values() if isinstance(node, dict) else node:
+        if type(item) is LaurentPoly:
+            counts[id(item)] = counts.get(id(item), 0) + 1
+        elif isinstance(item, (dict, list, tuple)):
+            _count_polys(item, counts)
+
+
+def _terms(poly: LaurentPoly, nl: str, exps: dict[int, str]) -> Iterator[str]:
+    """The term records of ``poly`` on the line that ``nl`` opens, one piece
+    each, straight from its packed keys and integer numerators; ``exps``
+    caches each key's exponents joined by commas."""
+    if not poly.terms:
+        yield "[]"
+        return
+    inner, field = nl + "  ", nl + "    "
+    head, tail, comma = "{" + field + '"d": ', inner + "}", "," + field + "  "
+    pre, post = f',{field}"e": [', f'],{field}"n": '
+    if len(poly.table):     # else every exponent list is empty
+        pre, post = f"{pre}{field}  ", field + post
+    sep, terms, den = "[" + inner, poly.terms, poly.den
+    for key in sorted(terms, reverse=True):
+        text = exps.get(key)
+        if text is None:
+            if len(exps) >= _MONOMIALS:
+                exps.clear()
+            text = exps[key] = ",".join(map(str, poly.table.unpack(key)))
+        c, d = terms[key], den
+        if d != 1:
+            g = gcd(c, d)
+            c, d = c // g, d // g
+        yield f"{sep}{head}{d}{pre}{text.replace(',', comma)}{post}{c}{tail}"
+        sep = "," + inner
+    yield nl + "]"
 
 
 def dumps(doc: dict, handle=None) -> str | None:
     """Byte-deterministic rendering: sorted keys, exact integers, no floats.
 
     The text is exactly ``json.dumps(doc, indent=2, sort_keys=True)`` plus a
-    final newline, written without ``json``'s pure-Python indenting encoder.
-    Dict keys must be strings; a float or any other non-JSON value raises
-    :class:`TypeError`.
+    final newline, with each :class:`LaurentPoly` written as its
+    :func:`poly_terms` records (formatted once however often it occurs) and
+    no pure-Python indenting encoder.  Dict keys must be strings; a float or
+    any other non-JSON value raises :class:`TypeError`, and an integer with
+    more than ``sys.get_int_max_str_digits()`` digits raises ``ValueError``.
 
     With a text ``handle`` the text is written there a few dozen pieces at
     a time, so neither the whole piece list nor the whole string is ever
-    held, and ``None`` is returned; on a :class:`TypeError` the text before
-    the bad value has already been written.  Without one the text is
-    returned.
+    held, only a recurring polynomial's text until it last occurs, and
+    ``None`` is returned; on an error the text before the bad value has
+    already been written.  Without one the text is returned.
     """
     stream = io.StringIO() if handle is None else handle
     out: list[str] = []
+    left: dict[int, int] = {}   # occurrences not yet written, by polynomial id
+    _count_polys((doc,), left)
+    held, exps = {}, {}         # text by (id, nl); exponent texts by table
 
     def flush(pieces: list[str]) -> None:
         stream.write("".join(pieces))
         pieces.clear()
 
-    _write(doc, "\n", out, flush)
+    def write(node: object, nl: str) -> None:
+        # ``nl`` is the newline plus the indentation of the line ``node`` is on
+        if isinstance(node, (dict, list, tuple)):
+            if not node:
+                out.append("{}" if isinstance(node, dict) else "[]")
+                return
+            inner = nl + "  "
+            if isinstance(node, dict):
+                # quote raises on a non-str key
+                items = [(quote(key) + ": ", node[key]) for key in sorted(node)]
+                sep, close = "{" + inner, nl + "}"
+            else:
+                items, sep, close = [("", item) for item in node], "[" + inner, nl + "]"
+            for label, item in items:
+                out.append(sep + label)
+                write(item, inner)
+                sep = "," + inner
+                if len(out) >= _CHUNK:
+                    flush(out)
+            out.append(close)
+        elif type(node) is LaurentPoly:
+            key = id(node), nl
+            left[id(node)] -= 1
+            text = held.pop(key, None)
+            pieces = _terms(node, nl, exps.setdefault(node.table, {})) if text is None else ()
+            if left[id(node)]:  # it occurs again: formatted once, held till then
+                text = held[key] = text or "".join(pieces)
+            for piece in pieces if text is None else (text,):
+                out.append(piece)
+                if len(out) >= _CHUNK:
+                    flush(out)
+        elif isinstance(node, str):
+            out.append(quote(node))
+        elif node is None or node is True or node is False:
+            out.append("null" if node is None else "true" if node else "false")
+        elif isinstance(node, int):
+            out.append(int.__repr__(node))
+        else:
+            raise TypeError(f"{type(node).__name__} {node!r} cannot appear in a report")
+
+    write(doc, "\n")
     out.append("\n")
     flush(out)
     return stream.getvalue() if handle is None else None

@@ -321,11 +321,13 @@ def _pairing_target(mu: tuple[int, ...], s1: LaurentPoly,
 def _from_invariants(p: LaurentPoly, delta_powers: list[LaurentPoly],
                      c_powers: list[LaurentPoly], table: VarTable) -> LaurentPoly:
     """Map a polynomial in (Delta, c) to the module table, given the powers
-    of the images of Delta and c."""
+    of the images of Delta and c, its integer numerators grouped by Delta."""
     groups: dict[int, list] = {}
-    for (a, b), coeff in p.iter_terms():
-        groups.setdefault(a, []).append((c_powers[b], LaurentPoly.const(table, coeff)))
-    return dot(table, [(dot(table, pairs), delta_powers[a]) for a, pairs in groups.items()])
+    for key, n in p.terms.items():
+        a, b = p.table.unpack(key)
+        groups.setdefault(a, []).append((c_powers[b], LaurentPoly.const(table, n)))
+    out = dot(table, [(dot(table, pairs), delta_powers[a]) for a, pairs in groups.items()])
+    return out if p.den == 1 else out * Fraction(1, p.den)
 
 
 def solve_rank1(vctx: ModuleContext, lam1: LaurentPoly, lam2: LaurentPoly,
@@ -470,12 +472,16 @@ def _check_flow(series: IrregularSeries, recipe: Recipe,
 def _check_rank_one(series: IrregularSeries, report: VerificationReport) -> None:
     # Each relation is checked on the stored N_k = D_k v_k, which has
     # polynomial coefficients, after multiplying it through by the
-    # denominators D_k it involves.  Every D_k is a nonzero polynomial (the
-    # solve and the report reader both refuse a zero one), so each cleared
-    # relation holds exactly when the original one does, and no rational
-    # arithmetic is needed.
+    # denominators D_k it involves.  A zero D_k (which the solve and the
+    # report reader both refuse) leaves v_k undefined and fails the series;
+    # with every D_k nonzero, each cleared relation holds exactly when the
+    # original one does, and no rational arithmetic is needed.
     table = series.table
     nums, dens = series.vectors, series.dens
+    zero = next((k for k, dk in enumerate(dens) if dk.is_zero()), None)
+    if zero is not None:
+        report.add("denominator", f"k = {zero}", False, "zero denominator")
+        return
     report.add("normalization", "k = 0", nums[0].constant_term() == dens[0])
     delta = series.ctx.eigenvalue(0)
     for k, nk in enumerate(nums):

@@ -23,6 +23,7 @@ from virasoro_irregular.frames import GENERAL, Family, default_central_charge
 from virasoro_irregular.ring import LaurentPoly, VarTable
 from virasoro_irregular.serialize import (
     SerializeError,
+    dumps,
     format_rank,
     parse_rank,
     partition_from_key,
@@ -51,6 +52,12 @@ def _series(kind: str):
     if kind == HALF:
         return solve_half(2, 2)
     return rank1_series(2)
+
+
+def _plain_doc(kind: str) -> dict:
+    """The series document of ``_series(kind)`` as the JSON tree a report
+    file holds, its polynomials written out as term records."""
+    return json.loads(dumps(series_to_doc(_series(kind))))
 
 
 def _run(capsys, argv: list[str]) -> tuple[int, str]:
@@ -174,15 +181,14 @@ def test_partition_keys_round_trip():
 
 @pytest.mark.parametrize("kind", [RANK_ONE, INTEGER, HALF])
 def test_series_documents_round_trip(kind):
-    series = _series(kind)
-    doc = series_to_doc(series)
+    doc = _plain_doc(kind)
     rebuilt = series_from_doc(doc)
     assert verify_canonical(rebuilt).all_ok
-    assert series_to_doc(rebuilt) == doc
+    assert json.loads(dumps(series_to_doc(rebuilt))) == doc
 
 
 def test_series_from_doc_rejects_tampered_documents():
-    doc = series_to_doc(_series(INTEGER))
+    doc = _plain_doc(INTEGER)
     broken = copy.deepcopy(doc)
     broken["variables"]["names"][0] = "Z"
     with pytest.raises(SerializeError):
@@ -305,7 +311,7 @@ def test_unequal_den_records_of_one_level_are_refused():
     # the middle coefficient of level 3 carries its quotient scaled by 2: the
     # same value, but a level stores one denominator, so the report is refused
     series = rank1_series(3)
-    doc = json.loads(json.dumps(series_to_doc(series)))   # unshare the records
+    doc = json.loads(dumps(series_to_doc(series)))
     level = doc["series"]["tail"][3]["terms"]
     first, middle, last = level.values()
     for record in middle["num"] + middle["den"]:
@@ -462,7 +468,7 @@ def test_verify_input_takes_no_series_options(option, tmp_path, capsys):
     # the report declares rank, order, central charge and convention, so
     # each of these given beside --input is a usage error, not ignored
     report = tmp_path / "series.json"
-    report.write_text(json.dumps(series_to_doc(_series(INTEGER))))
+    report.write_text(dumps(series_to_doc(_series(INTEGER))))
     code, _ = _run(capsys, ["verify", "--input", str(report)])
     assert code == 0
     with pytest.raises(SystemExit) as err:
@@ -522,6 +528,27 @@ def test_a_failed_write_keeps_the_previous_report(tmp_path, monkeypatch):
         main(argv)
     assert report.read_bytes() == before
     assert sorted(path.name for path in tmp_path.iterdir()) == ["r.json"]
+
+
+@pytest.mark.parametrize("rank, order", [("2", 4), ("1", 3)])
+def test_a_number_past_the_digit_limit_ends_in_an_error_record(rank, order, tmp_path,
+                                                               capsys):
+    # --central=10**3000 fits the digit limit, but the solve multiplies it into
+    # coefficients longer than sys.get_int_max_str_digits(), which no report
+    # can write; that once ended in the writer's ValueError traceback
+    limit = f"{sys.get_int_max_str_digits()} digits"
+    report = tmp_path / "r.json"
+    argv = ["construct", "--rank", rank, "--order", str(order), "--central", "10**3000"]
+    assert main(argv + ["--format", "json", "--output", str(report)]) == 1
+    doc = json.loads(report.read_text())
+    assert set(doc) == {"meta", "error"} and doc["meta"]["rank"] == rank
+    assert doc["error"]["type"] == "SerializeError" and limit in doc["error"]["message"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["r.json"]
+    capsys.readouterr()
+    # on stdout part of the report may be out already: stderr says why it stops
+    for fmt in ("json", "text"):
+        assert main(argv + ["--format", fmt]) == 1
+        assert limit in capsys.readouterr().err
 
 
 def test_report_is_written_through_a_symlink(tmp_path):
@@ -730,7 +757,7 @@ def test_error_record_of_a_non_utf8_input_declares_nothing(tmp_path, capsys):
 
 def test_error_record_carries_the_input_meta_and_central(tmp_path, capsys):
     path = tmp_path / "series.json"
-    doc = series_to_doc(_series(INTEGER))
+    doc = _plain_doc(INTEGER)
     terms = doc["series"]["tail"][1]["terms"]
     terms[sorted(terms)[0]]["num"][0]["d"] = 0
     path.write_text(json.dumps(doc))

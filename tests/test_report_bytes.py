@@ -15,10 +15,22 @@ from hypothesis import given, settings, strategies as st
 
 from virasoro_irregular import cli, serialize
 from virasoro_irregular.cli import main
+from virasoro_irregular.ring import LaurentPoly, VarTable
+
+
+def _records(node: object) -> object:
+    """``node`` with each polynomial replaced by its term records."""
+    if isinstance(node, LaurentPoly):
+        return serialize.poly_terms(node)
+    if isinstance(node, dict):
+        return {key: _records(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_records(item) for item in node]
+    return node
 
 
 def _reference(doc: object) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_records(doc), indent=2, sort_keys=True) + "\n"
 
 
 # ----- emitter equivalence --------------------------------------------------------
@@ -30,11 +42,26 @@ _INTS = st.integers() | st.integers(min_value=-2**200, max_value=2**200)
 _TERMS = st.fixed_dictionaries({"d": _INTS, "e": st.lists(_INTS, max_size=4),
                                 "n": _INTS})
 _LEAVES = st.none() | st.booleans() | _INTS | _STRINGS | _TERMS
-_TREES = st.recursive(
-    _LEAVES,
+_TABLES = [VarTable(names, [1] * len(names)) for names in ((), ("x",), ("Q", "c0", "c1"))]
+
+
+@st.composite
+def _polys(draw) -> LaurentPoly:
+    """Laurent polynomials: zero, constants, negative exponents, negative and
+    long numerators, denominators above 1."""
+    table = draw(st.sampled_from(_TABLES))
+    triples = draw(st.lists(st.tuples(
+        st.lists(st.integers(-3, 3), min_size=len(table), max_size=len(table)),
+        _INTS, st.integers(1, 12) | st.integers(1, 2**70)), max_size=6))
+    return LaurentPoly.from_triples(table, triples) if triples else LaurentPoly.zero(table)
+
+
+# trees whose leaves include a few polynomials, each of which may recur
+_TREES = st.lists(_polys(), min_size=1, max_size=3).flatmap(lambda pool: st.recursive(
+    _LEAVES | st.sampled_from(pool),
     lambda children: (st.lists(children, max_size=4)
                       | st.dictionaries(_STRINGS, children, max_size=4)),
-    max_leaves=30)
+    max_leaves=30))
 
 
 @settings(max_examples=300, deadline=None)
@@ -65,6 +92,40 @@ _NEAR_MISS_TERMS = [
 def test_dumps_matches_json_on_near_miss_term_records(record):
     for doc in (record, [record], {"poly": [record, record]}, [[record], {}, []]):
         assert serialize.dumps(doc) == _reference(doc)
+
+
+def test_a_polynomial_that_recurs_is_formatted_once(monkeypatch):
+    # a rank-one level's denominator fills the "den" field of every record of
+    # the level: its text is made once per indentation and then reused
+    table = _TABLES[2]
+    den = LaurentPoly.from_triples(table, [([1, 1, 0], 1, 1), ([0, 2, 0], -1, 1)])
+    num = LaurentPoly.from_triples(table, [([0, -1, 2], 3, 2)])
+    doc = {"level": {str(i): {"num": num if i == 3 else LaurentPoly.from_triples(
+        table, [([i, 0, 0], i + 1, 1)]), "den": den} for i in range(6)},
+        "again": [num, den]}
+    formatted = []
+    terms = serialize._terms
+    monkeypatch.setattr(serialize, "_terms", lambda poly, *rest: (
+        formatted.append(poly), terms(poly, *rest))[1])
+    assert serialize.dumps(doc) == _reference(doc)
+    # den and num once at the records' depth and once in "again"
+    assert sum(poly is den for poly in formatted) == 2
+    assert sum(poly is num for poly in formatted) == 2
+    assert len(formatted) == 9
+
+
+def test_a_long_polynomial_reaches_the_handle_in_many_bounded_writes():
+    # its terms are streamed a few dozen records at a time, never joined
+    table = _TABLES[2]
+    doc = {"poly": LaurentPoly.from_triples(
+        table, [([i % 17 - 8, i // 17 % 13, i // 221], i - 1500, 7) for i in range(3000)])}
+    writes: list[str] = []
+    handle = mock.Mock(write=writes.append)
+    assert serialize.dumps(doc, handle) is None
+    text = _reference(doc)
+    assert "".join(writes) == text
+    assert len(writes) >= 3000 // serialize._CHUNK
+    assert max(map(len, writes)) <= 2 * serialize._CHUNK * len(text) / 3000
 
 
 @pytest.mark.parametrize("doc", [

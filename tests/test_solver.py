@@ -680,6 +680,17 @@ def test_rank1_check_without_nested_denominators(convention):
     assert not mode1.ok and mode1.detail.startswith("k=3:")
 
 
+@pytest.mark.parametrize("k", [0, 2])
+def test_rank1_check_fails_a_zero_denominator(k):
+    # v_k = N_k / 0 is no vector: the re-check adds one failed entry that
+    # names the order instead of dividing a higher level's D by it
+    s = _rank1(3, GENERAL)
+    s = _with_level(s, k, ModuleVector(s.ctx, {}), LaurentPoly.zero(s.table))
+    report = verify_canonical(s)
+    assert [(c.relation, c.window, c.ok) for c in report.checks] == [
+        ("denominator", f"k = {k}", False)]
+
+
 @pytest.mark.parametrize("convention", [GENERAL, DISPLAY])
 def test_rank1_check_catches_a_changed_normalization(convention):
     s = _rank1(3, convention)

@@ -23,6 +23,11 @@ once by elimination whatever ``linalg.EXPANSION_ROWS`` would pick, after
 checking that the two agree entry for entry.  Each line gives the median
 and spread of REPEATS runs in milliseconds and the ratio, so that the
 threshold can be re-checked.
+
+A third table times the report writer, ``serialize.series_to_doc`` plus
+``serialize.dumps`` into ``os.devnull``, on the rank-one series of orders 4
+and 5 and on ``solve_integer(2, 4)``: the report size, then the median and
+spread of REPEATS runs in milliseconds.
 Stdlib only.
 """
 
@@ -39,11 +44,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 import ring_oracle  # noqa: E402
-from virasoro_irregular import linalg  # noqa: E402
+from virasoro_irregular import linalg, serialize  # noqa: E402
 from virasoro_irregular.frames import HALF, INTEGER, Family  # noqa: E402
 from virasoro_irregular.gram import gram_entry  # noqa: E402
 from virasoro_irregular.ring import LaurentPoly, VarTable  # noqa: E402
 from virasoro_irregular.serialize import format_rank  # noqa: E402
+from virasoro_irregular.solver import rank1_series, solve_integer  # noqa: E402
 from virasoro_irregular.virasoro import partitions_of, verma_context  # noqa: E402
 
 REPEATS = 7
@@ -110,7 +116,7 @@ def main() -> int:
                 median_ms(kernels[k][op][0]) for k in ("oracle", "kernel"))
             print(f"{name:<10} {op:<10} {old:>10.3f} ({old_spread:>7.3f}) "
                   f"{new:>10.3f} ({new_spread:>7.3f}) {old / new:>7.1f}x")
-    return adjugate_table()
+    return adjugate_table() or writer_table()
 
 
 def adjugate_matrices():
@@ -147,6 +153,19 @@ def adjugate_table() -> int:
                   f"{elim:>14.2f} ({elim_spread:>7.2f}) {elim / exp:>5.1f}x")
     finally:
         linalg.EXPANSION_ROWS = threshold
+    return 0
+
+
+def writer_table() -> int:
+    print(f"\n{'series':<20} {'report bytes':>12} {'writer ms (spread)':>20}")
+    cases = [("rank1_series(4)", rank1_series(4)), ("rank1_series(5)", rank1_series(5)),
+             ("solve_integer(2, 4)", solve_integer(2, 4))]
+    with open(os.devnull, "w", encoding="utf-8") as devnull:
+        for name, series in cases:
+            size = len(serialize.dumps(serialize.series_to_doc(series)))
+            ms, spread = median_ms(
+                lambda: serialize.dumps(serialize.series_to_doc(series), devnull))
+            print(f"{name:<20} {size:>12} {ms:>10.2f} ({spread:>7.2f})")
     return 0
 
 
